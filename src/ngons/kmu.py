@@ -18,7 +18,7 @@ from typing import Optional
 
 from .graph import GraphError, enumerate_cycles, girth
 from . import io as gio
-from .predimension import delta, _min_superset
+from .predimension import delta, is_strong, _min_superset
 from .zeroalg import default_body_cap, enumerate_zero_min_pairs
 
 
@@ -268,7 +268,6 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     new = None
     if member_base is not None:
         member_base = g.check_subset(member_base)
-        from .predimension import is_strong
         ok, witness = is_strong(g, member_base)
         if not ok:
             raise GraphError("member_base is not strongly embedded; "

@@ -10,18 +10,9 @@ d(A) = min { delta(A') : A <= A' <= ambient }, the smallest strong
 superset (closure) and algebraic closure relative to the finite ambient
 graph.
 
-Two independent routes are deliberately kept apart:
-
-* ``d_min``/``closure`` translate the minimisation into a minimum-cut
-  (project selection) problem.  delta is submodular, so the minimisers
-  form a lattice and the inclusion-smallest minimiser -- which is exactly
-  the closure -- is the source side of the unique minimal minimum cut.
-* ``is_strong`` searches directly for a violating intermediate set,
-  after peeling the ambient down to the vertices that can occur in an
-  inclusion-minimal violator.
-
-They are cross-checked against each other (and against brute force) in
-the test suite.
+All minimisation -- ``d_min``, ``closure`` and ``is_strong`` -- goes
+through one minimum-cut (project selection) reduction; brute force over
+subsets cross-checks it in the test suite.
 """
 
 import math
@@ -70,63 +61,31 @@ def is_strong(g, a, b=None):
     True iff delta(B') >= delta(A) for every A <= B' <= B.  Returns
     (ok, witness); on failure the witness is an inclusion-minimal
     violating set B'.
+
+    Every vertex of an inclusion-minimal violator outside A survives the
+    peel, so minimising delta over A plus the peeled hull decides the
+    question.  The smallest minimiser W then violates; it is shrunk by
+    re-solving inside W - v for each v in W - A, replacing W whenever a
+    violator remains.  W only shrinks, so a vertex kept once stays
+    necessary, and one pass leaves no violating proper subset.
     """
     a = g.check_subset(a)
     b = g.vertices if b is None else g.check_subset(b)
     if not a <= b:
         raise GraphError("is_strong requires A to be a subset of B")
-    n = g.n
-    base = delta(g, a)
-    hull = _peel(g, b - a, a, _violator_threshold(n))
-    violator = _search_violator(g, a, sorted(hull), base)
-    if violator is None:
+    hull = _peel(g, b - a, a, _violator_threshold(g.n))
+    if not hull:
         return True, None
-    return False, _minimize_violator(g, a, violator, base)
-
-
-def _search_violator(g, a, hull, base):
-    """Depth-first search for S within the hull with delta(A|S) < delta(A).
-
-    Branch and bound: at each node the optimistic further decrease is
-    (n-2) * (edges among undecided vertices + edges from undecided into
-    the current set); if even that cannot push delta below the target,
-    the branch is pruned.
-    """
-    n = g.n
-    target = base
-
-    def rec(current, cur_delta, rest):
-        if cur_delta < target:
-            return current
-        if not rest:
-            return None
-        pool = current | set(rest)
-        potential = (g.n - 2) * sum(
-            1 for v in rest for w in g.neighbors(v) if w in pool and (w in current or w > v))
-        if cur_delta - potential >= target:
-            return None
-        v, tail = rest[0], rest[1:]
-        gain = sum(1 for w in g.neighbors(v) if w in current)
-        with_v = rec(current | {v}, cur_delta + (n - 1) - (n - 2) * gain, tail)
-        if with_v is not None:
-            return with_v
-        return rec(current, cur_delta, tail)
-
-    return rec(set(a), base, list(hull))
-
-
-def _minimize_violator(g, a, violator, base):
-    """Greedily shrink a violating set to an inclusion-minimal one."""
-    current = set(violator)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(current - a):
-            trial = current - {v}
-            if delta(g, trial) < base:
-                current = trial
-                changed = True
-    return frozenset(current)
+    base = delta(g, a)
+    value, w = _min_superset(g, a, a | hull)
+    if value >= base:
+        return True, None
+    for v in sorted(w - a):
+        if v in w:
+            value, smaller = _min_superset(g, a, w - {v})
+            if value < base:
+                w = smaller
+    return False, w
 
 
 class _Dinic:

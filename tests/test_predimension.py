@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ngons import (acl_relative, closure, d_min, d_rel, delta, delta_rel,
-                   is_strong, make_cycle, make_gamma, make_path, GraphError)
+                   is_strong, make_cycle, make_gamma, make_path, BipartiteGraph,
+                   GraphError)
 from conftest import MaskOracle, random_bipartite
 
 
@@ -91,9 +92,29 @@ def test_against_mask_oracle(small_graphs):
             assert closure(g, a) == oracle.closure(a)
 
 
+def _assert_inclusion_minimal_violator(oracle, a, witness):
+    """witness violates, and no A <= S < witness does (by brute force)."""
+    amask, wmask = oracle.mask(a), oracle.mask(witness)
+    base = oracle.delta[amask]
+    assert amask & ~wmask == 0
+    assert oracle.delta[wmask] < base
+    extra = wmask & ~amask
+    sub = (extra - 1) & extra
+    while True:
+        assert oracle.delta[amask | sub] >= base, (
+            sorted(a), sorted(witness), sorted(oracle.unmask(amask | sub)))
+        if sub == 0:
+            break
+        sub = (sub - 1) & extra
+
+
 def test_violator_witness_is_genuine(small_graphs):
     rng = random.Random(11)
-    for g in small_graphs:
+    corpus = list(small_graphs) + [random_bipartite(rng, n, 10, 0.35)
+                                   for n in (3, 4, 5) for _ in range(6)]
+    violations = set()
+    for g in corpus:
+        oracle = MaskOracle(g)
         verts = sorted(g.vertices)
         for _ in range(20):
             a = frozenset(rng.sample(verts, rng.randrange(1, len(verts))))
@@ -101,11 +122,47 @@ def test_violator_witness_is_genuine(small_graphs):
             if ok:
                 assert witness is None
             else:
-                assert a <= witness
-                assert delta(g, witness) < delta(g, a)
-                # inclusion-minimal: removing any extra vertex repairs it
-                for v in sorted(witness - a):
-                    assert delta(g, witness - {v}) >= delta(g, a)
+                _assert_inclusion_minimal_violator(oracle, a, witness)
+                violations.add(g.n)
+    assert violations == {3, 4, 5}
+
+
+def test_violator_witness_regression():
+    # {0,2,3,6,7,8,9} violates (delta 11 < 12) and removing any single
+    # vertex repairs it, yet its subset {0,2,3,7,8} violates too: only a
+    # check over all subsets tells which one is inclusion-minimal
+    edges = [(1, 3), (1, 9), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+             (5, 9), (6, 9), (7, 9)]
+    parts = {v: 1 if v in (3, 9) else 0 for v in range(10)}
+    g = BipartiteGraph(4, parts, edges)
+    a = frozenset({0, 2, 7, 8})
+    assert delta(g, a) == 12
+    ok, witness = is_strong(g, a)
+    assert not ok
+    _assert_inclusion_minimal_violator(MaskOracle(g), a, witness)
+    assert witness == frozenset({0, 2, 3, 7, 8})
+
+
+def test_is_strong_within_b_matches_induced_subgraph(small_graphs):
+    rng = random.Random(17)
+    for g in small_graphs:
+        verts = sorted(g.vertices)
+        for _ in range(10):
+            b = frozenset(rng.sample(verts, rng.randrange(1, len(verts) + 1)))
+            a = frozenset(rng.sample(sorted(b), rng.randrange(0, len(b) + 1)))
+            induced = BipartiteGraph(
+                g.n, {v: g.part(v) for v in b},
+                [(u, v) for (u, v) in g.edges if u in b and v in b])
+            oracle = MaskOracle(induced)
+            ok, witness = is_strong(g, a, b)
+            assert ok == oracle.is_strong(a)
+            if not ok:
+                _assert_inclusion_minimal_violator(oracle, a, witness)
+
+
+@pytest.mark.parametrize("length", [32, 600])
+def test_long_cycle_is_strong(length):
+    assert is_strong(make_cycle(4, length), {0, 1}) == (True, None)
 
 
 def test_d_rel_definition(small_graphs):

@@ -3,14 +3,16 @@ strong transitivity (the BN-pair witness), the Remark-style equivalence on
 ordered cycles, the Moufang condition, and the transitivity degree of a
 point stabilizer on the neighbourhood D_1(x).
 
-Groups are handled naively but verifiably: automorphisms are found by
-backtracking over an equitable colour refinement, the full element list is
-materialized (the bundled polygons have a few hundred to a few thousand
-automorphisms), and the order is recomputed independently through an
+Groups are kept as generators and never enumerated: automorphisms are
+found by backtracking over an equitable colour refinement, pruned by the
+orbits of the generators already found; the action of a pointwise
+stabilizer is read off one orbit of tuples; every check is G-invariant,
+so one simple path per G-orbit is tested; and the order comes from an
 orbit-stabilizer chain.
 """
 
-from collections import Counter, deque
+from collections import Counter
+from itertools import permutations
 
 from .graph import GraphError, is_generalized_ngon, ordered_cycles, simple_paths
 
@@ -54,13 +56,14 @@ class PermGroup:
     """A permutation group on the vertex set, given by generators.
 
     `order` runs an orbit-stabilizer chain; `elements` materializes the
-    group by closure.  The two are checked against each other in the test
-    suite; both are cached.
+    group by closure, for tests and small groups only (nothing in the
+    library calls it).  The two are checked against each other in the
+    test suite; both are cached.
     """
 
     def __init__(self, domain, generators):
         self.domain = tuple(sorted(domain))
-        dom = frozenset(self.domain)
+        self._points = dom = frozenset(self.domain)
         gens = []
         for p in generators:
             if frozenset(p) != dom or frozenset(p.values()) != dom:
@@ -76,9 +79,8 @@ class PermGroup:
         if self._elements is None:
             ident = _identity(self.domain)
             found = {_as_key(ident, self.domain): ident}
-            queue = deque([ident])
-            while queue:
-                p = queue.popleft()
+            queue = [ident]
+            for p in queue:
                 for gen in self.generators:
                     q = _compose(gen, p)
                     key = _as_key(q, self.domain)
@@ -100,18 +102,17 @@ class PermGroup:
         componentwise)."""
         single = not isinstance(x, tuple)
         start = (x,) if single else x
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            t = queue.popleft()
-            for gen in self.generators:
-                img = tuple(gen[v] for v in t)
+        if not self._points.issuperset(start):
+            raise GraphError("%r is not in the group's domain" % (x,))
+        seen, queue = {start}, [start]
+        maps = [gen.__getitem__ for gen in self.generators]
+        for t in queue:
+            for m in maps:
+                img = tuple(map(m, t))
                 if img not in seen:
                     seen.add(img)
                     queue.append(img)
-        if single:
-            return frozenset(t[0] for t in seen)
-        return seen
+        return frozenset(t[0] for t in seen) if single else seen
 
     def stabilizer_elements(self, fixed):
         """All elements fixing the given vertices pointwise."""
@@ -127,9 +128,8 @@ def _chain_order(domain, generators):
                 if any(g[v] != v for g in gens))
     # orbit of the base point, remembering a transversal element per point
     transversal = {base: _identity(domain)}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
+    queue = [base]
+    for v in queue:
         for g in gens:
             w = g[v]
             if w not in transversal:
@@ -165,8 +165,16 @@ def automorphism_group(g, type_preserving=True):
 
     Backtracking over an equitable colour refinement; the initial colours
     encode the part labels when type_preserving is set, and vertex degrees
-    otherwise.  The generator list is reduced greedily: an automorphism is
-    kept only if it enlarges the group generated so far.
+    otherwise.  The search is pruned by the orbits of the automorphisms
+    already found (McKay & Piperno 2014): from the last vertex of the
+    search order to the first, with order[:i] fixed pointwise, it seeks
+    one automorphism per candidate image of order[i] not yet in the orbit
+    of order[i] under the generators found so far; these subtrees are
+    disjoint parts of the full tree.  By induction from the last level,
+    the generators found at levels >= i generate the pointwise stabilizer
+    of order[:i] (they generate that of order[:i+1] and reach its orbit
+    of order[i]), so at level 0 the whole group.  Each one moves order[i]
+    out of the orbit of the ones before it: it strictly enlarges their group.
     """
     verts = sorted(g.vertices)
     colours = {v: (g.part(v) if type_preserving else 0, len(g.neighbors(v)))
@@ -191,40 +199,37 @@ def automorphism_group(g, type_preserving=True):
             nxt = min(pool, key=lambda v: (len(by_colour[colours[v]]), colours[v], v))
         order.append(nxt)
         placed.add(nxt)
-    autos = []
 
-    def rec(i, mapping, used):
-        if i == len(order):
-            autos.append(dict(mapping))
-            return
-        v = order[i]
+    def candidates(v, mapping):
+        """Images of v consistent with colours and the mapped neighbours."""
         mapped_nbrs = [u for u in g.neighbors(v) if u in mapping]
-        if mapped_nbrs:
-            pool = sorted(g.neighbors(mapping[mapped_nbrs[0]]))
-        else:
-            pool = by_colour[colours[v]]
+        pool = (g.neighbors(mapping[mapped_nbrs[0]]) if mapped_nbrs
+                else by_colour[colours[v]])
         want = {mapping[u] for u in mapped_nbrs}
-        images = frozenset(mapping.values())
-        for w in pool:
-            if w in used or colours[w] != colours[v]:
-                continue
-            if (g.neighbors(w) & images) != want:
-                continue
-            mapping[v] = w
-            rec(i + 1, mapping, used | {w})
-            del mapping[v]
+        images = set(mapping.values())
+        return sorted(w for w in pool
+                      if w not in images and colours[w] == colours[v]
+                      and g.neighbors(w) & images == want)
 
-    rec(0, {}, frozenset())
+    def extend(i, mapping):
+        """The first automorphism extending mapping on order[:i], or None."""
+        if i == len(order):
+            return mapping
+        for w in candidates(order[i], mapping):
+            found = extend(i + 1, {**mapping, order[i]: w})
+            if found is not None:
+                return found
+        return None
 
     gens = []
-    generated = {_as_key(_identity(verts), tuple(verts))}
-    for p in sorted(autos, key=lambda p: _as_key(p, tuple(verts))):
-        key = _as_key(p, tuple(verts))
-        if key in generated:
-            continue
-        gens.append(p)
-        generated = {_as_key(q, tuple(verts))
-                     for q in PermGroup(verts, gens).elements()}
+    for i in reversed(range(len(order))):
+        v = order[i]
+        fixed = {u: u for u in order[:i]}
+        for w in candidates(v, fixed):
+            if w not in PermGroup(verts, gens).orbit(v):
+                found = extend(i + 1, {**fixed, v: w})
+                if found is not None:
+                    gens.append(found)
     grp = PermGroup(verts, gens)
     for p in grp.generators:
         _check_automorphism(g, p, type_preserving)
@@ -239,19 +244,51 @@ def _check_automorphism(g, p, type_preserving):
         raise GraphError("generator does not preserve parts")
 
 
-def _require_ngon(g):
-    ok, reason = is_generalized_ngon(g)
+def _require(g, grp, ngon=True):
+    """Raise GraphError unless grp acts on the vertex set of g and (with
+    ngon set) g is a generalized n-gon."""
+    if grp.domain != tuple(sorted(g.vertices)):
+        raise GraphError("the group does not act on the graph's vertex set")
+    ok, reason = is_generalized_ngon(g) if ngon else (True, None)
     if not ok:
         raise GraphError("graph is not a generalized %d-gon: %s" % (g.n, reason))
 
 
 def _transitive_on(grp, tuples):
-    """Does the group act transitively on the given nonempty tuple set?"""
-    tuples = set(tuples)
-    if not tuples:
-        return True
-    some = min(tuples)
-    return grp.orbit(some) >= tuples
+    """Does the group act transitively on the given tuple set?"""
+    return not tuples or grp.orbit(min(tuples)) >= set(tuples)
+
+
+def _stabilizer_reach(grp, fixed, tail):
+    """Where the pointwise stabilizer of the tuple `fixed` takes the tuple
+    `tail`: the tails of those images of fixed + tail that start with
+    `fixed`.  Returns that set and the G-orbit of fixed + tail."""
+    k = len(fixed)
+    orbit = grp.orbit(fixed + tail)
+    return {t[k:] for t in orbit if t[:k] == fixed}, orbit
+
+
+def _first_failing_path(g, grp, moufang):
+    """The first simple path (x_0, ..., x_n) whose pointwise stabilizer
+    (with moufang set: that of D_1(x_1) + ... + D_1(x_{n-1})) is not
+    transitive on D_1(x_n) minus x_{n-1}, or None.  The condition is
+    G-invariant, so a passing path clears its G-orbit, which is read off
+    the same tuple orbit."""
+    n = g.n
+    covered = set()
+    for path in simple_paths(g, n):
+        targets = g.neighbors(path[-1]) - {path[-2]}
+        if path in covered or not targets:
+            continue
+        fixed = path
+        if moufang:  # the union contains the path; fix the rest too
+            rest = set().union(*(g.neighbors(x) for x in path[1:n]))
+            fixed += tuple(sorted(rest - set(path)))
+        reach, orbit = _stabilizer_reach(grp, fixed, (min(targets),))
+        if reach != {(y,) for y in targets}:
+            return path
+        covered.update(t[:n + 1] for t in orbit)
+    return None
 
 
 def is_strongly_transitive(g, grp):
@@ -263,22 +300,11 @@ def is_strongly_transitive(g, grp):
     of fixed type -- is computed as well and the two answers are checked
     against each other.
     """
-    _require_ngon(g)
-    n = g.n
-    ok, witness = True, None
-    elements = grp.elements()
-    for path in simple_paths(g, n):
-        stab = [p for p in elements if all(p[v] == v for v in path)]
-        targets = sorted(g.neighbors(path[-1]) - {path[-2]})
-        if not targets:
-            continue
-        reach = {q[targets[0]] for q in stab}
-        if reach != set(targets):
-            ok, witness = False, path
-            break
-    thick, _ = is_generalized_ngon(g, thick=True)
-    if thick:
-        cycle_form = _transitive_on(grp, ordered_cycles(g, 2 * n, start_part=0))
+    _require(g, grp)
+    witness = _first_failing_path(g, grp, moufang=False)
+    ok = witness is None
+    if is_generalized_ngon(g, thick=True)[0]:
+        cycle_form = _transitive_on(grp, ordered_cycles(g, 2 * g.n, start_part=0))
         if cycle_form != ok:
             raise GraphError(
                 "path-stabilizer and ordered-cycle characterizations of "
@@ -295,25 +321,19 @@ def check_remark_2_2(g, grp):
     acts transitively on (D_1(x_1) - {x_0, x_2}) x (D_1(x_2) - {x_1, x_3}).
     Returns (L == R, L, R).
     """
-    _require_ngon(g)
+    _require(g, grp)
     n = g.n
     left = _transitive_on(grp, ordered_cycles(g, 2 * n + 2, start_part=0))
     cycles = ordered_cycles(g, 2 * n, start_part=0)
     right = _transitive_on(grp, cycles)
     if right and cycles:
-        elements = grp.elements()
-        for cyc in cycles:
-            stab = [p for p in elements if all(p[v] == v for v in cyc)]
-            pairs = {(a, b)
-                     for a in g.neighbors(cyc[1]) - {cyc[0], cyc[2]}
-                     for b in g.neighbors(cyc[2]) - {cyc[1], cyc[3]}}
-            if not pairs:
-                continue
-            some = min(pairs)
-            reach = {(p[some[0]], p[some[1]]) for p in stab}
-            if reach != pairs:
-                right = False
-            break  # the cycles form one orbit, so one stabilizer suffices
+        # the cycles form one orbit, so one stabilizer suffices
+        cyc = cycles[0]
+        pairs = {(a, b)
+                 for a in g.neighbors(cyc[1]) - {cyc[0], cyc[2]}
+                 for b in g.neighbors(cyc[2]) - {cyc[1], cyc[3]}}
+        if pairs:
+            right = _stabilizer_reach(grp, cyc, min(pairs))[0] == pairs
     return left == right, left, right
 
 
@@ -322,45 +342,23 @@ def is_moufang(g, grp):
     pointwise stabilizer of D_1(x_1) + ... + D_1(x_{n-1}) acts
     transitively on D_1(x_n) minus x_{n-1}.  Returns (ok, failing_path).
     """
-    _require_ngon(g)
-    n = g.n
-    elements = grp.elements()
-    for path in simple_paths(g, n):
-        fixed = set()
-        for x in path[1:n]:
-            fixed |= g.neighbors(x)
-        fixed = sorted(fixed)
-        stab = [p for p in elements if all(p[v] == v for v in fixed)]
-        targets = sorted(g.neighbors(path[-1]) - {path[-2]})
-        if not targets:
-            continue
-        reach = {q[targets[0]] for q in stab}
-        if reach != set(targets):
-            return False, path
-    return True, None
+    _require(g, grp)
+    witness = _first_failing_path(g, grp, moufang=True)
+    return witness is None, witness
 
 
 def stabilizer_transitivity_degree(g, grp, x):
     """The largest t such that the stabilizer of x acts t-transitively on
-    D_1(x), decided by orbit counting on ordered t-tuples of distinct
-    neighbours; 0 if it is not even transitive."""
+    D_1(x), decided on ordered t-tuples of distinct neighbours; 0 if it
+    is not even transitive."""
     if x not in g.vertices:
         raise GraphError("unknown vertex %r" % (x,))
+    _require(g, grp, ngon=False)
     nbrs = sorted(g.neighbors(x))
-    stab = grp.stabilizer_elements([x])
     degree = 0
     for t in range(1, len(nbrs) + 1):
-        def tuples(prefix):
-            if len(prefix) == t:
-                yield prefix
-                return
-            for v in nbrs:
-                if v not in prefix:
-                    yield from tuples(prefix + (v,))
-        all_tuples = set(tuples(()))
-        some = min(all_tuples)
-        reach = {tuple(p[v] for v in some) for p in stab}
-        if reach != all_tuples:
+        reach, _ = _stabilizer_reach(grp, (x,), tuple(nbrs[:t]))
+        if reach != set(permutations(nbrs, t)):
             break
         degree = t
     return degree

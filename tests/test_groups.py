@@ -1,10 +1,13 @@
 import random
+from itertools import permutations
 
 import pytest
 
+from conftest import random_bipartite
 from ngons import (BipartiteGraph, GraphError, PermGroup, automorphism_group,
-                   check_remark_2_2, format_cycles, is_moufang,
-                   is_strongly_transitive, make_cycle, make_path,
+                   check_remark_2_2, fano_graph, format_cycles, gq22_graph,
+                   is_generalized_ngon, is_moufang, is_strongly_transitive,
+                   make_cycle, make_path, ordered_cycles, simple_paths,
                    stabilizer_transitivity_degree)
 
 
@@ -135,3 +138,195 @@ def test_transitivity_degree(fano, gq22, fano_grp, gq_grp):
     assert stabilizer_transitivity_degree(fano, trivial, 0) == 0
     with pytest.raises(GraphError):
         stabilizer_transitivity_degree(fano, fano_grp, 99)
+
+
+def test_pg23_battery(pg23):
+    grp = automorphism_group(pg23)
+    assert grp.order == 5616
+    assert is_strongly_transitive(pg23, grp) == (True, None)
+    assert is_moufang(pg23, grp) == (True, None)
+    assert check_remark_2_2(pg23, grp) == (True, True, True)
+    assert stabilizer_transitivity_degree(pg23, grp, 0) == 4
+
+
+def test_battery_rejects_group_on_other_domain(fano):
+    five = PermGroup(range(5), [{i: (i + 1) % 5 for i in range(5)}])
+    for check in (is_strongly_transitive, is_moufang, check_remark_2_2):
+        with pytest.raises(GraphError):
+            check(fano, five)
+    with pytest.raises(GraphError):
+        stabilizer_transitivity_degree(fano, five, 0)
+
+
+def test_orbit_rejects_point_outside_domain():
+    for gens in ([], [{0: 1, 1: 2, 2: 0}]):
+        grp = PermGroup(range(3), gens)
+        with pytest.raises(GraphError):
+            grp.orbit(99)
+        with pytest.raises(GraphError):
+            grp.orbit((0, 99))
+
+
+# ------------------------------------------- element-scan reference battery
+
+class ElementScan:
+    """The battery decided by scanning every element of the group for each
+    path or cycle, straight from the definitions: a reference oracle for
+    small groups, sharing no stabilizer or orbit code with the library."""
+
+    def __init__(self, g, grp):
+        self.g = g
+        self.elements = grp.elements()
+        self.fixed_points = [frozenset(v for v in p if p[v] == v)
+                             for p in self.elements]
+
+    def stabilizer(self, fixed):
+        fixed = frozenset(fixed)
+        return [p for p, pts in zip(self.elements, self.fixed_points)
+                if fixed <= pts]
+
+    def transitive_on(self, tuples):
+        if not tuples:
+            return True
+        some = min(tuples)
+        return {tuple(p[v] for v in some) for p in self.elements} >= set(tuples)
+
+    def first_failing_path(self, fixed_of):
+        g = self.g
+        for path in simple_paths(g, g.n):
+            targets = sorted(g.neighbors(path[-1]) - {path[-2]})
+            if not targets:
+                continue
+            reach = {p[targets[0]] for p in self.stabilizer(fixed_of(path))}
+            if reach != set(targets):
+                return path
+        return None
+
+    def is_strongly_transitive(self):
+        g = self.g
+        witness = self.first_failing_path(lambda path: path)
+        ok = witness is None
+        if is_generalized_ngon(g, thick=True)[0]:
+            cycles = ordered_cycles(g, 2 * g.n, start_part=0)
+            if self.transitive_on(cycles) != ok:
+                raise GraphError("cycle form disagrees")
+        return ok, witness
+
+    def is_moufang(self):
+        g = self.g
+        witness = self.first_failing_path(
+            lambda path: set().union(*(g.neighbors(x) for x in path[1:-1])))
+        return witness is None, witness
+
+    def check_remark_2_2(self):
+        g = self.g
+        left = self.transitive_on(ordered_cycles(g, 2 * g.n + 2, start_part=0))
+        cycles = ordered_cycles(g, 2 * g.n, start_part=0)
+        right = self.transitive_on(cycles)
+        if right:
+            for cyc in cycles:
+                pairs = {(a, b)
+                         for a in g.neighbors(cyc[1]) - {cyc[0], cyc[2]}
+                         for b in g.neighbors(cyc[2]) - {cyc[1], cyc[3]}}
+                if pairs:
+                    some = min(pairs)
+                    right = pairs == {(p[some[0]], p[some[1]])
+                                      for p in self.stabilizer(cyc)}
+                    break
+        return left == right, left, right
+
+    def transitivity_degree(self, x):
+        nbrs = sorted(self.g.neighbors(x))
+        stab = self.stabilizer([x])
+        degree = 0
+        for t in range(1, len(nbrs) + 1):
+            tuples = set(permutations(nbrs, t))
+            if {tuple(p[v] for v in min(tuples)) for p in stab} != tuples:
+                break
+            degree = t
+        return degree
+
+
+def _outcome(call, *args):
+    try:
+        return call(*args)
+    except GraphError:
+        return "GraphError"
+
+
+def test_battery_matches_element_scan_on_random_subgroups():
+    rng = random.Random(20261018)
+    polygons = [fano_graph(), gq22_graph(), make_cycle(3, 6), make_cycle(4, 8)]
+    full = {(g, tp): automorphism_group(g, tp).elements()
+            for g in polygons for tp in (False, True)}
+    fails = {"strans": 0, "moufang": 0, "later_witness": 0}
+    for trial in range(112):
+        g = polygons[trial % len(polygons)]
+        pool = full[g, rng.random() < 0.7]
+        if rng.random() < 0.5:
+            # inside the stabilizer of vertex 0 the first paths, which
+            # start at 0, tend to pass and a later one fails
+            pool = [p for p in pool if p[0] == 0]
+        grp = PermGroup(sorted(g.vertices), rng.choices(pool, k=rng.randrange(4)))
+        ref = ElementScan(g, grp)
+        x = rng.choice(sorted(g.vertices))
+        strans = _outcome(is_strongly_transitive, g, grp)
+        moufang = is_moufang(g, grp)
+        assert strans == _outcome(ref.is_strongly_transitive)
+        assert moufang == ref.is_moufang()
+        assert check_remark_2_2(g, grp) == ref.check_remark_2_2()
+        assert (stabilizer_transitivity_degree(g, grp, x)
+                == ref.transitivity_degree(x))
+        fails["strans"] += strans[0] is False
+        fails["moufang"] += moufang[0] is False
+        first = simple_paths(g, g.n)[0]
+        fails["later_witness"] += moufang[1] not in (None, first)
+    assert all(fails.values()), fails
+
+
+# ------------------------------------------------ automorphism search oracle
+
+def test_automorphism_order_matches_networkx(fano, gq22):
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def count(g, type_preserving):
+        """|Aut| = |orbit of a root| * |its stabilizer|, both by VF2."""
+        def pinned(pin):
+            # VF2 starts from the first node of the second graph, so the
+            # pinned node goes first
+            h = nx.Graph()
+            h.add_nodes_from((v, {"part": g.part(v), "pin": v == pin})
+                             for v in sorted(g.vertices, key=lambda v: v != pin))
+            h.add_edges_from(g.edges)
+            return h
+
+        def matcher(w):  # automorphisms taking the root to w
+            return GraphMatcher(pinned(root), pinned(w), node_match=lambda a, b: (
+                a["pin"] == b["pin"]
+                and (a["part"] == b["part"] or not type_preserving)))
+
+        root = min(g.vertices)
+        orbit = [w for w in g.vertices if matcher(w).is_isomorphic()]
+        return len(orbit) * sum(1 for _ in matcher(root).isomorphisms_iter())
+
+    rng = random.Random(7)
+    graphs = [fano, gq22] + [random_bipartite(rng, rng.choice((3, 4)),
+                                              rng.randrange(5, 10), 0.45)
+                             for _ in range(20)]
+    for g in graphs:
+        for type_preserving in (False, True):
+            assert (automorphism_group(g, type_preserving).order
+                    == count(g, type_preserving))
+
+
+def test_each_generator_enlarges_the_group(fano, gq22, pg23):
+    rng = random.Random(11)
+    graphs = [fano, gq22, pg23, make_cycle(3, 6), make_cycle(4, 8)]
+    graphs += [random_bipartite(rng, 3, 8, 0.4) for _ in range(6)]
+    for g in graphs:
+        for type_preserving in (False, True):
+            gens = automorphism_group(g, type_preserving).generators
+            orders = [PermGroup(sorted(g.vertices), gens[:k]).order
+                      for k in range(len(gens) + 1)]
+            assert all(a < b for a, b in zip(orders, orders[1:]))

@@ -176,13 +176,13 @@ def _min_superset(g, a, ground):
     if not free:
         return base, a
     n = g.n
-    internal = [(u, v) for (u, v) in g.edges
-                if u in ground and v in ground and u not in a and v not in a]
     # node ids: 0 = source, 1 = sink, then one per free vertex, then one
     # per edge between free vertices
     node = {v: 2 + i for i, v in enumerate(free)}
+    internal = [(u, v) for u in free for v in g.neighbors(u)
+                if u < v and v in node]
     net = _Dinic(2 + len(free) + len(internal))
-    inf = (n - 2) * len(g.edges) + (n - 1) * len(g.vertices) + 1
+    inf = (n - 2) * len(internal) + (n - 1) * len(free) + 1
     offered = 0
     for v in free:
         profit = (n - 2) * sum(1 for w in g.neighbors(v) if w in a)

@@ -8,14 +8,17 @@ happens exactly when every base vertex sends an edge into the body.
 Since relative delta is additive over the connected components of a
 sub-body, positivity only needs to be checked on connected sub-bodies;
 that keeps the check polynomial for path- and cycle-shaped bodies of the
-sizes that actually occur.
+sizes that actually occur.  The body search is cut by a vertex-weight
+bound that every connected piece of a body meets, and only bodies whose
+base-edge count the boundary can supply reach the exact-cover base search
+(`_candidate_bodies`).
 """
 
 import math
 from dataclasses import dataclass
 
 from .graph import GraphError
-from .predimension import delta, delta_rel
+from .predimension import delta_rel
 
 
 @dataclass(frozen=True)
@@ -100,7 +103,7 @@ def default_body_cap(n, l_max=3):
     return 4 * l_max * (n - 2)
 
 
-def _body_ground(g, cap):
+def _body_ground(g):
     """Vertices that can belong to a body of size >= 2.
 
     In such a body every vertex v satisfies (n-2) e(v, rest of body union
@@ -149,7 +152,7 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
                         frozenset((nbrs[i], nbrs[j])), frozenset((b,)),
                         "minimally_algebraic"))
     if cap >= 2:
-        ground = _body_ground(g, cap)
+        ground = _body_ground(g)
         touch = None
         if around is not None:
             # a relevant pair has base or body meeting `around`, so its
@@ -171,15 +174,16 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
                             nxt.append(w)
                 frontier = nxt
             ground = set(dist)
-        for body in _candidate_bodies(g, ground, cap, touch):
-            pairs.extend(_pairs_for_body(g, body))
+        for body, target in _candidate_bodies(g, ground, cap, touch):
+            pairs.extend(_pairs_for_body(g, body, target))
     if around is not None:
         pairs = [p for p in pairs if (p.base | p.body) & around]
     return sorted(pairs, key=lambda p: (sorted(p.body), sorted(p.base)))
 
 
-def _pairs_for_body(g, body):
-    """All bases over which `body` is 0-minimally algebraic.
+def _pairs_for_body(g, body, target):
+    """All bases over which `body` is 0-minimally algebraic, given
+    target = delta(body)/(n-2), the number of base edges it needs.
 
     For a candidate base A the sub-body condition reads
     delta(D) > (n-2) e(D, A) for every proper connected sub-body D, and
@@ -188,7 +192,7 @@ def _pairs_for_body(g, body):
     dropped up front; for the rest the check is bitmask arithmetic.
     """
     n = g.n
-    bases = list(_candidate_bases(g, body))
+    bases = list(_candidate_bases(g, body, target))
     if not bases:
         return []
     bverts = sorted(body)
@@ -247,17 +251,34 @@ def _pairs_for_body(g, body):
 
 
 def _candidate_bodies(g, ground, cap, touch=None):
-    """Connected subsets of `ground` of size 2..cap in which every vertex
-    has the internal degree a body vertex needs.
+    """(B, delta(B)/(n-2)) for each connected B inside `ground` with
+    2 <= |B| <= cap that passes the tests `_candidate_bases` relies on:
+    (n-2) | delta(B) > 0, and #required <= delta(B)/(n-2) <= supply(B)
+    with every required vertex having an outside neighbour.  A body
+    vertex needs internal degree >= 2 for n = 3 and >= 1 otherwise, since
+    (n-2) e(v, rest + A) >= n, and the required ones, at exactly that
+    degree, must take a base edge; supply(B) counts the vertices with a
+    neighbour outside B, each of which takes at most one base edge (the
+    sub-body {v} has positive relative delta).
 
-    The required internal degree is 2 for n = 3 and 1 otherwise (a body
-    vertex has at most one base edge, and (n-2) e(v, rest + base) >= n).
-    The search runs over bitmasks; a branch dies as soon as some chosen
-    vertex cannot reach its quota from chosen plus still-undecided
-    neighbours.  With `touch`, only subsets meeting it are produced and
-    branches that cannot reach it within the size cap are cut.
+    The search runs over bitmasks and reaches B through connected subsets
+    of B.  A branch dies as soon as some chosen vertex cannot reach its
+    internal degree from chosen plus undecided neighbours, or by weight.
+    For connected S inside B, delta(S / (B - S) + A) is delta(B/A) = 0
+    minus delta((B - S)/A) > 0 unless S = B, so (n-1)|S| <= (n-2)(e(S) +
+    e(S, B - S + A)) <= (n-2)(sum_S deg(v) - e(S)), degrees taken in the
+    whole graph.  With e(S) >= |S| - 1: sum_S w(v) >= -(n-2) for
+    w(v) = (n-2) deg(v) - (2n-3), strictly unless S = B.  A branch below
+    -(n-2) thus holds no body, and one at -(n-2) is not extended.  (For
+    n = 4: a connected piece of a body has at most 2 + sum (2 deg(v) - 5)
+    over its vertices of degree >= 3 vertices of degree 2.)  For n = 3
+    the ground peel leaves degree >= 3 only, so the cut never fires.
+    With `touch`, only subsets meeting it are produced and branches that
+    cannot reach it within the size cap are cut.
     """
-    need = 2 if g.n == 3 else 1
+    n = g.n
+    need = 2 if n == 3 else 1
+    floor = -(n - 2)
     verts = sorted(ground)
     pos = {v: i for i, v in enumerate(verts)}
     adj = []
@@ -267,6 +288,8 @@ def _candidate_bodies(g, ground, cap, touch=None):
             if w in pos:
                 m |= 1 << pos[w]
         adj.append(m)
+    deg = [len(g.neighbors(v)) for v in verts]
+    weight = [(n - 2) * d - (2 * n - 3) for d in deg]
     full = (1 << len(verts)) - 1
 
     touch_mask = None
@@ -300,35 +323,40 @@ def _candidate_bodies(g, ground, cap, touch=None):
 
     out = []
 
-    def rec(gt_root, current, size, ext, ext_mask, dead):
+    def emit(current, size):
+        twice_edges = supply = required = 0
+        m = current
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            inner = (adj[i] & current).bit_count()
+            if inner < need or inner == need == deg[i]:
+                return
+            supply += inner < deg[i]
+            required += inner == need
+            twice_edges += inner
+        dlt = (n - 1) * size - (n - 2) * (twice_edges // 2)
+        if dlt > 0 and dlt % (n - 2) == 0 and required <= dlt // (n - 2) <= supply:
+            out.append((frozenset(verts[i] for i in range(len(verts))
+                                  if current >> i & 1), dlt // (n - 2)))
+
+    def rec(gt_root, current, size, wsum, ext, ext_mask, dead):
         if size >= 2 and (touch_mask is None or current & touch_mask):
-            m = current
-            ok = True
-            while m:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                if (adj[i] & current).bit_count() < need:
-                    ok = False
-                    break
-            if ok:
-                out.append(frozenset(verts[i] for i in range(len(verts))
-                                     if current >> i & 1))
-        if size >= cap:
+            emit(current, size)
+        if size >= cap or wsum == floor:
             return
         now_dead = dead
         rest_mask = ext_mask
         for k, u in enumerate(ext):
             rest_mask &= ~(1 << u)
             cur2 = current | (1 << u)
+            bad = wsum + weight[u] < floor
             feasible = cur2 | (gt_root & ~now_dead & ~cur2)
             m = cur2
-            bad = False
-            while m:
+            while m and not bad:
                 i = (m & -m).bit_length() - 1
                 m &= m - 1
-                if (adj[i] & feasible).bit_count() < need:
-                    bad = True
-                    break
+                bad = (adj[i] & feasible).bit_count() < need
             if not bad and touch_mask is not None and not (cur2 & touch_mask):
                 room = cap - size - 1
                 reach = [dist[j] for j in range(len(verts))
@@ -340,21 +368,22 @@ def _candidate_bodies(g, ground, cap, touch=None):
                 continue
             grown_mask = adj[u] & gt_root & ~cur2 & ~now_dead & ~rest_mask
             grown = [j for j in range(len(verts)) if grown_mask >> j & 1]
-            rec(gt_root, cur2, size + 1, ext[k + 1:] + grown,
-                rest_mask | grown_mask, now_dead)
+            rec(gt_root, cur2, size + 1, wsum + weight[u],
+                ext[k + 1:] + grown, rest_mask | grown_mask, now_dead)
             now_dead |= 1 << u
 
     for r in range(len(verts)):
         gt_root = full & ~((1 << (r + 1)) - 1)
         ext_mask = adj[r] & gt_root
         ext = [j for j in range(len(verts)) if ext_mask >> j & 1]
-        rec(gt_root, 1 << r, 1, ext, ext_mask, 0)
+        rec(gt_root, 1 << r, 1, weight[r], ext, ext_mask, 0)
     return out
 
 
-def _candidate_bases(g, body):
-    """Subsets A of the outside neighbourhood with (n-2) e(B,A) = delta(B)
-    and at most one edge per body vertex into A (forced for |B| >= 2).
+def _candidate_bases(g, body, target):
+    """Subsets A of the outside neighbourhood with e(B,A) = target
+    = delta(B)/(n-2) and at most one edge per body vertex into A (forced
+    for |B| >= 2); `_candidate_bodies` has checked the body's degrees.
 
     Two structural facts shape the search.  Since each body vertex takes
     at most one base edge, the chosen base vertices have pairwise disjoint
@@ -364,20 +393,12 @@ def _candidate_bases(g, body):
     those vertices pose an exact-cover problem: branching on the lowest
     uncovered one at each step visits every admissible base exactly once.
     """
-    n = g.n
-    dlt = delta(g, body)
-    if dlt <= 0 or dlt % (n - 2) != 0:
-        return
-    target = dlt // (n - 2)
-    need = 2 if n == 3 else 1
+    need = 2 if g.n == 3 else 1
     bverts = sorted(body)
     bpos = {v: i for i, v in enumerate(bverts)}
     required = 0
     for v in bverts:
-        deg = sum(1 for w in g.neighbors(v) if w in body)
-        if deg < need:
-            return
-        if deg == need:
+        if sum(1 for w in g.neighbors(v) if w in body) == need:
             required |= 1 << bpos[v]
     boundary = sorted(set().union(*(g.neighbors(v) for v in body)) - body)
     masks, weights, names = [], [], []

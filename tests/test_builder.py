@@ -112,3 +112,21 @@ def test_every_subset_of_members_positive(grow_outputs):
             assert d >= 1
             if d <= 2 * g.n + 1:
                 assert is_strong(g, a)[0]
+
+
+@pytest.mark.parametrize("rng, log", [
+    (5, ["STEP 0 cycle_attach accepted 18 19",
+         "STEP 1 cycle_attach accepted 27 29"]),
+    (10, ["STEP 0 cycle_attach accepted 18 19",
+          "STEP 1 cycle_attach accepted 26 28"]),
+    (37, ["STEP 0 cycle_attach accepted 18 19",
+          "STEP 1 cycle_attach accepted 27 29"]),
+])
+def test_grow_n4_pinned(rng, log):
+    """Two n = 4 steps from the 10-cycle reach 26-27 vertices, where the
+    body search meets the dense sets of glued cycles."""
+    g, steps = grow(make_cycle(4, 10), 2, rng,
+                    templates=("pendant_path", "path_completion",
+                               "cycle_attach"))
+    assert [rec.format() for rec in steps] == log
+    assert in_class(g) == (True, [])

@@ -1,11 +1,51 @@
+import random
+
 import pytest
 
-from ngons import (GraphError, connected_subsets, default_body_cap,
-                   degree_identity_check, delta, delta_rel,
+from ngons import (BipartiteGraph, GraphError, connected_subsets,
+                   default_body_cap, degree_identity_check, delta, delta_rel,
                    enumerate_zero_min_pairs, is_strong, is_zero_algebraic,
                    is_zero_minimally_algebraic, make_cl_witness, make_cycle,
-                   make_path, minimal_base)
-from conftest import MaskOracle
+                   make_gamma, make_path, minimal_base)
+from conftest import MaskOracle, random_bipartite
+
+
+def sparse_graph(rng, n, size, closed):
+    """A mostly degree-2 graph on `size` vertices: pendant paths of
+    length 1-3 hung at random vertices of an even cycle (`closed`) or of
+    a single vertex (a subdivided tree).  With `closed`, about one path
+    end in three is also joined to an earlier vertex of the other part."""
+    start = 2 * rng.randrange(2, 4) if closed else 1
+    parts = {v: v % 2 for v in range(start)}
+    edges = {(v, v + 1) for v in range(start - 1)}
+    if closed:
+        edges.add((0, start - 1))
+    while len(parts) < size:
+        prev = rng.randrange(len(parts))
+        for _ in range(min(rng.randint(1, 3), size - len(parts))):
+            v = len(parts)
+            parts[v] = 1 - parts[prev]
+            edges.add((prev, v))
+            prev = v
+        if closed and rng.random() < 1 / 3:
+            u = rng.randrange(prev)
+            if parts[u] != parts[prev] and (u, prev) not in edges:
+                edges.add((u, prev))
+    return BipartiteGraph(n, parts, edges)
+
+
+@pytest.fixture(scope="module")
+def enumeration_graphs(small_graphs):
+    """The shared corpus plus n = 5 graphs and sparse graphs of up to 14
+    vertices, on which the weight cut of the body search fires."""
+    rng = random.Random(20261018)
+    graphs = list(small_graphs) + [make_path(5, 8), make_cycle(5, 12),
+                                   make_gamma(5)]
+    graphs += [random_bipartite(rng, 5, 9, 0.3) for _ in range(4)]
+    for size in range(8, 15):
+        for n in (4, 5):
+            graphs.append(sparse_graph(rng, n, size, closed=(size + n) % 2 == 0))
+    return graphs
 
 
 def test_connected_subsets_exact():
@@ -80,13 +120,49 @@ def test_degree_identity_on_enumerated_pairs(small_graphs):
             assert is_zero_minimally_algebraic(g, pair.base, pair.body)
 
 
-def test_enumeration_matches_mask_oracle(small_graphs):
-    for g in small_graphs:
-        oracle = MaskOracle(g)
-        expect = {(a, b) for (a, b) in oracle.zero_min_pairs()
+def test_enumeration_matches_mask_oracle(enumeration_graphs):
+    """Brute force agrees with the enumeration for n = 3, 4, 5, with and
+    without `around`."""
+    rng = random.Random(7)
+    for g in enumeration_graphs:
+        expect = {(a, b) for (a, b) in MaskOracle(g).zero_min_pairs()
                   if len(b) <= default_body_cap(g.n)}
         got = {(p.base, p.body) for p in enumerate_zero_min_pairs(g)}
         assert got == expect
+        around = frozenset(rng.sample(sorted(g.vertices), 2))
+        got = {(p.base, p.body)
+               for p in enumerate_zero_min_pairs(g, around=around)}
+        assert got == {(a, b) for (a, b) in expect if (a | b) & around}
+    assert {g.n for g in enumeration_graphs} == {3, 4, 5}
+
+
+def test_body_weight_and_supply_bounds(enumeration_graphs):
+    """The bounds the body search cuts by hold on every enumerated pair
+    with |B| >= 2: e(B, A) is at most the number of body vertices with an
+    outside neighbour, and over every connected S inside B the weights
+    (n-2) deg(v) - (2n-3) sum to at least -(n-2), strictly unless S = B.
+    The corpus also holds connected sets that pass the degree tests but
+    not the weight bound, so the cut is exercised."""
+    cut = 0
+    for g in enumeration_graphs:
+        n = g.n
+        weight = {v: (n - 2) * g.degree(v) - (2 * n - 3) for v in g.vertices}
+        for p in enumerate_zero_min_pairs(g):
+            if len(p.body) < 2:
+                continue
+            supply = sum(1 for v in p.body if g.neighbors(v) - p.body)
+            assert g.edge_count(p.body, p.base) <= supply
+            assert sum(weight[v] for v in p.body) >= -(n - 2)
+            for s in connected_subsets(g, p.body):
+                if s != p.body:
+                    assert sum(weight[v] for v in s) > -(n - 2)
+        need = 2 if n == 3 else 1
+        cut += sum(1 for s in connected_subsets(g, g.vertices)
+                   if len(s) >= 2
+                   and all(len(g.neighbors(v) & s) >= need
+                           and g.degree(v) >= 2 for v in s)
+                   and sum(weight[v] for v in s) < -(n - 2))
+    assert cut > 0
 
 
 def test_enumeration_around_restriction(small_graphs):

@@ -29,7 +29,7 @@ class _InputError(Exception):
 def _load(path):
     try:
         return gio.load_graph(path)
-    except (OSError, gio.ParseError, GraphError) as exc:
+    except (OSError, gio.ParseError) as exc:
         raise _InputError(str(exc))
 
 
@@ -42,10 +42,7 @@ def _subset(g, token):
     except ValueError:
         raise _InputError("subset %r is neither a stored name nor a "
                           "comma-separated id list" % token)
-    try:
-        return g.check_subset(ids)
-    except GraphError as exc:
-        raise _InputError(str(exc))
+    return g.check_subset(ids)
 
 
 def _load_mu(path, n):
@@ -117,11 +114,8 @@ def _cmd_zeroalg(args):
         raise _InputError("zeroalg needs --base and --body, or --enumerate")
     base = _subset(g, args.base)
     body = _subset(g, args.body)
-    try:
-        alg = is_zero_algebraic(g, base, body)
-        minimal = alg and is_zero_minimally_algebraic(g, base, body)
-    except GraphError as exc:
-        raise _InputError(str(exc))
+    alg = is_zero_algebraic(g, base, body)
+    minimal = alg and is_zero_minimally_algebraic(g, base, body)
     _emit(args, "algebraic", "true" if alg else "false")
     _emit(args, "minimally_algebraic", "true" if minimal else "false")
     if alg and not minimal:
@@ -142,17 +136,14 @@ def _cmd_kmu(args):
 
 
 def _cmd_witness(args):
-    try:
-        if args.kind == "path":
-            graph = make_path(args.n, args.length)
-        elif args.kind == "cycle":
-            graph = make_cycle(args.n, args.length)
-        elif args.kind == "gamma":
-            graph = make_gamma(args.n)
-        else:
-            graph = make_cl_witness(args.n, args.l, with_b=args.with_b)
-    except GraphError as exc:
-        raise _InputError(str(exc))
+    if args.kind == "path":
+        graph = make_path(args.n, args.length)
+    elif args.kind == "cycle":
+        graph = make_cycle(args.n, args.length)
+    elif args.kind == "gamma":
+        graph = make_gamma(args.n)
+    else:
+        graph = make_cl_witness(args.n, args.l, with_b=args.with_b)
     _write_graph(graph, args.output)
     return 0
 
@@ -193,11 +184,8 @@ def _cmd_aut(args):
 
 def _cmd_strans(args):
     g = _load(args.file)
-    try:
-        grp = automorphism_group(g, type_preserving=True)
-        ok, witness = is_strongly_transitive(g, grp)
-    except GraphError as exc:
-        raise _InputError(str(exc))
+    grp = automorphism_group(g, type_preserving=True)
+    ok, witness = is_strongly_transitive(g, grp)
     _emit(args, "strongly_transitive", "true" if ok else "false")
     if not ok:
         print("path %s" % ",".join(str(v) for v in witness), file=sys.stderr)
@@ -207,11 +195,8 @@ def _cmd_strans(args):
 
 def _cmd_moufang(args):
     g = _load(args.file)
-    try:
-        grp = automorphism_group(g, type_preserving=True)
-        ok, witness = is_moufang(g, grp)
-    except GraphError as exc:
-        raise _InputError(str(exc))
+    grp = automorphism_group(g, type_preserving=True)
+    ok, witness = is_moufang(g, grp)
     _emit(args, "moufang", "true" if ok else "false")
     if not ok:
         print("path %s" % ",".join(str(v) for v in witness), file=sys.stderr)
@@ -339,10 +324,7 @@ def main(argv=None):
         return exc.code if exc.code else 0
     try:
         return args.fn(args)
-    except _InputError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except GraphError as exc:
+    except (_InputError, GraphError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -9,16 +9,21 @@ A finite bipartite graph belongs to the class when
 
 Conditions 2 and 3 quantify over unbounded families; the checker explores
 cycles up to a configurable horizon and bodies up to a configurable size
-cap, both of which are part of every report.
+cap, so a verdict holds only within those limits.  The reports do not
+record them; the caller that chose them has to keep them.
+
+Copies, copy equivalence, configuration isomorphism and the path test
+behind mu = 1 all run on one backtracking matcher, `_matches`.
 """
 
 import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import GraphError, enumerate_cycles, girth
+from .graph import GraphError, enumerate_cycles
 from . import io as gio
 from .predimension import delta, is_strong, _min_superset
+from .witnesses import make_path
 from .zeroalg import default_body_cap, enumerate_zero_min_pairs
 
 
@@ -38,17 +43,9 @@ class ViolationReport:
 def _is_path_pair(g, base, body):
     """Does base + body form a simple path of length n-1 whose endpoints
     are exactly the base?  (The unique configuration with mu = 1.)"""
-    whole = base | body
-    if len(base) != 2 or len(whole) != g.n or g.edge_count(whole) != g.n - 1:
-        return False
-    degs = {}
-    for v in whole:
-        degs[v] = sum(1 for w in g.neighbors(v) if w in whole)
-    ends = {v for v, d in degs.items() if d == 1}
-    if ends != base or any(d not in (1, 2) for d in degs.values()):
-        return False
-    from .graph import is_connected
-    return is_connected(g, whole)
+    path = make_path(g.n, g.n - 1)
+    return pairs_isomorphic(g, base, body, path, path.subsets["endpoints"],
+                            path.subsets["interior"])
 
 
 class MuFunction:
@@ -118,6 +115,46 @@ def default_mu(n):
     return MuFunction(n)
 
 
+def _matches(g1, g2, dom, allowed=None, pinned=()):
+    """Yield every injective map f of `dom` into g2 that extends the
+    `pinned` pairs, keeps adjacency and non-adjacency between any two
+    mapped vertices and sends each v into allowed(v) (default: anywhere).
+
+    The order is connected where it can be: next comes the smallest
+    vertex with a mapped neighbour, else the smallest one left, and a
+    vertex with a mapped neighbour u only tries the neighbours of f(u).
+    The yielded dict is reused by the search; copy what you keep.
+    """
+    f = dict(pinned)
+    order, placed, left = [], set(f), set(dom) - set(f)
+    while left:
+        v = min([u for u in left if not placed.isdisjoint(g1.neighbors(u))]
+                or left)
+        order.append(v)
+        placed.add(v)
+        left.discard(v)
+    images = set(f.values())
+
+    def extend(i):
+        if i == len(order):
+            yield f
+            return
+        v = order[i]
+        want = {f[u] for u in g1.neighbors(v) if u in f}
+        pool = g2.neighbors(min(want)) if want else g2.vertices
+        if allowed is not None:
+            pool = pool & allowed(v)
+        for c in sorted(pool - images):
+            if g2.neighbors(c) & images == want:
+                f[v] = c
+                images.add(c)
+                yield from extend(i + 1)
+                del f[v]
+                images.discard(c)
+
+    return extend(0)
+
+
 def find_copies(g, base, body):
     """All vertex sets B' in g, disjoint from the base, whose induced
     configuration over the (pointwise fixed) base is isomorphic to the
@@ -125,35 +162,8 @@ def find_copies(g, base, body):
     them."""
     base = g.check_subset(base)
     body = g.check_subset(body)
-    order = _connect_order(g, body)
-    base_sig = {b: frozenset(w for w in g.neighbors(b) if w in base) for b in order}
-    body_adj = {b: frozenset(w for w in g.neighbors(b) if w in body) for b in order}
-    found = set()
-
-    def rec(idx, mapping, used):
-        if idx == len(order):
-            found.add(frozenset(mapping.values()))
-            return
-        b = order[idx]
-        anchor = next((p for p in order[:idx] if p in body_adj[b]), None)
-        pool = (g.neighbors(mapping[anchor]) if anchor is not None
-                else g.vertices) - base - used
-        for cand in sorted(pool):
-            if frozenset(w for w in g.neighbors(cand) if w in base) != base_sig[b]:
-                continue
-            ok = True
-            for prev in order[:idx]:
-                want = prev in body_adj[b]
-                if (mapping[prev] in g.neighbors(cand)) != want:
-                    ok = False
-                    break
-            if ok:
-                mapping[b] = cand
-                rec(idx + 1, mapping, used | {cand})
-                del mapping[b]
-
-    rec(0, {}, frozenset())
-    return found
+    return {frozenset(f[b] for b in body)
+            for f in _matches(g, g, body, pinned={a: a for a in base})}
 
 
 def count_copies(g, base, body):
@@ -162,87 +172,23 @@ def count_copies(g, base, body):
     return len(find_copies(g, base, body))
 
 
-def _connect_order(g, body):
-    """Order the body so each vertex (after the first of its component)
-    touches an earlier one; tightens the backtracking in find_copies."""
-    remaining = set(body)
-    order = []
-    while remaining:
-        comp_start = min(remaining)
-        order.append(comp_start)
-        remaining.discard(comp_start)
-        grew = True
-        while grew:
-            grew = False
-            for v in sorted(remaining):
-                if any(w in order for w in g.neighbors(v)):
-                    order.append(v)
-                    remaining.discard(v)
-                    grew = True
-                    break
-    return order
-
-
 def copies_equivalent(g, base, body1, body2):
     """Are two bodies copies of each other over the pointwise-fixed base?
     True iff some bijection body1 -> body2 preserves induced adjacency and
     the exact base neighbourhood of every vertex."""
-    if len(body1) != len(body2):
-        return False
-    order = _connect_order(g, body1)
-    sig = {b: frozenset(w for w in g.neighbors(b) if w in base) for b in order}
-
-    def rec(idx, mapping, used):
-        if idx == len(order):
-            return True
-        b = order[idx]
-        for cand in sorted(body2 - used):
-            if frozenset(w for w in g.neighbors(cand) if w in base) != sig[b]:
-                continue
-            ok = True
-            for prev, img in mapping.items():
-                if (prev in g.neighbors(b)) != (img in g.neighbors(cand)):
-                    ok = False
-                    break
-            if ok:
-                mapping[b] = cand
-                if rec(idx + 1, mapping, used | {cand}):
-                    return True
-                del mapping[b]
-        return False
-
-    return rec(0, {}, frozenset())
+    return len(body1) == len(body2) and next(
+        _matches(g, g, body1, lambda v: body2, pinned={a: a for a in base}),
+        None) is not None
 
 
 def pairs_isomorphic(g1, base1, body1, g2, base2, body2):
     """Isomorphism of configurations: a bijection of base1+body1 onto
     base2+body2 mapping base onto base and preserving induced adjacency."""
-    if g1.n != g2.n:
+    if g1.n != g2.n or len(base1) != len(base2) or len(body1) != len(body2):
         return False
-    if len(base1) != len(base2) or len(body1) != len(body2):
-        return False
-    dom = sorted(base1) + sorted(body1)
-    adj1 = {v: frozenset(g1.neighbors(v)) for v in dom}
-
-    def rec(idx, mapping, used):
-        if idx == len(dom):
-            return True
-        v = dom[idx]
-        pool = (base2 if v in base1 else body2) - used
-        for cand in sorted(pool):
-            ok = True
-            for prev, img in mapping.items():
-                if (prev in adj1[v]) != (img in g2.neighbors(cand)):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = cand
-                if rec(idx + 1, mapping, used | {cand}):
-                    return True
-                del mapping[v]
-        return False
-
-    return rec(0, {}, frozenset())
+    return next(_matches(g1, g2, {*base1, *body1},
+                         lambda v: base2 if v in base1 else body2),
+                None) is not None
 
 
 def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
@@ -302,51 +248,18 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
 
     # Condition 3: copy counts of 0-minimally algebraic bodies stay within
     # mu.  Every copy of an enumerated body is itself 0-minimally algebraic
-    # over the same base and no larger, so the enumeration already contains
-    # all copies: counting means grouping the bodies over each base by
-    # equivalence over that (pointwise fixed) base.  In restricted mode
-    # only pairs meeting the new vertices are enumerated, and the classes
-    # they belong to are recounted with find_copies, which also picks up
-    # the copies that lie entirely inside the old part.
+    # over the same base and no larger, so when every body over a base was
+    # enumerated (full mode, or a base meeting the new vertices) a class
+    # of copies over the (pointwise fixed) base is counted by its size.
+    # Over an old base in restricted mode the copies lying entirely in the
+    # old part were not enumerated, so find_copies recounts the class.
     by_base = {}
     for pair in enumerate_zero_min_pairs(g, cap, around=new):
         by_base.setdefault(pair.base, []).append(pair.body)
     for base in sorted(by_base, key=sorted):
-        bodies = sorted(by_base[base], key=sorted)
-        path_bodies = [b for b in bodies if _is_path_pair(g, base, b)]
-        others = [b for b in bodies if not _is_path_pair(g, base, b)]
-        if new is not None and not base & new:
-            # old base, new bodies: copies lying entirely in the old part
-            # were not enumerated, so the classes are recounted in full
-            if path_bodies:
-                copies = find_copies(g, base, path_bodies[0])
-                if len(copies) > 1:
-                    witness = tuple(sorted(base)) + tuple(sorted(frozenset().union(*copies)))
-                    reports.append(ViolationReport("mu_exceeded", witness,
-                                                   len(copies), 1))
-            reps = []
-            for body in others:
-                key = (len(body), g.edge_count(body))
-                if not any(k == key and copies_equivalent(g, base, r, body)
-                           for k, r in reps):
-                    reps.append((key, body))
-            for _, rep in reps:
-                copies = find_copies(g, base, rep)
-                bound = mu(g, base, rep)
-                if len(copies) > bound:
-                    witness = tuple(sorted(base)) + tuple(sorted(frozenset().union(*copies)))
-                    reports.append(ViolationReport("mu_exceeded", witness,
-                                                   len(copies), bound))
-            continue
-        if len(path_bodies) > 1:
-            witness = tuple(sorted(base)) + tuple(sorted(frozenset().union(*path_bodies)))
-            reports.append(ViolationReport("mu_exceeded", witness,
-                                           len(path_bodies), 1))
-        # any mu bound for these is at least n, so few bodies cannot violate
-        if len(others) <= n:
-            continue
+        complete = new is None or base & new
         classes = []
-        for body in others:
+        for body in sorted(by_base[base], key=sorted):
             key = (len(body), g.edge_count(body))
             for ckey, cls in classes:
                 if ckey == key and copies_equivalent(g, base, cls[0], body):
@@ -355,11 +268,14 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
             else:
                 classes.append((key, [body]))
         for _, cls in classes:
+            copies = cls if complete else find_copies(g, base, cls[0])
+            if len(copies) < 2:
+                continue  # every mu value is at least 1
             bound = mu(g, base, cls[0])
-            if len(cls) > bound:
-                witness = tuple(sorted(base)) + tuple(sorted(frozenset().union(*cls)))
+            if len(copies) > bound:
+                witness = tuple(sorted(base)) + tuple(sorted(frozenset().union(*copies)))
                 reports.append(ViolationReport("mu_exceeded", witness,
-                                               len(cls), bound))
+                                               len(copies), bound))
 
     reports.sort(key=lambda r: (r.condition, r.witness))
     return not reports, reports

@@ -14,11 +14,10 @@ base-edge count the boundary can supply reach the exact-cover base search
 (`_candidate_bodies`).
 """
 
-import math
 from dataclasses import dataclass
 
 from .graph import GraphError
-from .predimension import delta_rel
+from .predimension import _peel, _violator_threshold, delta_rel
 
 
 @dataclass(frozen=True)
@@ -103,30 +102,6 @@ def default_body_cap(n, l_max=3):
     return 4 * l_max * (n - 2)
 
 
-def _body_ground(g):
-    """Vertices that can belong to a body of size >= 2.
-
-    In such a body every vertex v satisfies (n-2) e(v, rest of body union
-    base) >= n with at most one edge into the base, so with
-    t = ceil(n/(n-2)) it needs total degree at least t (3 for n = 3) and
-    degree inside the body at least t-1.  Iterating the internal-degree
-    condition peels the ambient graph down to a core; for n = 3 this cuts
-    the graph at every plain path, so bodies cannot straddle sparsely
-    connected regions.
-    """
-    n = g.n
-    t = math.ceil(n / (n - 2))
-    alive = {v for v in g.vertices if len(g.neighbors(v)) >= t}
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if sum(1 for w in g.neighbors(v) if w in alive) < t - 1:
-                alive.discard(v)
-                changed = True
-    return alive
-
-
 def enumerate_zero_min_pairs(g, max_body=None, around=None):
     """All pairs (A, B) with B 0-minimally algebraic over A and
     |B| <= max_body (default: large enough for the standard witnesses).
@@ -152,7 +127,13 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
                         frozenset((nbrs[i], nbrs[j])), frozenset((b,)),
                         "minimally_algebraic"))
     if cap >= 2:
-        ground = _body_ground(g)
+        # In a body of size >= 2 every vertex v has (n-2) e(v, rest of body
+        # + base) >= n with at most one edge into the base, so it needs
+        # degree >= t and internal degree >= t-1; peeling by the latter
+        # cuts n = 3 graphs at every plain path.
+        t = _violator_threshold(n)
+        ground = _peel(g, {v for v in g.vertices if len(g.neighbors(v)) >= t},
+                       (), t - 1)
         touch = None
         if around is not None:
             # a relevant pair has base or body meeting `around`, so its
@@ -251,7 +232,7 @@ def _pairs_for_body(g, body, target):
 
 
 def _candidate_bodies(g, ground, cap, touch=None):
-    """(B, delta(B)/(n-2)) for each connected B inside `ground` with
+    """Yield (B, delta(B)/(n-2)) for each connected B inside `ground` with
     2 <= |B| <= cap that passes the tests `_candidate_bases` relies on:
     (n-2) | delta(B) > 0, and #required <= delta(B)/(n-2) <= supply(B)
     with every required vertex having an outside neighbour.  A body
@@ -274,7 +255,9 @@ def _candidate_bodies(g, ground, cap, touch=None):
     over its vertices of degree >= 3 vertices of degree 2.)  For n = 3
     the ground peel leaves degree >= 3 only, so the cut never fires.
     With `touch`, only subsets meeting it are produced and branches that
-    cannot reach it within the size cap are cut.
+    cannot reach it within the size cap are cut.  Bodies are yielded as
+    the search finds them, so memory follows the search depth, not the
+    number of bodies.
     """
     n = g.n
     need = 2 if n == 3 else 1
@@ -300,7 +283,7 @@ def _candidate_bodies(g, ground, cap, touch=None):
             if v in pos:
                 touch_mask |= 1 << pos[v]
         if not touch_mask:
-            return []
+            return
         # BFS distance towards `touch` inside the ground graph: an
         # admissible lower bound on how many more vertices a branch needs.
         dist = [None] * len(verts)
@@ -321,9 +304,8 @@ def _candidate_bodies(g, ground, cap, touch=None):
             frontier = nxt
             level += 1
 
-    out = []
-
-    def emit(current, size):
+    def target(current, size):
+        # delta(B)/(n-2) if B passes the tests above, else 0
         twice_edges = supply = required = 0
         m = current
         while m:
@@ -331,53 +313,56 @@ def _candidate_bodies(g, ground, cap, touch=None):
             m &= m - 1
             inner = (adj[i] & current).bit_count()
             if inner < need or inner == need == deg[i]:
-                return
+                return 0
             supply += inner < deg[i]
             required += inner == need
             twice_edges += inner
         dlt = (n - 1) * size - (n - 2) * (twice_edges // 2)
         if dlt > 0 and dlt % (n - 2) == 0 and required <= dlt // (n - 2) <= supply:
-            out.append((frozenset(verts[i] for i in range(len(verts))
-                                  if current >> i & 1), dlt // (n - 2)))
-
-    def rec(gt_root, current, size, wsum, ext, ext_mask, dead):
-        if size >= 2 and (touch_mask is None or current & touch_mask):
-            emit(current, size)
-        if size >= cap or wsum == floor:
-            return
-        now_dead = dead
-        rest_mask = ext_mask
-        for k, u in enumerate(ext):
-            rest_mask &= ~(1 << u)
-            cur2 = current | (1 << u)
-            bad = wsum + weight[u] < floor
-            feasible = cur2 | (gt_root & ~now_dead & ~cur2)
-            m = cur2
-            while m and not bad:
-                i = (m & -m).bit_length() - 1
-                m &= m - 1
-                bad = (adj[i] & feasible).bit_count() < need
-            if not bad and touch_mask is not None and not (cur2 & touch_mask):
-                room = cap - size - 1
-                reach = [dist[j] for j in range(len(verts))
-                         if (feasible & ~cur2) >> j & 1 and dist[j] is not None]
-                if not reach or min(reach) + 1 > room:
-                    bad = True
-            if bad:
-                now_dead |= 1 << u
-                continue
-            grown_mask = adj[u] & gt_root & ~cur2 & ~now_dead & ~rest_mask
-            grown = [j for j in range(len(verts)) if grown_mask >> j & 1]
-            rec(gt_root, cur2, size + 1, wsum + weight[u],
-                ext[k + 1:] + grown, rest_mask | grown_mask, now_dead)
-            now_dead |= 1 << u
+            return dlt // (n - 2)
+        return 0
 
     for r in range(len(verts)):
         gt_root = full & ~((1 << (r + 1)) - 1)
         ext_mask = adj[r] & gt_root
-        ext = [j for j in range(len(verts)) if ext_mask >> j & 1]
-        rec(gt_root, 1 << r, 1, weight[r], ext, ext_mask, 0)
-    return out
+        # depth first over the connected subsets with least vertex r; the
+        # children of a node depend only on it and on their earlier
+        # siblings, so they are all pushed at once
+        stack = [(1 << r, 1, weight[r],
+                  [j for j in range(len(verts)) if ext_mask >> j & 1],
+                  ext_mask, 0)]
+        while stack:
+            current, size, wsum, ext, rest_mask, now_dead = stack.pop()
+            found = size >= 2 and (touch_mask is None or current & touch_mask) \
+                and target(current, size)
+            if found:
+                yield (frozenset(verts[i] for i in range(len(verts))
+                                 if current >> i & 1), found)
+            if size >= cap or wsum == floor:
+                continue
+            for k, u in enumerate(ext):
+                rest_mask &= ~(1 << u)
+                cur2 = current | (1 << u)
+                bad = wsum + weight[u] < floor
+                feasible = cur2 | (gt_root & ~now_dead & ~cur2)
+                m = cur2
+                while m and not bad:
+                    i = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    bad = (adj[i] & feasible).bit_count() < need
+                if not bad and touch_mask is not None and not (cur2 & touch_mask):
+                    room = cap - size - 1
+                    reach = [dist[j] for j in range(len(verts))
+                             if (feasible & ~cur2) >> j & 1 and dist[j] is not None]
+                    if not reach or min(reach) + 1 > room:
+                        bad = True
+                if not bad:
+                    grown_mask = adj[u] & gt_root & ~cur2 & ~now_dead & ~rest_mask
+                    stack.append((cur2, size + 1, wsum + weight[u],
+                                  ext[k + 1:] + [j for j in range(len(verts))
+                                                 if grown_mask >> j & 1],
+                                  rest_mask | grown_mask, now_dead))
+                now_dead |= 1 << u
 
 
 def _candidate_bases(g, body, target):

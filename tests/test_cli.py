@@ -144,6 +144,19 @@ def test_malformed_inputs(capsys, tmp_path, fano_file):
                  ["transdeg", fano_file, "99"]):
         code, _, err = run(capsys, *argv)
         assert code == 2 and err
+    path = tmp_path / "path.txt"
+    path.write_text(format_graph(make_path(3, 4)))
+    not_ngon = ("graph is not a generalized 3-gon: girth is inf, expected 6 "
+                "(witness cycle None)")
+    for argv, message in (
+            (["zeroalg", str(path), "--base", "0,1", "--body", "1,2"],
+             "base and body must be disjoint, share [1]"),
+            (["witness", "cycle", "3", "5"],
+             "cycle length must be even and >= 4, got 5"),
+            (["strans", str(path)], not_ngon),
+            (["moufang", str(path)], not_ngon)):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (2, "error: %s\n" % message)
 
 
 def test_unknown_command(capsys):

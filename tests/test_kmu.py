@@ -1,9 +1,14 @@
+import random
+from itertools import combinations, permutations
+
 import pytest
 
+import ngons.kmu
+from conftest import random_bipartite
 from ngons import (BipartiteGraph, GraphError, MuFunction, count_copies,
-                   default_mu, delta, find_copies, girth, in_class,
-                   make_cl_witness, make_cycle, make_path, pairs_isomorphic,
-                   copies_equivalent)
+                   default_mu, delta, find_copies, free_amalgam, girth, grow,
+                   in_class, is_connected, make_cl_witness, make_cycle,
+                   make_path, pairs_isomorphic, copies_equivalent)
 
 
 def double_path(n):
@@ -93,6 +98,142 @@ def test_copies_and_isomorphism_helpers():
     h = make_path(4, 3)
     assert pairs_isomorphic(g, base, bodies[0],
                             h, h.subsets["endpoints"], h.subsets["interior"])
+    # a set meeting the base is no copy over it, for either helper
+    p = make_path(3, 5)
+    assert frozenset({0}) not in find_copies(p, {0}, {3})
+    assert not copies_equivalent(p, frozenset({0}), frozenset({3}),
+                                 frozenset({0}))
+
+
+# ------------------------------------------- matcher against brute force
+
+def _preserves(g1, g2, f):
+    """Does f keep adjacency and non-adjacency between any two points?"""
+    return all(g1.has_edge(u, v) == g2.has_edge(f[u], f[v])
+               for u, v in combinations(f, 2))
+
+
+def brute_copies(g, base, body):
+    fixed = {a: a for a in base}
+    body = sorted(body)
+    return {frozenset(img)
+            for img in permutations(sorted(g.vertices - base), len(body))
+            if _preserves(g, g, {**fixed, **dict(zip(body, img))})}
+
+
+def brute_equivalent(g, base, body1, body2):
+    fixed = {a: a for a in base}
+    return len(body1) == len(body2) and any(
+        _preserves(g, g, {**fixed, **dict(zip(sorted(body1), img))})
+        for img in permutations(sorted(body2)))
+
+
+def brute_isomorphic(g1, base1, body1, g2, base2, body2):
+    if g1.n != g2.n or len(base1) != len(base2) or len(body1) != len(body2):
+        return False
+    return any(_preserves(g1, g2, {**dict(zip(sorted(base1), bimg)),
+                                   **dict(zip(sorted(body1), dimg))})
+               for bimg in permutations(sorted(base2))
+               for dimg in permutations(sorted(body2)))
+
+
+def relabelled(g, rng):
+    """g on shuffled fresh ids, with the map from old to new ids."""
+    ids = list(range(100, 100 + len(g.vertices)))
+    rng.shuffle(ids)
+    f = dict(zip(sorted(g.vertices), ids))
+    return BipartiteGraph(g.n, {f[v]: g.part(v) for v in g.vertices},
+                          [(f[u], f[v]) for u, v in g.edges]), f
+
+
+def matcher_cases():
+    """(g, base, body) on random bipartite graphs of 6-9 vertices: bases of
+    0-3 vertices, bodies of 1-4 vertices, connected or not."""
+    rng = random.Random(20261019)
+    for n in (3, 4, 5):
+        for _ in range(16):
+            g = random_bipartite(rng, n, rng.randint(6, 9), 0.4)
+            verts = sorted(g.vertices)
+            rng.shuffle(verts)
+            k = rng.randint(0, 3)
+            base = frozenset(verts[:k])
+            body = frozenset(verts[k:k + rng.randint(1, 4)])
+            yield g, base, body, rng
+
+
+def test_matcher_matches_brute_force():
+    seen = set()
+    for g, base, body, rng in matcher_cases():
+        copies = find_copies(g, base, body)
+        assert copies == brute_copies(g, base, body)
+        assert body in copies and count_copies(g, base, body) == len(copies)
+        seen.add("empty base" if not base else "base")
+        seen.add("connected" if is_connected(g, body) else "disconnected")
+        if len(copies) > 1:
+            seen.add("several copies")
+        outside = sorted(g.vertices - base)
+        others = list(copies) + [frozenset(rng.sample(outside, len(body)))
+                                 for _ in range(4)]
+        for other in others:
+            got = copies_equivalent(g, base, body, other)
+            assert got == brute_equivalent(g, base, body, other)
+            assert got == (other in copies)
+            seen.add("copy" if got else "non-copy")
+        spare = sorted(set(outside) - body)
+        if spare:
+            assert not copies_equivalent(g, base, body, body | {spare[0]})
+
+        h, f = relabelled(g, rng)
+        base2 = frozenset(f[v] for v in base)
+        body2 = frozenset(f[v] for v in body)
+        assert pairs_isomorphic(g, base, body, h, base2, body2)
+        assert pairs_isomorphic(g, base, body, h, body2, base2) == \
+            brute_isomorphic(g, base, body, h, body2, base2)
+        hverts = sorted(h.vertices)
+        for _ in range(3):
+            rng.shuffle(hverts)
+            ob = frozenset(hverts[:len(base)])
+            od = frozenset(hverts[len(base):len(base) + len(body)])
+            got = pairs_isomorphic(g, base, body, h, ob, od)
+            assert got == brute_isomorphic(g, base, body, h, ob, od)
+            seen.add("isomorphic" if got else "not isomorphic")
+        other_n = BipartiteGraph(g.n + 1, {f[v]: g.part(v) for v in g.vertices},
+                                 [(f[u], f[v]) for u, v in g.edges])
+        assert not pairs_isomorphic(g, base, body, other_n, base2, body2)
+    assert seen == {"empty base", "base", "connected", "disconnected",
+                    "several copies", "copy", "non-copy", "isomorphic",
+                    "not isomorphic"}
+
+
+def test_pairs_isomorphic_matches_networkx():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+
+    def config(g, base, body):
+        x = nx.Graph()
+        for v in base | body:
+            x.add_node(v, base=v in base)
+        x.add_edges_from((u, v) for u, v in g.edges
+                         if u in x and v in x)
+        return x
+
+    verdicts = set()
+    for g, base, body, rng in matcher_cases():
+        h = random_bipartite(rng, g.n, len(g.vertices), 0.4)
+        verts = sorted(h.vertices)
+        rng.shuffle(verts)
+        candidates = [(frozenset(verts[:len(base)]),
+                       frozenset(verts[len(base):len(base) + len(body)]))]
+        h2, f = relabelled(g, rng)
+        candidates.append((frozenset(f[v] for v in base),
+                           frozenset(f[v] for v in body)))
+        for graph, (b2, d2) in zip((h, h2), candidates):
+            want = GraphMatcher(
+                config(g, base, body), config(graph, b2, d2),
+                node_match=lambda p, q: p["base"] == q["base"]).is_isomorphic()
+            assert pairs_isomorphic(g, base, body, graph, b2, d2) == want
+            verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 # --------------------------------------------------------------- in_class
@@ -176,3 +317,51 @@ def test_member_base_must_be_strong():
     # smaller delta), so the incremental mode must refuse them
     with pytest.raises(GraphError):
         in_class(g, member_base=g.subsets["endpoints"])
+
+
+def glue_path(g, a, b, length):
+    """g with a fresh path of the given length from a to b."""
+    return free_amalgam(g, make_path(g.n, length), {0: a, length: b})
+
+
+def test_incremental_agrees_on_rejected_candidates(monkeypatch):
+    """Full and incremental checks agree on grown n = 3 members with paths
+    of length n-1, n+1 and 2n-1 glued in once and twice at the same ends;
+    the corpus reaches every condition and the find_copies recount over an
+    old base."""
+    recounts = []
+    real = ngons.kmu.find_copies
+
+    def spy(g, base, body):
+        copies = real(g, base, body)
+        recounts.append((base, len(copies)))
+        return copies
+
+    monkeypatch.setattr(ngons.kmu, "find_copies", spy)
+    n = 3
+    conditions = set()
+    old_base_recount = False
+    rejected = 0
+    for steps, rng_seed in ((5, 1), (6, 2)):
+        h, _ = grow(make_cycle(n, 2 * n + 2), steps, rng_seed)
+        verts = sorted(h.vertices)
+        for length in (n - 1, n + 1, 2 * n - 1):
+            sites = [(a, b) for a, b in combinations(verts, 2)
+                     if (h.part(a), h.part(b)) == (0, length % 2)
+                     and not h.has_edge(a, b)]
+            for a, b in sites[::len(sites) // 8 + 1]:
+                once = glue_path(h, a, b, length)
+                for g in (once, glue_path(once, a, b, length)):
+                    full = in_class(g)
+                    recounts.clear()
+                    assert in_class(g, member_base=h.vertices) == full
+                    rejected += not full[0]
+                    conds = {r.condition for r in full[1]}
+                    conditions |= conds
+                    if "mu_exceeded" in conds and any(
+                            base <= h.vertices and count > 1
+                            for base, count in recounts):
+                        old_base_recount = True
+    assert rejected and conditions == {"short_cycle", "long_cycle_low_delta",
+                                       "mu_exceeded"}
+    assert old_base_recount

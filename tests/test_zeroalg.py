@@ -1,7 +1,10 @@
 import random
+import sys
+import tracemalloc
 
 import pytest
 
+import ngons.zeroalg
 from ngons import (BipartiteGraph, GraphError, connected_subsets,
                    default_body_cap, degree_identity_check, delta, delta_rel,
                    enumerate_zero_min_pairs, is_strong, is_zero_algebraic,
@@ -207,3 +210,26 @@ def test_lemma_body_over_subbase(small_graphs):
             for a in (base, sup):
                 if is_strong(g, a)[0] and not (a & body):
                     assert is_zero_algebraic(g, a, body)
+
+
+def test_body_search_streams(monkeypatch):
+    """The enumeration never holds all candidate bodies at once: its peak
+    traced memory stays below what the bodies alone would take."""
+    held = 0
+    real = ngons.zeroalg._candidate_bodies
+
+    def sizing(*args):
+        nonlocal held
+        for item in real(*args):
+            held += sys.getsizeof(item) + sys.getsizeof(item[0])
+            yield item
+
+    monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", sizing)
+    tracemalloc.start()
+    try:
+        pairs = enumerate_zero_min_pairs(make_cl_witness(4, 2), 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 60
+    assert peak < held

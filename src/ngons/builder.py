@@ -86,11 +86,6 @@ def _pick_pair(rng, items):
     return items[rng.randrange(len(items))]
 
 
-def _sites_pendant(g, rng):
-    verts = sorted(g.vertices)
-    return _pick_pair(rng, verts)
-
-
 def _quiet(g, v):
     # sites of low degree keep the growth from piling structure onto a
     # few hub vertices, which would make later membership checks explode
@@ -169,7 +164,7 @@ def _candidate(g, rng, template):
     """Build (extension, gluing) for a template, or None if no site."""
     n = g.n
     if template == "pendant_path":
-        v = _sites_pendant(g, rng)
+        v = _pick_pair(rng, sorted(g.vertices))
         if v is None:
             return None
         length = rng.choice(range(1, n + 1))

@@ -182,22 +182,12 @@ def _cmd_aut(args):
     return 0
 
 
-def _cmd_strans(args):
+def _cmd_path_check(args):
+    """strans and moufang: a verdict plus the first failing path."""
     g = _load(args.file)
     grp = automorphism_group(g, type_preserving=True)
-    ok, witness = is_strongly_transitive(g, grp)
-    _emit(args, "strongly_transitive", "true" if ok else "false")
-    if not ok:
-        print("path %s" % ",".join(str(v) for v in witness), file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_moufang(args):
-    g = _load(args.file)
-    grp = automorphism_group(g, type_preserving=True)
-    ok, witness = is_moufang(g, grp)
-    _emit(args, "moufang", "true" if ok else "false")
+    ok, witness = args.check(g, grp)
+    _emit(args, args.key, "true" if ok else "false")
     if not ok:
         print("path %s" % ",".join(str(v) for v in witness), file=sys.stderr)
         return 1
@@ -227,17 +217,12 @@ def _build_parser():
     for name, fn, doc in (
             ("delta", _cmd_delta, "predimension of a subset"),
             ("dmin", _cmd_dmin, "minimum of delta over supersets"),
-            ("closure", _cmd_closure, "smallest strong superset")):
+            ("closure", _cmd_closure, "smallest strong superset"),
+            ("strong", _cmd_strong, "is the subset strongly embedded")):
         p = sub.add_parser(name, parents=[common], help=doc)
         p.add_argument("file")
         p.add_argument("subset", help="stored subset name or id1,id2,...")
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("strong", parents=[common],
-                       help="is the subset strongly embedded")
-    p.add_argument("file")
-    p.add_argument("subset")
-    p.set_defaults(fn=_cmd_strong)
 
     p = sub.add_parser("zeroalg", parents=[common],
                        help="0-(minimally-)algebraic pair check or enumeration")
@@ -298,14 +283,13 @@ def _build_parser():
     p.add_argument("--type-preserving", action="store_true")
     p.set_defaults(fn=_cmd_aut)
 
-    p = sub.add_parser("strans", parents=[common],
-                       help="strong transitivity of the type-preserving group")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_strans)
-
-    p = sub.add_parser("moufang", parents=[common], help="Moufang condition")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_moufang)
+    for name, check, key, doc in (
+            ("strans", is_strongly_transitive, "strongly_transitive",
+             "strong transitivity of the type-preserving group"),
+            ("moufang", is_moufang, "moufang", "Moufang condition")):
+        p = sub.add_parser(name, parents=[common], help=doc)
+        p.add_argument("file")
+        p.set_defaults(fn=_cmd_path_check, check=check, key=key)
 
     p = sub.add_parser("transdeg", parents=[common],
                        help="transitivity degree of a point stabilizer")

@@ -92,7 +92,7 @@ class BipartiteGraph:
         """
         a = frozenset(a)
         if b is None:
-            return sum(1 for (u, v) in self.edges if u in a and v in a)
+            return sum(len(self._adj[v] & a) for v in a if v in self._adj) // 2
         b = frozenset(b)
         return sum(1 for (u, v) in self.edges
                    if (u in a and v in b) or (u in b and v in a))
@@ -133,34 +133,28 @@ class BipartiteGraph:
 def bfs_distances(g, source):
     """Dict of BFS distances from source to every reachable vertex."""
     g.part(source)
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.neighbors(u):
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    return _ball(g, (source,), INFINITY)
+
+
+def _ball(g, sources, radius, keep=None):
+    """BFS distances from the sources, up to `radius`, through vertices
+    for which keep(w) holds (default: all)."""
+    dist = dict.fromkeys(sources, 0)
+    queue = list(dist)
+    for u in queue:
+        d = dist[u] + 1
+        if d <= radius:
+            for w in g.neighbors(u):
+                if w not in dist and (keep is None or keep(w)):
+                    dist[w] = d
+                    queue.append(w)
     return dist
 
 
 def distance(g, u, v):
     """Graph distance between u and v; INFINITY if disconnected."""
     g.part(v)
-    if u == v:
-        g.part(u)
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in g.neighbors(x):
-            if w == v:
-                return dist[x] + 1
-            if w not in dist:
-                dist[w] = dist[x] + 1
-                queue.append(w)
-    return INFINITY
+    return bfs_distances(g, u).get(v, INFINITY)
 
 
 def diameter(g):
@@ -246,28 +240,40 @@ def _diameter_witness(g, n):
     return None
 
 
-def enumerate_cycles(g, length):
-    """All simple cycles of exactly the given (even) length.
+def enumerate_cycles(g, length, through=None):
+    """All simple cycles of exactly the given (even) length, sorted, each
+    once as a vertex tuple starting at its smallest vertex and oriented so
+    the second vertex is smaller than the last.  With `through` (a vertex
+    set), only those meeting it: the full list filtered by `set(c) & S`.
 
-    Each cycle is reported once, as a vertex tuple starting at its smallest
-    vertex and oriented so the second vertex is smaller than the last.
+    Each cycle is found from one root v, its smallest vertex (with
+    `through`: its smallest vertex in `through`), walking only vertices
+    greater than v or outside `through`.  A branch is cut once the BFS
+    distance from its tip back to v over those vertices exceeds the
+    edges left to close the cycle.
     """
     if length % 2 != 0 or length < 4:
         raise GraphError("cycle length must be even and >= 4, got %r" % (length,))
+    roots = g.vertices if through is None else g.check_subset(through)
     out = []
-    order = sorted(g.vertices)
-    for root in order:
-        # Simple paths from root using vertices > root only; close back to root.
-        stack = [(root, (root,), frozenset((root,)))]
+    for root in sorted(roots):
+        dist = _ball(g, (root,), length // 2,
+                     lambda w: w > root or (through is not None and w not in roots))
+        stack = [((root,), frozenset((root,)))]
         while stack:
-            u, path, seen = stack.pop()
+            path, seen = stack.pop()
             if len(path) == length:
-                if root in g.neighbors(u) and path[1] < path[-1]:
-                    out.append(path)
+                # the distance cut left path[-1] adjacent to the root;
+                # rotate and orient the cycle canonically
+                if path[1] < path[-1]:
+                    i = path.index(min(path))
+                    cyc = path[i:] + path[:i]
+                    out.append(cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1])
                 continue
-            for w in sorted(g.neighbors(u), reverse=True):
-                if w > root and w not in seen:
-                    stack.append((w, path + (w,), seen | {w}))
+            left = length - len(path)
+            for w in g.neighbors(path[-1]):
+                if w in dist and dist[w] <= left and w not in seen:
+                    stack.append((path + (w,), seen | {w}))
     return sorted(out)
 
 
@@ -311,16 +317,9 @@ def connected_components(g, within=None):
     for v in sorted(within):
         if v in seen:
             continue
-        comp = {v}
-        queue = deque([v])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if w in within and w not in comp:
-                    comp.add(w)
-                    queue.append(w)
+        comp = frozenset(_ball(g, (v,), INFINITY, within.__contains__))
         seen |= comp
-        comps.append(frozenset(comp))
+        comps.append(comp)
     return comps
 
 

@@ -13,7 +13,8 @@ cap, so a verdict holds only within those limits.  The reports do not
 record them; the caller that chose them has to keep them.
 
 Copies, copy equivalence, configuration isomorphism and the path test
-behind mu = 1 all run on one backtracking matcher, `_matches`.
+behind mu = 1 all run on one backtracking matcher, `_matches`; each of
+them raises GraphError on a body that meets its base.
 """
 
 import json
@@ -24,7 +25,8 @@ from .graph import GraphError, enumerate_cycles
 from . import io as gio
 from .predimension import delta, is_strong, _min_superset
 from .witnesses import make_path
-from .zeroalg import default_body_cap, enumerate_zero_min_pairs
+from .zeroalg import (default_body_cap, enumerate_zero_min_pairs,
+                      _require_disjoint)
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,7 @@ def find_copies(g, base, body):
     configuration over the (pointwise fixed) base is isomorphic to the
     given body.  Returns a set of frozensets; the body itself is one of
     them."""
-    base = g.check_subset(base)
-    body = g.check_subset(body)
+    base, body = _require_disjoint(g, base, body)
     return {frozenset(f[b] for b in body)
             for f in _matches(g, g, body, pinned={a: a for a in base})}
 
@@ -176,6 +177,8 @@ def copies_equivalent(g, base, body1, body2):
     """Are two bodies copies of each other over the pointwise-fixed base?
     True iff some bijection body1 -> body2 preserves induced adjacency and
     the exact base neighbourhood of every vertex."""
+    base, body1 = _require_disjoint(g, base, body1)
+    base, body2 = _require_disjoint(g, base, body2)
     return len(body1) == len(body2) and next(
         _matches(g, g, body1, lambda v: body2, pinned={a: a for a in base}),
         None) is not None
@@ -184,6 +187,8 @@ def copies_equivalent(g, base, body1, body2):
 def pairs_isomorphic(g1, base1, body1, g2, base2, body2):
     """Isomorphism of configurations: a bijection of base1+body1 onto
     base2+body2 mapping base onto base and preserving induced adjacency."""
+    base1, body1 = _require_disjoint(g1, base1, body1)
+    base2, body2 = _require_disjoint(g2, base2, body2)
     if g1.n != g2.n or len(base1) != len(base2) or len(body1) != len(body2):
         return False
     return next(_matches(g1, g2, {*base1, *body1},
@@ -202,7 +207,13 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     old sets are unchanged (for strong H <= G and any Y <= G,
     delta(Y) >= delta(Y and H) by submodularity), every copy count that
     grew involves a new vertex, and only cycles, bodies and bases meeting
-    the complement need to be examined.
+    the complement need to be examined: cycles are enumerated through the
+    new vertices only, bodies around them.
+
+    Condition 2 solves each cycle C by one min-cut on C plus its peeled
+    hull: the smallest minimiser W lies in every minimiser, so each v in
+    W - C has at least ceil(n/(n-2)) edges into W (dropping it must raise
+    delta) and survives the peel of V - C anchored at C (`_min_superset`).
     """
     n = g.n
     if mu is None:
@@ -221,24 +232,18 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
         new = g.vertices - member_base
     reports = []
 
-    def relevant(cyc):
-        return new is None or frozenset(cyc) & new
-
     # Condition 1: no cycle of length 2m with m < n.
     for length in range(4, 2 * n, 2):
-        for cyc in enumerate_cycles(g, length):
-            if relevant(cyc):
-                reports.append(ViolationReport("short_cycle", tuple(sorted(cyc)),
-                                               length, 2 * n))
+        for cyc in enumerate_cycles(g, length, through=new):
+            reports.append(ViolationReport("short_cycle", tuple(sorted(cyc)),
+                                           length, 2 * n))
 
     # Condition 2: any set containing a cycle longer than 2n has
     # delta >= 2n+2.  The minimum of delta over supersets of a cycle is a
     # min-cut computation; cycles are enumerated up to the horizon.
     seen_minimisers = set()
     for length in range(2 * n + 2, horizon + 1, 2):
-        for cyc in enumerate_cycles(g, length):
-            if not relevant(cyc):
-                continue
+        for cyc in enumerate_cycles(g, length, through=new):
             value, minimiser = _min_superset(g, frozenset(cyc), g.vertices)
             if value < 2 * n + 2 and minimiser not in seen_minimisers:
                 seen_minimisers.add(minimiser)

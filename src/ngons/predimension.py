@@ -35,23 +35,28 @@ def delta_rel(g, a, b):
 
 
 def _violator_threshold(n):
-    # Every vertex of an inclusion-minimal violator B' (outside A) has
-    # (n-2) e(v, B') >= n, since dropping it must repair the violation.
+    # A vertex v whose removal from a set W raises delta has
+    # (n-2) e(v, W) > n-1, that is e(v, W) >= ceil(n/(n-2)).
     return math.ceil(n / (n - 2))
 
 
 def _peel(g, candidates, anchor, threshold):
-    """Iteratively discard candidates with fewer than `threshold` edges
-    into the surviving candidate set plus the anchor."""
-    alive = set(candidates)
+    """The largest subset of the candidates (disjoint from the anchor) in
+    which every vertex has at least `threshold` edges into it plus the
+    anchor."""
+    alive = {v for v in candidates if len(g.neighbors(v)) >= threshold}
     keep = frozenset(anchor)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if sum(1 for w in g.neighbors(v) if w in alive or w in keep) < threshold:
-                alive.discard(v)
-                changed = True
+    support = {v: sum(1 for w in g.neighbors(v) if w in alive or w in keep)
+               for v in alive}
+    doomed = [v for v in alive if support[v] < threshold]
+    alive.difference_update(doomed)
+    for v in doomed:
+        for w in g.neighbors(v):
+            if w in alive:
+                support[w] -= 1
+                if support[w] < threshold:
+                    alive.discard(w)
+                    doomed.append(w)
     return alive
 
 
@@ -62,22 +67,18 @@ def is_strong(g, a, b=None):
     (ok, witness); on failure the witness is an inclusion-minimal
     violating set B'.
 
-    Every vertex of an inclusion-minimal violator outside A survives the
-    peel, so minimising delta over A plus the peeled hull decides the
-    question.  The smallest minimiser W then violates; it is shrunk by
-    re-solving inside W - v for each v in W - A, replacing W whenever a
-    violator remains.  W only shrinks, so a vertex kept once stays
-    necessary, and one pass leaves no violating proper subset.
+    Minimising delta over A <= S <= B decides the question.  The
+    smallest minimiser W then violates; it is shrunk by re-solving inside
+    W - v for each v in W - A, replacing W whenever a violator remains.
+    W only shrinks, so a vertex kept once stays necessary, and one pass
+    leaves no violating proper subset.
     """
     a = g.check_subset(a)
     b = g.vertices if b is None else g.check_subset(b)
     if not a <= b:
         raise GraphError("is_strong requires A to be a subset of B")
-    hull = _peel(g, b - a, a, _violator_threshold(g.n))
-    if not hull:
-        return True, None
     base = delta(g, a)
-    value, w = _min_superset(g, a, a | hull)
+    value, w = _min_superset(g, a, b)
     if value >= base:
         return True, None
     for v in sorted(w - a):
@@ -163,6 +164,13 @@ class _Dinic:
 def _min_superset(g, a, ground):
     """(min delta over A <= S <= ground, inclusion-smallest minimiser).
 
+    delta is submodular, so the minimisers are closed under union and
+    intersection, and the smallest one, W, lies in all of them.  Dropping
+    any v in W - A therefore raises delta: v has at least ceil(n/(n-2))
+    edges into W and survives the peel of ground - A anchored at A.  The
+    network is built on A plus that peeled hull only, which leaves the
+    value and the smallest minimiser unchanged.
+
     Project-selection reduction: choosing S amounts to choosing
     S' = S - A; each chosen vertex costs n-1, each edge inside S' or from
     S' into A pays n-2.  Maximum profit = min cut; the vertices reachable
@@ -170,8 +178,7 @@ def _min_superset(g, a, ground):
     unique smallest maximiser.
     """
     a = frozenset(a)
-    ground = frozenset(ground)
-    free = sorted(ground - a)
+    free = sorted(_peel(g, frozenset(ground) - a, a, _violator_threshold(g.n)))
     base = delta(g, a)
     if not free:
         return base, a

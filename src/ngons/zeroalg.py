@@ -6,17 +6,17 @@ every proper nonempty sub-body has strictly positive relative delta; it is
 happens exactly when every base vertex sends an edge into the body.
 
 Since relative delta is additive over the connected components of a
-sub-body, positivity only needs to be checked on connected sub-bodies;
-that keeps the check polynomial for path- and cycle-shaped bodies of the
-sizes that actually occur.  The body search is cut by a vertex-weight
-bound that every connected piece of a body meets, and only bodies whose
-base-edge count the boundary can supply reach the exact-cover base search
-(`_candidate_bodies`).
+sub-body, positivity only needs to be checked on connected sub-bodies,
+and for a candidate base on those of at most half the body's size, each
+also tested by its complement (`_pairs_for_body`).  The body search is
+cut by a vertex-weight bound that every connected piece of a body meets,
+and only bodies whose base-edge count the boundary can supply reach the
+exact-cover base search (`_candidate_bodies`).
 """
 
 from dataclasses import dataclass
 
-from .graph import GraphError
+from .graph import GraphError, _ball
 from .predimension import _peel, _violator_threshold, delta_rel
 
 
@@ -134,28 +134,18 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
         t = _violator_threshold(n)
         ground = _peel(g, {v for v in g.vertices if len(g.neighbors(v)) >= t},
                        (), t - 1)
-        touch = None
+        dist = None
         if around is not None:
             # a relevant pair has base or body meeting `around`, so its
-            # body meets `around` or the neighbourhood of `around`; a
-            # connected body then stays within the cap-ball around that
+            # body meets `around` or the neighbourhood of `around`, the
+            # touch set; a connected body then stays within the cap-ball
+            # around that
             touch = set(around)
             for v in around:
                 touch |= g.neighbors(v)
-            dist = {v: 0 for v in touch if v in ground}
-            frontier = sorted(dist)
-            level = 0
-            while frontier and level < cap - 1:
-                level += 1
-                nxt = []
-                for u in frontier:
-                    for w in g.neighbors(u):
-                        if w in ground and w not in dist:
-                            dist[w] = level
-                            nxt.append(w)
-                frontier = nxt
+            dist = _ball(g, touch & ground, cap - 1, ground.__contains__)
             ground = set(dist)
-        for body, target in _candidate_bodies(g, ground, cap, touch):
+        for body, target in _candidate_bodies(g, ground, cap, dist):
             pairs.extend(_pairs_for_body(g, body, target))
     if around is not None:
         pairs = [p for p in pairs if (p.base | p.body) & around]
@@ -166,11 +156,21 @@ def _pairs_for_body(g, body, target):
     """All bases over which `body` is 0-minimally algebraic, given
     target = delta(body)/(n-2), the number of base edges it needs.
 
-    For a candidate base A the sub-body condition reads
-    delta(D) > (n-2) e(D, A) for every proper connected sub-body D, and
-    e(D, A) <= |D| because each body vertex takes at most one base edge.
-    Sub-bodies with delta(D) > (n-2)|D| therefore never fail and are
-    dropped up front; for the rest the check is bitmask arithmetic.
+    A candidate base A gives delta(B/A) = 0 and at most one base edge per
+    body vertex; with M the body vertices that have one, A works iff no
+    proper nonempty D has delta(D/A) = delta(D) - (n-2)|D & M| <= 0.  The
+    scan takes each connected S with |S| <= |B|/2 as D and as D = B - S,
+    where by delta(B/A) = 0, delta((B - S)/A) <= 0 iff (n-1)|S| -
+    (n-2)(degsum_B(S) - e(S)) >= (n-2)|S & M|, degrees taken inside B.
+
+    Half the sizes do: let D fail.  Relative delta over A adds up over
+    components, so some component D1 of D fails.  The components R_j of
+    B - D1 share no edges, so 0 = delta(B/A) = delta(D1/A) +
+    sum_j delta(R_j / A + D1) and some R_j has delta(R_j / A + D1) >= 0.
+    Then D' = B - R_j fails; D' is connected (B is, so each R_j touches
+    D1) and so is B - D' = R_j, and the smaller of the two is scanned.
+    Sub-bodies that fail neither way for any M are dropped up front; for
+    the rest each base costs bitmask arithmetic.
     """
     n = g.n
     bases = list(_candidate_bases(g, body, target))
@@ -186,33 +186,33 @@ def _pairs_for_body(g, body, target):
             if w in bpos:
                 m |= 1 << bpos[w]
         adj.append(m)
-    subs = []
-
-    def rec(gt_root, cur, size, dlt, ext, ext_mask, dead):
-        if size < k and dlt <= (n - 2) * size:
-            subs.append((cur, dlt))
-        if size >= k:
-            return
-        now_dead = dead
-        rest = ext_mask
-        for i, u in enumerate(ext):
-            rest &= ~(1 << u)
-            cur2 = cur | (1 << u)
-            d2 = dlt + (n - 1) - (n - 2) * (adj[u] & cur).bit_count()
-            grown_mask = adj[u] & gt_root & ~cur2 & ~now_dead & ~rest
-            rec(gt_root, cur2, size + 1, d2,
-                ext[i + 1:] + [j for j in range(k) if grown_mask >> j & 1],
-                rest | grown_mask, now_dead)
-            now_dead |= 1 << u
-
+    half = k // 2
     full = (1 << k) - 1
+    subs = []
     for r in range(k):
         gt_root = full & ~((1 << (r + 1)) - 1)
-        ext_mask = adj[r] & gt_root
-        rec(gt_root, 1 << r, 1, n - 1,
-            [j for j in range(k) if ext_mask >> j & 1], ext_mask, 0)
-    # most dangerous sub-bodies first, for early rejection
-    subs.sort(key=lambda s: s[1] - (n - 2) * s[0].bit_count())
+        # depth first over the connected S with least vertex r, carrying
+        # |S|, e(S) and degsum_B(S).  The children of S take the vertices
+        # u of its extension `ext` in turn; each one adds u, its new
+        # neighbours to `ext`, and the earlier u's to `dead`.
+        stack = [(1 << r, 1, 0, adj[r].bit_count(), adj[r] & gt_root, 0)]
+        while stack:
+            cur, size, edges, degsum, ext, dead = stack.pop()
+            dlt = (n - 1) * size - (n - 2) * edges
+            cdlt = (n - 1) * size - (n - 2) * (degsum - edges)
+            if dlt <= (n - 2) * size or cdlt >= 0:
+                subs.append((cur, dlt, cdlt))
+            if size == half:
+                continue
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                u = low.bit_length() - 1
+                cur2 = cur | low
+                stack.append((cur2, size + 1, edges + (adj[u] & cur).bit_count(),
+                              degsum + adj[u].bit_count(),
+                              ext | (adj[u] & gt_root & ~cur2 & ~dead), dead))
+                dead |= low
 
     out = []
     for base in bases:
@@ -221,17 +221,16 @@ def _pairs_for_body(g, body, target):
             for w in g.neighbors(a):
                 if w in bpos:
                     amask |= 1 << bpos[w]
-        ok = True
-        for m, dlt in subs:
-            if dlt <= (n - 2) * (m & amask).bit_count():
-                ok = False
+        for m, dlt, cdlt in subs:
+            x = (n - 2) * (m & amask).bit_count()
+            if dlt <= x or cdlt >= x:
                 break
-        if ok:
+        else:
             out.append(ZeroAlgebraicPair(base, body, "minimally_algebraic"))
     return out
 
 
-def _candidate_bodies(g, ground, cap, touch=None):
+def _candidate_bodies(g, ground, cap, dist=None):
     """Yield (B, delta(B)/(n-2)) for each connected B inside `ground` with
     2 <= |B| <= cap that passes the tests `_candidate_bases` relies on:
     (n-2) | delta(B) > 0, and #required <= delta(B)/(n-2) <= supply(B)
@@ -254,10 +253,11 @@ def _candidate_bodies(g, ground, cap, touch=None):
     n = 4: a connected piece of a body has at most 2 + sum (2 deg(v) - 5)
     over its vertices of degree >= 3 vertices of degree 2.)  For n = 3
     the ground peel leaves degree >= 3 only, so the cut never fires.
-    With `touch`, only subsets meeting it are produced and branches that
-    cannot reach it within the size cap are cut.  Bodies are yielded as
-    the search finds them, so memory follows the search depth, not the
-    number of bodies.
+    With `dist`, the BFS distance inside the ground graph from each
+    ground vertex to a touch set, only subsets meeting the touch set (at
+    distance 0) are produced, and branches that cannot reach it within
+    the size cap are cut.  Bodies are yielded as the search finds them,
+    so memory follows the search depth, not the number of bodies.
     """
     n = g.n
     need = 2 if n == 3 else 1
@@ -276,33 +276,11 @@ def _candidate_bodies(g, ground, cap, touch=None):
     full = (1 << len(verts)) - 1
 
     touch_mask = None
-    dist = None
-    if touch is not None:
-        touch_mask = 0
-        for v in touch:
-            if v in pos:
-                touch_mask |= 1 << pos[v]
+    if dist is not None:
+        dist = [dist[v] for v in verts]
+        touch_mask = sum(1 << i for i, d in enumerate(dist) if d == 0)
         if not touch_mask:
             return
-        # BFS distance towards `touch` inside the ground graph: an
-        # admissible lower bound on how many more vertices a branch needs.
-        dist = [None] * len(verts)
-        frontier = [i for i in range(len(verts)) if touch_mask >> i & 1]
-        for i in frontier:
-            dist[i] = 0
-        level = 0
-        while frontier:
-            nxt = []
-            for i in frontier:
-                m = adj[i]
-                while m:
-                    j = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    if dist[j] is None:
-                        dist[j] = level + 1
-                        nxt.append(j)
-            frontier = nxt
-            level += 1
 
     def target(current, size):
         # delta(B)/(n-2) if B passes the tests above, else 0
@@ -351,9 +329,10 @@ def _candidate_bodies(g, ground, cap, touch=None):
                     m &= m - 1
                     bad = (adj[i] & feasible).bit_count() < need
                 if not bad and touch_mask is not None and not (cur2 & touch_mask):
+                    # reaching the touch set takes at least dist more vertices
                     room = cap - size - 1
                     reach = [dist[j] for j in range(len(verts))
-                             if (feasible & ~cur2) >> j & 1 and dist[j] is not None]
+                             if (feasible & ~cur2) >> j & 1]
                     if not reach or min(reach) + 1 > room:
                         bad = True
                 if not bad:

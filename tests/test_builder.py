@@ -1,4 +1,6 @@
+import hashlib
 import random
+from collections import Counter
 
 import pytest
 
@@ -129,4 +131,24 @@ def test_grow_n4_pinned(rng, log):
                     templates=("pendant_path", "path_completion",
                                "cycle_attach"))
     assert [rec.format() for rec in steps] == log
+    assert in_class(g) == (True, [])
+
+
+def test_grow_80_steps_pinned():
+    """Eighty n = 3 steps reach 228 vertices, the scale at which the
+    incremental membership check has to stay local to be fast.  The log
+    is pinned by its digest, and the result is still a full member."""
+    g, log = grow(make_cycle(3, 8), 80, 1)
+    lines = [rec.format() for rec in log]
+    assert lines[-1] == "STEP 79 cl_witness accepted 228 297"
+    assert Counter((rec.template, rec.reason or "accepted") for rec in log) == {
+        ("pendant_path", "accepted"): 19,
+        ("path_completion", "accepted"): 13,
+        ("path_completion", "no_site"): 13,
+        ("cycle_attach", "accepted"): 20,
+        ("cycle_attach", "no_site"): 2,
+        ("cl_witness", "accepted"): 3,
+        ("cl_witness", "no_site"): 10}
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "9796ce5611ecd9ab925826e19b9c49e996e5d01b7e46347e52e9736ab2431d81")
     assert in_class(g) == (True, [])

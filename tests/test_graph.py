@@ -1,11 +1,12 @@
 import math
+import random
 
 import pytest
 
 from ngons import (BipartiteGraph, GraphError, bfs_distances, distance,
                    diameter, girth, enumerate_cycles, ordered_cycles,
                    simple_paths, connected_components, is_connected,
-                   is_generalized_ngon, make_cycle, make_path)
+                   is_generalized_ngon, grow, make_cycle, make_path)
 
 
 def test_construction_validation():
@@ -89,6 +90,47 @@ def test_enumerate_cycles(fano):
         assert len(set(cyc)) == 6
         for i in range(6):
             assert fano.has_edge(cyc[i], cyc[(i + 1) % 6])
+
+
+def test_enumerate_cycles_matches_closed_paths(small_graphs, fano, gq22):
+    """The cycle search against an independent route: simple paths that
+    close up, taken from their smallest vertex in one orientation."""
+    found = 0
+    for g in small_graphs + [fano, gq22]:
+        for length in (4, 6, 8):
+            want = sorted(p for p in simple_paths(g, length - 1)
+                          if g.has_edge(p[0], p[-1]) and p[0] == min(p)
+                          and p[1] < p[-1])
+            assert enumerate_cycles(g, length) == want
+            found += len(want)
+    assert found
+
+
+def test_enumerate_cycles_through_matches_filtered(grow_outputs):
+    """Cycles through a vertex set S are the full list filtered by S, on
+    grown n = 3 and n = 4 graphs for every length up to the default
+    horizon 2n+6; S mixes a few vertices of one cycle with random ones."""
+    rng = random.Random(20261018)
+    graphs = [g for g, _ in grow_outputs.values()] + [
+        grow(make_cycle(4, 10), steps, s,
+             templates=("pendant_path", "path_completion", "cycle_attach"))[0]
+        for steps, s in ((4, 1), (3, 3))]
+    hits = set()
+    for g in graphs:
+        verts = sorted(g.vertices)
+        for length in range(4, 2 * g.n + 7, 2):
+            cycles = enumerate_cycles(g, length)
+            assert enumerate_cycles(g, length, through=g.vertices) == cycles
+            assert enumerate_cycles(g, length, through=()) == []
+            for _ in range(6):
+                s = set(rng.sample(verts, rng.randint(1, 6)))
+                if cycles:
+                    s.update(rng.sample(rng.choice(cycles), rng.randint(1, 2)))
+                want = [c for c in cycles if set(c) & s]
+                assert enumerate_cycles(g, length, through=s) == want
+                if want:
+                    hits.add(g.n)
+    assert hits == {3, 4}
 
 
 def test_ordered_cycles(fano):

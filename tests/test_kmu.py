@@ -5,10 +5,10 @@ import pytest
 
 import ngons.kmu
 from conftest import random_bipartite
-from ngons import (BipartiteGraph, GraphError, MuFunction, count_copies,
-                   default_mu, delta, find_copies, free_amalgam, girth, grow,
-                   in_class, is_connected, make_cl_witness, make_cycle,
-                   make_path, pairs_isomorphic, copies_equivalent)
+from ngons import (BipartiteGraph, GraphError, MuFunction, TEMPLATES,
+                   count_copies, default_mu, delta, find_copies, free_amalgam,
+                   girth, grow, in_class, is_connected, make_cl_witness,
+                   make_cycle, make_path, pairs_isomorphic, copies_equivalent)
 
 
 def double_path(n):
@@ -98,11 +98,24 @@ def test_copies_and_isomorphism_helpers():
     h = make_path(4, 3)
     assert pairs_isomorphic(g, base, bodies[0],
                             h, h.subsets["endpoints"], h.subsets["interior"])
-    # a set meeting the base is no copy over it, for either helper
+    # a set meeting the base is no copy over it
     p = make_path(3, 5)
     assert frozenset({0}) not in find_copies(p, {0}, {3})
-    assert not copies_equivalent(p, frozenset({0}), frozenset({3}),
-                                 frozenset({0}))
+    with pytest.raises(GraphError):
+        copies_equivalent(p, frozenset({0}), frozenset({3}), frozenset({0}))
+
+
+def test_bodies_meeting_their_base_are_refused():
+    p = make_path(3, 5)
+    base, body, apart = frozenset({0, 1}), frozenset({1, 2}), frozenset({3})
+    for call in (lambda: find_copies(p, base, body),
+                 lambda: count_copies(p, base, body),
+                 lambda: copies_equivalent(p, base, body, apart),
+                 lambda: copies_equivalent(p, base, apart, body),
+                 lambda: pairs_isomorphic(p, base, body, p, base, apart),
+                 lambda: pairs_isomorphic(p, base, apart, p, base, body)):
+        with pytest.raises(GraphError, match="disjoint"):
+            call()
 
 
 # ------------------------------------------- matcher against brute force
@@ -324,11 +337,14 @@ def glue_path(g, a, b, length):
     return free_amalgam(g, make_path(g.n, length), {0: a, length: b})
 
 
-def test_incremental_agrees_on_rejected_candidates(monkeypatch):
-    """Full and incremental checks agree on grown n = 3 members with paths
-    of length n-1, n+1 and 2n-1 glued in once and twice at the same ends;
-    the corpus reaches every condition and the find_copies recount over an
-    old base."""
+def incremental_corpus(monkeypatch, n, runs, max_body=None,
+                       templates=TEMPLATES):
+    """Check full against incremental `in_class` on grown members h with
+    paths of length n-1, n+1 and 2n-1 glued in once and twice at the same
+    ends, both with the body cap `max_body`.  `runs` holds (steps, rng,
+    sites per length) triples.  Returns the number of rejected
+    candidates, the conditions seen, and whether a find_copies recount
+    over an old base found several copies."""
     recounts = []
     real = ngons.kmu.find_copies
 
@@ -338,23 +354,24 @@ def test_incremental_agrees_on_rejected_candidates(monkeypatch):
         return copies
 
     monkeypatch.setattr(ngons.kmu, "find_copies", spy)
-    n = 3
     conditions = set()
     old_base_recount = False
     rejected = 0
-    for steps, rng_seed in ((5, 1), (6, 2)):
-        h, _ = grow(make_cycle(n, 2 * n + 2), steps, rng_seed)
+    for steps, rng_seed, per_length in runs:
+        h, _ = grow(make_cycle(n, 2 * n + 2), steps, rng_seed,
+                    templates=templates)
         verts = sorted(h.vertices)
         for length in (n - 1, n + 1, 2 * n - 1):
             sites = [(a, b) for a, b in combinations(verts, 2)
                      if (h.part(a), h.part(b)) == (0, length % 2)
                      and not h.has_edge(a, b)]
-            for a, b in sites[::len(sites) // 8 + 1]:
+            for a, b in sites[::len(sites) // per_length + 1]:
                 once = glue_path(h, a, b, length)
                 for g in (once, glue_path(once, a, b, length)):
-                    full = in_class(g)
+                    full = in_class(g, max_body=max_body)
                     recounts.clear()
-                    assert in_class(g, member_base=h.vertices) == full
+                    assert in_class(g, max_body=max_body,
+                                    member_base=h.vertices) == full
                     rejected += not full[0]
                     conds = {r.condition for r in full[1]}
                     conditions |= conds
@@ -362,6 +379,26 @@ def test_incremental_agrees_on_rejected_candidates(monkeypatch):
                             base <= h.vertices and count > 1
                             for base, count in recounts):
                         old_base_recount = True
-    assert rejected and conditions == {"short_cycle", "long_cycle_low_delta",
-                                       "mu_exceeded"}
+    return rejected, conditions, old_base_recount
+
+
+ALL_CONDITIONS = {"short_cycle", "long_cycle_low_delta", "mu_exceeded"}
+
+
+def test_incremental_agrees_on_rejected_candidates(monkeypatch):
+    """n = 3: the corpus reaches every condition and the find_copies
+    recount over an old base."""
+    rejected, conditions, old_base_recount = incremental_corpus(
+        monkeypatch, 3, ((5, 1, 8), (6, 2, 8)))
+    assert rejected and conditions == ALL_CONDITIONS
+    assert old_base_recount
+
+
+def test_incremental_agrees_on_rejected_candidates_n4(monkeypatch):
+    """n = 4, with the body cap at 8 on both sides to keep the corpus
+    fast (the default n = 4 cap is 24)."""
+    rejected, conditions, old_base_recount = incremental_corpus(
+        monkeypatch, 4, ((3, 1, 8), (2, 10, 4)), max_body=8,
+        templates=("pendant_path", "path_completion", "cycle_attach"))
+    assert rejected >= 15 and conditions == ALL_CONDITIONS
     assert old_base_recount

@@ -1,15 +1,18 @@
 """The group-action battery on the bundled classical polygons.
 
-The Fano plane (a thick generalized 3-gon) and GQ(2,2) (a thick
-generalized 4-gon) carry strongly transitive, Moufang automorphism
-groups; their point stabilizers act exactly 3-transitively on the
-neighbourhood of a point -- nowhere near the 6-transitivity the infinite
-construction rules out.
+The Fano plane PG(2,2), PG(2,3) and PG(2,5) (thick generalized 3-gons)
+and GQ(2,2) (a thick generalized 4-gon) carry strongly transitive,
+Moufang automorphism groups.  A point stabilizer of PG(2,q) acts on the
+q+1 lines through the point as PGL(2,q) on the projective line, sharply
+3-transitively; for q = 3 that is all of S_4, so 4-transitively.  That of
+GQ(2,2) acts 3-transitively.  All are nowhere near the 6-transitivity the
+infinite construction rules out.
 """
 
 from ngons import (automorphism_group, check_remark_2_2, fano_graph,
                    gq22_graph, is_generalized_ngon, is_moufang,
-                   is_strongly_transitive, stabilizer_transitivity_degree)
+                   is_strongly_transitive, projective_plane,
+                   stabilizer_transitivity_degree)
 
 
 def battery(name, g):
@@ -34,6 +37,8 @@ def battery(name, g):
 def main():
     battery("Fano plane PG(2,2)", fano_graph())
     battery("generalized quadrangle GQ(2,2)", gq22_graph())
+    battery("projective plane PG(2,3)", projective_plane(3))
+    battery("projective plane PG(2,5)", projective_plane(5))
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from .kmu import (MuFunction, ViolationReport, default_mu, find_copies,
 from .witnesses import (make_path, make_cycle, make_gamma, make_cl_witness,
                         BaseSetSpec, find_base_set)
 from .builder import AmalgamError, StepRecord, free_amalgam, grow, TEMPLATES
-from .geometries import fano_graph, gq22_graph
+from .geometries import fano_graph, gq22_graph, projective_plane
 from .groups import (PermGroup, format_cycles, automorphism_group,
                      is_strongly_transitive, check_remark_2_2, is_moufang,
                      stabilizer_transitivity_degree)
@@ -47,7 +47,7 @@ __all__ = [
     "make_path", "make_cycle", "make_gamma", "make_cl_witness",
     "BaseSetSpec", "find_base_set",
     "AmalgamError", "StepRecord", "free_amalgam", "grow", "TEMPLATES",
-    "fano_graph", "gq22_graph",
+    "fano_graph", "gq22_graph", "projective_plane",
     "PermGroup", "format_cycles", "automorphism_group",
     "is_strongly_transitive", "check_remark_2_2", "is_moufang",
     "stabilizer_transitivity_degree",

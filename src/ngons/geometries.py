@@ -3,13 +3,15 @@
 * The Fano plane PG(2,2): 7 points, 7 lines, a thick generalized 3-gon.
 * The generalized quadrangle GQ(2,2) = W(3,2) via duads and synthemes of
   six symbols: 15 points, 15 lines, a thick generalized 4-gon.
+* The Desarguesian plane PG(2,p) for a prime p, from GF(p)^3:
+  p^2+p+1 points and as many lines, a thick generalized 3-gon.
 
 Points get part 0, lines part 1.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
-from .graph import BipartiteGraph
+from .graph import BipartiteGraph, GraphError
 
 
 def fano_graph():
@@ -61,4 +63,28 @@ def gq22_graph():
     return BipartiteGraph(4, verts, edges, {
         "points": frozenset(range(15)),
         "lines": frozenset(range(15, 30)),
+    })
+
+
+def projective_plane(p):
+    """Incidence graph of PG(2,p) for a prime p.
+
+    Points and lines are the one-dimensional subspaces of GF(p)^3, each
+    written with its first nonzero coordinate equal to 1, in
+    lexicographic order; point i lies on line j when their dot product is
+    0 mod p.  Points get ids 0..p^2+p, lines the next p^2+p+1.
+    """
+    if (not isinstance(p, int) or p < 2
+            or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1))):
+        raise GraphError("PG(2,p) is built for a prime p, got %r" % (p,))
+    reps = [v for v in product(range(p), repeat=3)
+            if any(v) and next(c for c in v if c) == 1]
+    k = len(reps)
+    verts = {i: i // k for i in range(2 * k)}
+    edges = [(i, k + j) for i, point in enumerate(reps)
+             for j, line in enumerate(reps)
+             if sum(a * b for a, b in zip(point, line)) % p == 0]
+    return BipartiteGraph(3, verts, edges, {
+        "points": frozenset(range(k)),
+        "lines": frozenset(range(k, 2 * k)),
     })

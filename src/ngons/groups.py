@@ -5,33 +5,21 @@ point stabilizer on the neighbourhood D_1(x).
 
 Groups are kept as generators and never enumerated: automorphisms are
 found by backtracking over an equitable colour refinement, pruned by the
-orbits of the generators already found; the action of a pointwise
-stabilizer is read off one orbit of tuples; every check is G-invariant,
-so one simple path per G-orbit is tested; and the order comes from an
-orbit-stabilizer chain.
+orbits of the generators already found.  The order and every pointwise
+stabilizer come from one Schreier–Sims stabilizer chain with a chosen
+base; one simple path per G-orbit is tested, and transitivity on ordered
+cycles is counted.
 """
 
 from collections import Counter
-from itertools import permutations
+from math import perm, prod
 
-from .graph import GraphError, is_generalized_ngon, ordered_cycles, simple_paths
+from .graph import GraphError, enumerate_cycles, is_generalized_ngon, simple_paths
 
 
 def _compose(p, q):
-    """The permutation v -> p[q[v]]."""
-    return {v: p[q[v]] for v in q}
-
-
-def _invert(p):
-    return {w: v for v, w in p.items()}
-
-
-def _identity(domain):
-    return {v: v for v in domain}
-
-
-def _as_key(p, domain):
-    return tuple(p[v] for v in domain)
+    """The permutation i -> p[q[i]] of range(N), as a tuple."""
+    return tuple(map(p.__getitem__, q))
 
 
 def format_cycles(p):
@@ -55,10 +43,9 @@ def format_cycles(p):
 class PermGroup:
     """A permutation group on the vertex set, given by generators.
 
-    `order` runs an orbit-stabilizer chain; `elements` materializes the
-    group by closure, for tests and small groups only (nothing in the
-    library calls it).  The two are checked against each other in the
-    test suite; both are cached.
+    `order` and `stabilizer` read a stabilizer chain (`_schreier_sims`);
+    `elements` lists the group, for tests and small groups only (nothing
+    in the library calls it).  Order and elements are cached.
     """
 
     def __init__(self, domain, generators):
@@ -75,27 +62,36 @@ class PermGroup:
         self._order = None
 
     def elements(self):
-        """Every group element, as a list of dicts (identity included)."""
+        """Every group element, as a list of dicts (identity included):
+        the orbit of the domain, read as the images of its points."""
         if self._elements is None:
-            ident = _identity(self.domain)
-            found = {_as_key(ident, self.domain): ident}
-            queue = [ident]
-            for p in queue:
-                for gen in self.generators:
-                    q = _compose(gen, p)
-                    key = _as_key(q, self.domain)
-                    if key not in found:
-                        found[key] = q
-                        queue.append(q)
-            self._elements = [found[k] for k in sorted(found)]
+            self._elements = [dict(zip(self.domain, images))
+                              for images in sorted(self.orbit(self.domain))]
         return self._elements
 
     @property
     def order(self):
-        """Group order via the orbit-stabilizer chain |G| = |orbit| * |G_b|."""
+        """|G|, read off the stabilizer chain of `stabilizer(())`."""
         if self._order is None:
-            self._order = _chain_order(self.domain, self.generators)
+            self._order = self.stabilizer(()).order
         return self._order
+
+    def stabilizer(self, fixed):
+        """The pointwise stabilizer of the points `fixed`: the strong
+        generators that fix them in a chain whose base starts with them,
+        with its order read off the same chain."""
+        fixed = tuple(fixed)
+        if not self._points.issuperset(fixed):
+            raise GraphError("%r is not in the group's domain" % (fixed,))
+        dom = self.domain
+        index = {v: i for i, v in enumerate(dom)}
+        gens = [tuple(index[p[v]] for v in dom) for p in self.generators]
+        levels = _schreier_sims(len(dom), gens, [index[v] for v in fixed],
+                                self.order if fixed else None)[len(fixed):]
+        sub = PermGroup(dom, [{v: dom[s[i]] for i, v in enumerate(dom)}
+                              for s, _ in (levels[0][1] if levels else ())])
+        sub._order = prod(len(level[2]) for level in levels)
+        return sub
 
     def orbit(self, x):
         """The orbit of a point (or of a tuple of points, acted on
@@ -114,34 +110,54 @@ class PermGroup:
                     queue.append(img)
         return frozenset(t[0] for t in seen) if single else seen
 
-    def stabilizer_elements(self, fixed):
-        """All elements fixing the given vertices pointwise."""
-        fixed = tuple(fixed)
-        return [p for p in self.elements() if all(p[v] == v for v in fixed)]
 
+def _schreier_sims(degree, gens, base, order=None):
+    """A stabilizer chain of the group G generated by `gens` (tuples
+    permuting range(degree)) with a base that begins with `base`, built by
+    deterministic Schreier–Sims with sifting (Sims 1970; Seress 2003).
 
-def _chain_order(domain, generators):
-    gens = [g for g in generators if any(g[v] != v for v in domain)]
-    if not gens:
-        return 1
-    base = next(v for v in domain
-                if any(g[v] != v for g in gens))
-    # orbit of the base point, remembering a transversal element per point
-    transversal = {base: _identity(domain)}
-    queue = [base]
-    for v in queue:
-        for g in gens:
-            w = g[v]
-            if w not in transversal:
-                transversal[w] = _compose(g, transversal[v])
-                queue.append(w)
-    # Schreier generators for the stabilizer of the base point
-    stab = {}
-    for v in transversal:
-        for g in gens:
-            rep = _compose(_invert(transversal[g[v]]), _compose(g, transversal[v]))
-            stab[_as_key(rep, domain)] = rep
-    return len(transversal) * _chain_order(domain, list(stab.values()))
+    Level i is (b_i, S_i, T_i): the strong generators S_i (pairs p, p^-1)
+    fix b_0, ..., b_{i-1} and generate the pointwise stabilizer G_i of
+    those points; T_i maps each point of the orbit of b_i under G_i to a
+    pair (u, u^-1), u in G_i taking b_i there.  So |G| is the product of
+    the |T_i|.  Given |G|, the search stops when the product reaches it:
+    the products u_0 u_1 ... of one element per T_i are distinct elements
+    of G, so then they are all of G.
+    """
+    ident = tuple(range(degree))
+    levels = [(b, [], {b: (ident, ident)}) for b in base]
+
+    def add(hs, i):
+        """Put hs, which fix b_0, ..., b_{i-1}, into S_i (a new level past
+        the end), extend T_i, and add to S_{i+1} what is left of each new
+        Schreier generator after sifting.  T_i keeps its elements and
+        G_{i+1} only grows, so each (point, generator) pair sifts once."""
+        if i == len(levels):
+            b = next(x for x in ident if hs[0][x] != x)
+            levels.append((b, [], {b: (ident, ident)}))
+        _, strong, trans = levels[i]
+        pairs = [(x, len(strong) + k) for x in trans for k in range(len(hs))]
+        strong.extend((h, tuple(sorted(ident, key=h.__getitem__))) for h in hs)
+        for x, k in pairs:
+            (s, sinv), (u, uinv) = strong[k], trans[x]
+            if s[x] not in trans:
+                trans[s[x]] = (_compose(s, u), _compose(uinv, sinv))
+                pairs.extend((s[x], j) for j in range(len(strong)))
+        for x, k in pairs:
+            if order == prod(len(level[2]) for level in levels):
+                return
+            s = strong[k][0]
+            h = _compose(trans[s[x]][1], _compose(s, trans[x][0]))
+            for b, _, lower in levels[i + 1:]:  # sift h
+                if h == ident or h[b] not in lower:
+                    break
+                h = _compose(lower[h[b]][1], h)
+            if h != ident:
+                add([h], i + 1)
+
+    if gens:
+        add(gens, 0)
+    return levels
 
 
 def _refine_colours(g, colours):
@@ -245,35 +261,23 @@ def _check_automorphism(g, p, type_preserving):
 
 
 def _require(g, grp, ngon=True):
-    """Raise GraphError unless grp acts on the vertex set of g and (with
+    """Raise GraphError unless grp acts on g by automorphisms and (with
     ngon set) g is a generalized n-gon."""
     if grp.domain != tuple(sorted(g.vertices)):
         raise GraphError("the group does not act on the graph's vertex set")
+    for p in grp.generators:
+        _check_automorphism(g, p, type_preserving=False)
     ok, reason = is_generalized_ngon(g) if ngon else (True, None)
     if not ok:
         raise GraphError("graph is not a generalized %d-gon: %s" % (g.n, reason))
 
 
-def _transitive_on(grp, tuples):
-    """Does the group act transitively on the given tuple set?"""
-    return not tuples or grp.orbit(min(tuples)) >= set(tuples)
-
-
-def _stabilizer_reach(grp, fixed, tail):
-    """Where the pointwise stabilizer of the tuple `fixed` takes the tuple
-    `tail`: the tails of those images of fixed + tail that start with
-    `fixed`.  Returns that set and the G-orbit of fixed + tail."""
-    k = len(fixed)
-    orbit = grp.orbit(fixed + tail)
-    return {t[k:] for t in orbit if t[:k] == fixed}, orbit
-
-
 def _first_failing_path(g, grp, moufang):
-    """The first simple path (x_0, ..., x_n) whose pointwise stabilizer
-    (with moufang set: that of D_1(x_1) + ... + D_1(x_{n-1})) is not
-    transitive on D_1(x_n) minus x_{n-1}, or None.  The condition is
-    G-invariant, so a passing path clears its G-orbit, which is read off
-    the same tuple orbit."""
+    """(True, None), or False and the first simple path (x_0, ..., x_n)
+    whose pointwise stabilizer (with moufang set: that of D_1(x_1) + ...
+    + D_1(x_{n-1})) is not transitive on D_1(x_n) minus x_{n-1}.  The
+    condition is G-invariant, so a passing path clears its G-orbit."""
+    _require(g, grp)
     n = g.n
     covered = set()
     for path in simple_paths(g, n):
@@ -284,32 +288,21 @@ def _first_failing_path(g, grp, moufang):
         if moufang:  # the union contains the path; fix the rest too
             rest = set().union(*(g.neighbors(x) for x in path[1:n]))
             fixed += tuple(sorted(rest - set(path)))
-        reach, orbit = _stabilizer_reach(grp, fixed, (min(targets),))
-        if reach != {(y,) for y in targets}:
-            return path
-        covered.update(t[:n + 1] for t in orbit)
-    return None
+        if grp.stabilizer(fixed).orbit(min(targets)) != targets:
+            return False, path
+        covered.update(grp.orbit(path))
+    return True, None
 
 
 def is_strongly_transitive(g, grp):
     """Strong transitivity: for every simple path (x_0, ..., x_n) the
     pointwise stabilizer acts transitively on D_1(x_n) minus x_{n-1}.
 
-    Returns (ok, counterexample_path).  On thick polygons the equivalent
-    cycle form -- transitivity on ordered 2n-cycles with starting vertex
-    of fixed type -- is computed as well and the two answers are checked
-    against each other.
+    Returns (ok, counterexample_path).  On thick polygons it is
+    equivalent to transitivity on ordered 2n-cycles starting in part 0,
+    which the tests check.
     """
-    _require(g, grp)
-    witness = _first_failing_path(g, grp, moufang=False)
-    ok = witness is None
-    if is_generalized_ngon(g, thick=True)[0]:
-        cycle_form = _transitive_on(grp, ordered_cycles(g, 2 * g.n, start_part=0))
-        if cycle_form != ok:
-            raise GraphError(
-                "path-stabilizer and ordered-cycle characterizations of "
-                "strong transitivity disagree (%s vs %s)" % (ok, cycle_form))
-    return ok, witness
+    return _first_failing_path(g, grp, moufang=False)
 
 
 def check_remark_2_2(g, grp):
@@ -320,20 +313,31 @@ def check_remark_2_2(g, grp):
     part 0, and the pointwise stabilizer of such a cycle (x_0, x_1, ...)
     acts transitively on (D_1(x_1) - {x_0, x_2}) x (D_1(x_2) - {x_1, x_3}).
     Returns (L == R, L, R).
+
+    Transitivity is counted: length * |cycles| ordered cycles start in
+    part 0, and only the type-preserving part G_0 takes one such c to
+    another, so they form one orbit iff |G_0| / |G_c| is that count.
+    [G:G_0] is 2 if a generator swaps the parts (polygons are connected).
     """
     _require(g, grp)
-    n = g.n
-    left = _transitive_on(grp, ordered_cycles(g, 2 * n + 2, start_part=0))
-    cycles = ordered_cycles(g, 2 * n, start_part=0)
-    right = _transitive_on(grp, cycles)
+    v = grp.domain[0]
+    index = 2 if any(g.part(p[v]) != g.part(v) for p in grp.generators) else 1
+    sides = []
+    for length in (2 * g.n + 2, 2 * g.n):
+        cycles = enumerate_cycles(g, length)
+        if cycles:  # one of them, rotated to start in part 0
+            cyc = cycles[0][g.part(cycles[0][0]):] + cycles[0][:g.part(cycles[0][0])]
+            stab = grp.stabilizer(cyc)
+        sides.append(not cycles
+                     or grp.order == index * length * len(cycles) * stab.order)
+    left, right = sides
     if right and cycles:
-        # the cycles form one orbit, so one stabilizer suffices
-        cyc = cycles[0]
+        # the 2n-cycles (the last loop) form one orbit: one stabilizer suffices
         pairs = {(a, b)
                  for a in g.neighbors(cyc[1]) - {cyc[0], cyc[2]}
                  for b in g.neighbors(cyc[2]) - {cyc[1], cyc[3]}}
         if pairs:
-            right = _stabilizer_reach(grp, cyc, min(pairs))[0] == pairs
+            right = stab.orbit(min(pairs)) == pairs
     return left == right, left, right
 
 
@@ -342,9 +346,7 @@ def is_moufang(g, grp):
     pointwise stabilizer of D_1(x_1) + ... + D_1(x_{n-1}) acts
     transitively on D_1(x_n) minus x_{n-1}.  Returns (ok, failing_path).
     """
-    _require(g, grp)
-    witness = _first_failing_path(g, grp, moufang=True)
-    return witness is None, witness
+    return _first_failing_path(g, grp, moufang=True)
 
 
 def stabilizer_transitivity_degree(g, grp, x):
@@ -355,10 +357,8 @@ def stabilizer_transitivity_degree(g, grp, x):
         raise GraphError("unknown vertex %r" % (x,))
     _require(g, grp, ngon=False)
     nbrs = sorted(g.neighbors(x))
-    degree = 0
-    for t in range(1, len(nbrs) + 1):
-        reach, _ = _stabilizer_reach(grp, (x,), tuple(nbrs[:t]))
-        if reach != set(permutations(nbrs, t)):
-            break
-        degree = t
-    return degree
+    stab = grp.stabilizer((x,))
+    t = 0  # the orbit of nbrs[:t] holds only t-tuples of distinct neighbours
+    while t < len(nbrs) and len(stab.orbit(tuple(nbrs[:t + 1]))) == perm(len(nbrs), t + 1):
+        t += 1
+    return t

@@ -4,11 +4,11 @@ The oracles work over bitmasks with a precomputed delta table, so they
 share no code with the implementations they check."""
 
 import random
-from itertools import product
 
 import pytest
 
-from ngons import BipartiteGraph, fano_graph, gq22_graph, grow, make_cycle
+from ngons import (BipartiteGraph, fano_graph, gq22_graph, grow, make_cycle,
+                   projective_plane)
 
 
 # ---------------------------------------------------------------- oracles
@@ -128,21 +128,6 @@ def random_bipartite(rng, n, nv, edge_prob):
     return BipartiteGraph(n, parts, edges)
 
 
-def pg23_graph():
-    """Incidence graph of PG(2,3), built from GF(3)^3.
-
-    Points and lines are the 13 one-dimensional subspaces, each written
-    with its first nonzero coordinate equal to 1; point p lies on line l
-    when p.l = 0 mod 3.  Points get ids 0..12 (part 0), lines 13..25."""
-    reps = sorted({tuple(x * next(c for c in v if c) % 3 for x in v)
-                   for v in product(range(3), repeat=3) if any(v)})
-    parts = {i: i // len(reps) for i in range(2 * len(reps))}
-    edges = [(i, len(reps) + j)
-             for i, point in enumerate(reps) for j, line in enumerate(reps)
-             if sum(a * b for a, b in zip(point, line)) % 3 == 0]
-    return BipartiteGraph(3, parts, edges)
-
-
 # ---------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="session")
@@ -157,7 +142,12 @@ def gq22():
 
 @pytest.fixture(scope="session")
 def pg23():
-    return pg23_graph()
+    return projective_plane(3)
+
+
+@pytest.fixture(scope="session")
+def pg25():
+    return projective_plane(5)
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,8 @@ from conftest import random_bipartite
 from ngons import (BipartiteGraph, GraphError, PermGroup, automorphism_group,
                    check_remark_2_2, fano_graph, format_cycles, gq22_graph,
                    is_generalized_ngon, is_moufang, is_strongly_transitive,
-                   make_cycle, make_path, ordered_cycles, simple_paths,
-                   stabilizer_transitivity_degree)
+                   make_cycle, make_path, ordered_cycles, projective_plane,
+                   simple_paths, stabilizer_transitivity_degree)
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def test_perm_group_basics():
     assert len(grp.elements()) == 4
     assert grp.orbit(0) == frozenset({0, 1, 2, 3})
     assert grp.orbit((0, 1)) == {(0, 1), (1, 2), (2, 3), (3, 0)}
-    assert len(grp.stabilizer_elements([0])) == 1
+    assert grp.stabilizer([0]).order == 1
     with pytest.raises(GraphError):
         PermGroup(domain, [{0: 0, 1: 1}])  # wrong domain
 
@@ -149,6 +149,26 @@ def test_pg23_battery(pg23):
     assert stabilizer_transitivity_degree(pg23, grp, 0) == 4
 
 
+def test_pg25_battery(pg25):
+    grp = automorphism_group(pg25)
+    assert grp.order == 372000
+    assert is_strongly_transitive(pg25, grp) == (True, None)
+    assert is_moufang(pg25, grp) == (True, None)
+    assert check_remark_2_2(pg25, grp) == (True, True, True)
+    assert stabilizer_transitivity_degree(pg25, grp, 0) == 3
+
+
+def test_projective_plane():
+    for p in (2, 3, 5):
+        g = projective_plane(p)
+        assert is_generalized_ngon(g, thick=True) == (True, None)
+        assert len(g.part_vertices(0)) == len(g.part_vertices(1)) == p * p + p + 1
+        assert all(len(g.neighbors(v)) == p + 1 for v in g.vertices)
+    for bad in (0, 1, 4, 9, 3.0):
+        with pytest.raises(GraphError):
+            projective_plane(bad)
+
+
 def test_battery_rejects_group_on_other_domain(fano):
     five = PermGroup(range(5), [{i: (i + 1) % 5 for i in range(5)}])
     for check in (is_strongly_transitive, is_moufang, check_remark_2_2):
@@ -156,6 +176,17 @@ def test_battery_rejects_group_on_other_domain(fano):
             check(fano, five)
     with pytest.raises(GraphError):
         stabilizer_transitivity_degree(fano, five, 0)
+
+
+def test_battery_rejects_non_automorphisms(fano):
+    swap = {v: v for v in fano.vertices}
+    swap[0], swap[1] = 1, 0  # two points, not a collineation
+    grp = PermGroup(sorted(fano.vertices), [swap])
+    for check in (is_strongly_transitive, is_moufang, check_remark_2_2):
+        with pytest.raises(GraphError):
+            check(fano, grp)
+    with pytest.raises(GraphError):
+        stabilizer_transitivity_degree(fano, grp, 0)
 
 
 def test_orbit_rejects_point_outside_domain():
@@ -176,7 +207,18 @@ class ElementScan:
 
     def __init__(self, g, grp):
         self.g = g
-        self.elements = grp.elements()
+        # the closure of the generators, each element as a dict
+        ident = {v: v for v in g.vertices}
+        found = {tuple(sorted(ident.items())): ident}
+        queue = [ident]
+        for p in queue:
+            for gen in grp.generators:
+                q = {v: gen[p[v]] for v in p}
+                key = tuple(sorted(q.items()))
+                if key not in found:
+                    found[key] = q
+                    queue.append(q)
+        self.elements = list(found.values())
         self.fixed_points = [frozenset(v for v in p if p[v] == v)
                              for p in self.elements]
 
@@ -203,14 +245,8 @@ class ElementScan:
         return None
 
     def is_strongly_transitive(self):
-        g = self.g
         witness = self.first_failing_path(lambda path: path)
-        ok = witness is None
-        if is_generalized_ngon(g, thick=True)[0]:
-            cycles = ordered_cycles(g, 2 * g.n, start_part=0)
-            if self.transitive_on(cycles) != ok:
-                raise GraphError("cycle form disagrees")
-        return ok, witness
+        return witness is None, witness
 
     def is_moufang(self):
         g = self.g
@@ -247,19 +283,15 @@ class ElementScan:
         return degree
 
 
-def _outcome(call, *args):
-    try:
-        return call(*args)
-    except GraphError:
-        return "GraphError"
-
-
-def test_battery_matches_element_scan_on_random_subgroups():
+@pytest.fixture(scope="module")
+def scan_corpus():
+    """112 random subgroups of the type-preserving or full groups of four
+    polygons, each with a random vertex."""
     rng = random.Random(20261018)
     polygons = [fano_graph(), gq22_graph(), make_cycle(3, 6), make_cycle(4, 8)]
     full = {(g, tp): automorphism_group(g, tp).elements()
             for g in polygons for tp in (False, True)}
-    fails = {"strans": 0, "moufang": 0, "later_witness": 0}
+    corpus = []
     for trial in range(112):
         g = polygons[trial % len(polygons)]
         pool = full[g, rng.random() < 0.7]
@@ -268,11 +300,18 @@ def test_battery_matches_element_scan_on_random_subgroups():
             # start at 0, tend to pass and a later one fails
             pool = [p for p in pool if p[0] == 0]
         grp = PermGroup(sorted(g.vertices), rng.choices(pool, k=rng.randrange(4)))
+        corpus.append((g, grp, rng.choice(sorted(g.vertices))))
+    return corpus
+
+
+def test_battery_matches_element_scan_on_random_subgroups(scan_corpus):
+    fails = {"strans": 0, "moufang": 0, "later_witness": 0}
+    for g, grp, x in scan_corpus:
         ref = ElementScan(g, grp)
-        x = rng.choice(sorted(g.vertices))
-        strans = _outcome(is_strongly_transitive, g, grp)
+        assert grp.order == len(ref.elements)
+        strans = is_strongly_transitive(g, grp)
         moufang = is_moufang(g, grp)
-        assert strans == _outcome(ref.is_strongly_transitive)
+        assert strans == ref.is_strongly_transitive()
         assert moufang == ref.is_moufang()
         assert check_remark_2_2(g, grp) == ref.check_remark_2_2()
         assert (stabilizer_transitivity_degree(g, grp, x)
@@ -282,6 +321,50 @@ def test_battery_matches_element_scan_on_random_subgroups():
         first = simple_paths(g, g.n)[0]
         fails["later_witness"] += moufang[1] not in (None, first)
     assert all(fails.values()), fails
+
+
+def test_stabilizer_chain_matches_element_scan(scan_corpus):
+    rng = random.Random(5)
+    for g, grp, x in scan_corpus:
+        ref = ElementScan(g, grp)
+        verts = sorted(g.vertices)
+        for size in (0, 1, rng.randrange(2, len(verts)), len(verts)):
+            fixed = tuple(rng.sample(verts, size))
+            stab, members = grp.stabilizer(fixed), ref.stabilizer(fixed)
+            assert all(p[v] == v for p in stab.generators for v in fixed)
+            assert stab.order == len(members)
+            assert stab.orbit(x) == {p[x] for p in members}
+
+
+def _cycle_form(g, grp):
+    """Transitivity on ordered 2n-cycles starting in part 0, read off the
+    orbit of one of them."""
+    cycles = ordered_cycles(g, 2 * g.n, start_part=0)
+    return not cycles or grp.orbit(min(cycles)) >= set(cycles)
+
+
+def test_path_form_matches_cycle_form(scan_corpus, fano, gq22, pg23, pg25,
+                                      fano_grp, gq_grp):
+    """On thick polygons strong transitivity, decided on paths, is
+    equivalent to transitivity on ordered 2n-cycles starting in part 0."""
+    cases = [(g, grp) for g, grp, _ in scan_corpus
+             if is_generalized_ngon(g, thick=True)[0]]
+    assert len(cases) == 56
+    cases += [(fano, fano_grp), (gq22, gq_grp), (pg23, automorphism_group(pg23)),
+              (pg25, automorphism_group(pg25))]
+    verdicts = [is_strongly_transitive(g, grp)[0] for g, grp in cases]
+    assert verdicts == [_cycle_form(g, grp) for g, grp in cases]
+    assert True in verdicts and False in verdicts
+
+
+def test_remark_on_full_groups(fano, gq22):
+    """The full groups swap the parts, so each ordered cycle's orbit is
+    twice the type-preserving count: the index [G:G_0] must enter it."""
+    for g in (fano, gq22):
+        full = automorphism_group(g, type_preserving=False)
+        assert full.order == 2 * automorphism_group(g).order
+        assert (check_remark_2_2(g, full) == ElementScan(g, full).check_remark_2_2()
+                == (True, True, True))
 
 
 # ------------------------------------------------ automorphism search oracle

@@ -16,7 +16,7 @@ from .graph import (BipartiteGraph, GraphError, bfs_distances, distance,
 from .io import ParseError, parse_graph, format_graph, load_graph, save_graph
 from .predimension import (delta, delta_rel, is_strong, d_min, d_rel,
                            closure, acl_relative)
-from .zeroalg import (ZeroAlgebraicPair, connected_subsets, is_zero_algebraic,
+from .zeroalg import (ZeroAlgebraicPair, is_zero_algebraic,
                       is_zero_minimally_algebraic, minimal_base,
                       degree_identity_check, default_body_cap,
                       enumerate_zero_min_pairs)
@@ -39,7 +39,7 @@ __all__ = [
     "ParseError", "parse_graph", "format_graph", "load_graph", "save_graph",
     "delta", "delta_rel", "is_strong", "d_min", "d_rel", "closure",
     "acl_relative",
-    "ZeroAlgebraicPair", "connected_subsets", "is_zero_algebraic",
+    "ZeroAlgebraicPair", "is_zero_algebraic",
     "is_zero_minimally_algebraic", "minimal_base", "degree_identity_check",
     "default_body_cap", "enumerate_zero_min_pairs",
     "MuFunction", "ViolationReport", "default_mu", "find_copies",

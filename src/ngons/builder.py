@@ -5,9 +5,9 @@ common induced subgraph that is strongly embedded in the extension,
 adding no other cross edges.  `grow` repeatedly draws candidate
 extensions from a template catalogue (pendant paths, path completions,
 long-cycle attachments, cycle-with-spokes witnesses), keeps a candidate
-only if the amalgam still passes the class membership check, and verifies
-after every accepted step that the previous graph is still strongly
-embedded.  Identical seeds give identical outputs.
+only if the amalgam still passes the class membership check, which also
+verifies that the previous graph is still strongly embedded.  Identical
+seeds give identical outputs.
 """
 
 import random
@@ -238,15 +238,15 @@ def grow(seed, steps, rng_seed, mu=None, horizon=None, max_body=None,
             log.append(StepRecord(k, template, False,
                                   "amalgam_error", len(g.vertices), len(g.edges)))
             continue
-        still_strong, witness = is_strong(candidate, g.vertices)
-        if not still_strong:
+        # the previous graph is a member; in_class verifies that it stays
+        # strongly embedded, and then only looks at the new vertices
+        try:
+            ok, reports = in_class(candidate, mu, horizon=horizon,
+                                   max_body=max_body, member_base=g.vertices)
+        except GraphError as exc:
             raise AmalgamError(
                 "strong persistence failed at step %d: previous graph is no "
-                "longer strong, violator %s" % (k, sorted(witness)))
-        # the previous graph is a member and strongly embedded, so the
-        # membership check only needs to look at the new vertices
-        ok, reports = in_class(candidate, mu, horizon=horizon,
-                               max_body=max_body, member_base=g.vertices)
+                "longer strong (%s)" % (k, exc)) from exc
         if not ok:
             reason = "+".join(sorted({r.condition for r in reports}))
             log.append(StepRecord(k, template, False, reason,

@@ -13,8 +13,7 @@ import sys
 from .graph import GraphError, is_generalized_ngon
 from . import io as gio
 from .predimension import delta, d_min, closure, is_strong
-from .zeroalg import (enumerate_zero_min_pairs, is_zero_algebraic,
-                      is_zero_minimally_algebraic, minimal_base)
+from .zeroalg import _touched_base, enumerate_zero_min_pairs
 from .kmu import MuFunction, default_mu, in_class
 from .witnesses import make_path, make_cycle, make_gamma, make_cl_witness
 from .builder import grow
@@ -114,13 +113,13 @@ def _cmd_zeroalg(args):
         raise _InputError("zeroalg needs --base and --body, or --enumerate")
     base = _subset(g, args.base)
     body = _subset(g, args.body)
-    alg = is_zero_algebraic(g, base, body)
-    minimal = alg and is_zero_minimally_algebraic(g, base, body)
+    touched = _touched_base(g, base, body)
+    alg = touched is not None
+    minimal = touched == base
     _emit(args, "algebraic", "true" if alg else "false")
     _emit(args, "minimally_algebraic", "true" if minimal else "false")
     if alg and not minimal:
-        print("minimal_base %s" % _ids(minimal_base(g, base, body)),
-              file=sys.stderr)
+        print("minimal_base %s" % _ids(touched), file=sys.stderr)
     return 0 if minimal else 1
 
 

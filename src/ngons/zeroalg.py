@@ -5,18 +5,21 @@ every proper nonempty sub-body has strictly positive relative delta; it is
 0-minimally algebraic if additionally no proper sub-base works, which
 happens exactly when every base vertex sends an edge into the body.
 
-Since relative delta is additive over the connected components of a
-sub-body, positivity only needs to be checked on connected sub-bodies,
-and for a candidate base on those of at most half the body's size, each
-also tested by its complement (`_pairs_for_body`).  The body search is
-cut by a vertex-weight bound that every connected piece of a body meets,
-and only bodies whose base-edge count the boundary can supply reach the
-exact-cover base search (`_candidate_bodies`).
+Both the pair test and the enumeration decide positivity by one scan
+(`_pairs_for_body`): since relative delta is additive over the connected
+components of a sub-body, only connected sub-bodies count, and of those
+only the ones of at most half the body's size, each also tested by its
+complement.  The pair test reduces to the scan's setting by degree and
+connectivity checks (`_touched_base`).  The body search runs over
+bitmasks, is cut by a vertex-weight bound that every connected piece of a
+body meets, and only bodies whose base-edge count the boundary can supply
+reach the exact-cover base search (`_candidate_bodies`).
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .graph import GraphError, _ball
+from .graph import GraphError, _ball, is_connected
 from .predimension import _peel, _violator_threshold, delta_rel
 
 
@@ -36,57 +39,57 @@ def _require_disjoint(g, base, body):
     return base, body
 
 
-def connected_subsets(g, ground, max_size=None):
-    """All nonempty connected subsets of `ground`, each exactly once."""
-    ground = frozenset(ground)
-    cap = len(ground) if max_size is None else max_size
-    out = []
+def _mask(pos, vertices):
+    """The bitmask of those `vertices` that `pos` indexes."""
+    m = 0
+    for w in vertices:
+        if w in pos:
+            m |= 1 << pos[w]
+    return m
 
-    def rec(root, current, ext, ext_set):
-        out.append(frozenset(current))
-        if len(current) >= cap:
-            return
-        for i, u in enumerate(ext):
-            grown = [w for w in sorted(g.neighbors(u))
-                     if w in ground and w > root and w not in current
-                     and w not in ext_set]
-            rec(root, current | {u}, ext[i + 1:] + grown,
-                ext_set.union(grown))
 
-    for root in sorted(ground):
-        ext = [w for w in sorted(g.neighbors(root)) if w in ground and w > root]
-        rec(root, {root}, ext, frozenset(ext))
-    return out
+def _touched_base(g, base, body):
+    """The base vertices with an edge into `body`, over which the body is
+    then 0-minimally algebraic, if it is 0-algebraic over `base`; else None.
+
+    A single vertex needs only delta(B/A) = 0.  A larger body fails if it
+    is disconnected, as relative delta adds up over components, or if a
+    vertex has two base edges, as that vertex alone has relative delta
+    <= 3 - n <= 0.  What is left is the setting of `_pairs_for_body`.
+    """
+    base, body = _require_disjoint(g, base, body)
+    if not body or delta_rel(g, body, base) != 0:
+        return None
+    touched = frozenset(a for a in base if g.neighbors(a) & body)
+    if len(body) == 1:
+        return touched
+    if not is_connected(g, body):
+        return None
+    hits = [w for a in touched for w in g.neighbors(a) & body]
+    if len(set(hits)) < len(hits):
+        return None
+    bpos = {v: i for i, v in enumerate(sorted(body))}
+    pairs = _pairs_for_body(g, body, [(touched, _mask(bpos, hits))])
+    return touched if pairs else None
 
 
 def is_zero_algebraic(g, base, body):
     """delta(body/base) = 0 and every proper nonempty sub-body has
     positive relative delta."""
-    base, body = _require_disjoint(g, base, body)
-    if not body:
-        return False
-    if delta_rel(g, body, base) != 0:
-        return False
-    for sub in connected_subsets(g, body):
-        if len(sub) < len(body) and delta_rel(g, sub, base) <= 0:
-            return False
-    return True
+    return _touched_base(g, base, body) is not None
 
 
 def minimal_base(g, base, body):
     """The unique sub-base over which the body is 0-minimally algebraic:
     exactly the base vertices with at least one edge into the body."""
-    base, body = _require_disjoint(g, base, body)
-    if not is_zero_algebraic(g, base, body):
+    touched = _touched_base(g, base, body)
+    if touched is None:
         raise GraphError("body is not 0-algebraic over the given base")
-    return frozenset(a for a in base if any(w in body for w in g.neighbors(a)))
+    return touched
 
 
 def is_zero_minimally_algebraic(g, base, body):
-    base, body = _require_disjoint(g, base, body)
-    if not is_zero_algebraic(g, base, body):
-        return False
-    return minimal_base(g, base, body) == base
+    return _touched_base(g, base, body) == g.check_subset(base)
 
 
 def degree_identity_check(g, base, body):
@@ -120,12 +123,9 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
     # exactly two base neighbours.
     if n == 3 and cap >= 1:
         for b in sorted(g.vertices):
-            nbrs = sorted(g.neighbors(b))
-            for i in range(len(nbrs)):
-                for j in range(i + 1, len(nbrs)):
-                    pairs.append(ZeroAlgebraicPair(
-                        frozenset((nbrs[i], nbrs[j])), frozenset((b,)),
-                        "minimally_algebraic"))
+            for ends in combinations(sorted(g.neighbors(b)), 2):
+                pairs.append(ZeroAlgebraicPair(frozenset(ends), frozenset((b,)),
+                                               "minimally_algebraic"))
     if cap >= 2:
         # In a body of size >= 2 every vertex v has (n-2) e(v, rest of body
         # + base) >= n with at most one edge into the base, so it needs
@@ -140,25 +140,25 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
             # body meets `around` or the neighbourhood of `around`, the
             # touch set; a connected body then stays within the cap-ball
             # around that
-            touch = set(around)
-            for v in around:
-                touch |= g.neighbors(v)
+            touch = set(around).union(*(g.neighbors(v) for v in around))
             dist = _ball(g, touch & ground, cap - 1, ground.__contains__)
             ground = set(dist)
         for body, target in _candidate_bodies(g, ground, cap, dist):
-            pairs.extend(_pairs_for_body(g, body, target))
+            pairs.extend(_pairs_for_body(g, body,
+                                         _candidate_bases(g, body, target)))
     if around is not None:
         pairs = [p for p in pairs if (p.base | p.body) & around]
     return sorted(pairs, key=lambda p: (sorted(p.body), sorted(p.base)))
 
 
-def _pairs_for_body(g, body, target):
-    """All bases over which `body` is 0-minimally algebraic, given
-    target = delta(body)/(n-2), the number of base edges it needs.
+def _pairs_for_body(g, body, bases):
+    """The pairs (A, body) with `body` 0-minimally algebraic over A, for
+    (A, M) in `bases`: M is the mask, over the sorted body, of the body
+    vertices with an edge into A.
 
-    A candidate base A gives delta(B/A) = 0 and at most one base edge per
-    body vertex; with M the body vertices that have one, A works iff no
-    proper nonempty D has delta(D/A) = delta(D) - (n-2)|D & M| <= 0.  The
+    The body is connected, and each A gives delta(B/A) = 0 and at most
+    one edge into every body vertex.  Then A works iff no proper
+    nonempty D has delta(D/A) = delta(D) - (n-2)|D & M| <= 0.  The
     scan takes each connected S with |S| <= |B|/2 as D and as D = B - S,
     where by delta(B/A) = 0, delta((B - S)/A) <= 0 iff (n-1)|S| -
     (n-2)(degsum_B(S) - e(S)) >= (n-2)|S & M|, degrees taken inside B.
@@ -173,19 +173,13 @@ def _pairs_for_body(g, body, target):
     the rest each base costs bitmask arithmetic.
     """
     n = g.n
-    bases = list(_candidate_bases(g, body, target))
+    bases = list(bases)
     if not bases:
         return []
     bverts = sorted(body)
     bpos = {v: i for i, v in enumerate(bverts)}
+    adj = [_mask(bpos, g.neighbors(v)) for v in bverts]
     k = len(bverts)
-    adj = []
-    for v in bverts:
-        m = 0
-        for w in g.neighbors(v):
-            if w in bpos:
-                m |= 1 << bpos[w]
-        adj.append(m)
     half = k // 2
     full = (1 << k) - 1
     subs = []
@@ -215,12 +209,7 @@ def _pairs_for_body(g, body, target):
                 dead |= low
 
     out = []
-    for base in bases:
-        amask = 0
-        for a in base:
-            for w in g.neighbors(a):
-                if w in bpos:
-                    amask |= 1 << bpos[w]
+    for base, amask in bases:
         for m, dlt, cdlt in subs:
             x = (n - 2) * (m & amask).bit_count()
             if dlt <= x or cdlt >= x:
@@ -264,22 +253,17 @@ def _candidate_bodies(g, ground, cap, dist=None):
     floor = -(n - 2)
     verts = sorted(ground)
     pos = {v: i for i, v in enumerate(verts)}
-    adj = []
-    for v in verts:
-        m = 0
-        for w in g.neighbors(v):
-            if w in pos:
-                m |= 1 << pos[w]
-        adj.append(m)
+    adj = [_mask(pos, g.neighbors(v)) for v in verts]
     deg = [len(g.neighbors(v)) for v in verts]
     weight = [(n - 2) * d - (2 * n - 3) for d in deg]
     full = (1 << len(verts)) - 1
 
-    touch_mask = None
+    near = None
     if dist is not None:
-        dist = [dist[v] for v in verts]
-        touch_mask = sum(1 << i for i, d in enumerate(dist) if d == 0)
-        if not touch_mask:
+        # near[k]: the ground vertices within distance k of the touch set
+        near = [_mask(pos, [v for v in verts if dist[v] <= k])
+                for k in range(cap)]
+        if not near[0]:
             return
 
     def target(current, size):
@@ -302,52 +286,47 @@ def _candidate_bodies(g, ground, cap, dist=None):
 
     for r in range(len(verts)):
         gt_root = full & ~((1 << (r + 1)) - 1)
-        ext_mask = adj[r] & gt_root
-        # depth first over the connected subsets with least vertex r; the
-        # children of a node depend only on it and on their earlier
-        # siblings, so they are all pushed at once
-        stack = [(1 << r, 1, weight[r],
-                  [j for j in range(len(verts)) if ext_mask >> j & 1],
-                  ext_mask, 0)]
+        # depth first over the connected subsets with least vertex r, with
+        # the extension and the dead vertices as in `_pairs_for_body`
+        stack = [(1 << r, 1, weight[r], adj[r] & gt_root, 0)]
         while stack:
-            current, size, wsum, ext, rest_mask, now_dead = stack.pop()
-            found = size >= 2 and (touch_mask is None or current & touch_mask) \
+            current, size, wsum, ext, dead = stack.pop()
+            found = size >= 2 and (near is None or current & near[0]) \
                 and target(current, size)
             if found:
-                yield (frozenset(verts[i] for i in range(len(verts))
-                                 if current >> i & 1), found)
+                yield frozenset(v for i, v in enumerate(verts)
+                                if current >> i & 1), found
             if size >= cap or wsum == floor:
                 continue
-            for k, u in enumerate(ext):
-                rest_mask &= ~(1 << u)
-                cur2 = current | (1 << u)
+            # room left for reaching the touch set after one more vertex
+            room = cap - size - 1
+            while ext:
+                low = ext & -ext
+                ext ^= low
+                u = low.bit_length() - 1
+                cur2 = current | low
                 bad = wsum + weight[u] < floor
-                feasible = cur2 | (gt_root & ~now_dead & ~cur2)
+                feasible = cur2 | (gt_root & ~dead)
                 m = cur2
                 while m and not bad:
                     i = (m & -m).bit_length() - 1
                     m &= m - 1
                     bad = (adj[i] & feasible).bit_count() < need
-                if not bad and touch_mask is not None and not (cur2 & touch_mask):
-                    # reaching the touch set takes at least dist more vertices
-                    room = cap - size - 1
-                    reach = [dist[j] for j in range(len(verts))
-                             if (feasible & ~cur2) >> j & 1]
-                    if not reach or min(reach) + 1 > room:
-                        bad = True
+                if not bad and near is not None and not cur2 & near[0]:
+                    bad = not room or not feasible & ~cur2 & near[room - 1]
                 if not bad:
-                    grown_mask = adj[u] & gt_root & ~cur2 & ~now_dead & ~rest_mask
                     stack.append((cur2, size + 1, wsum + weight[u],
-                                  ext[k + 1:] + [j for j in range(len(verts))
-                                                 if grown_mask >> j & 1],
-                                  rest_mask | grown_mask, now_dead))
-                now_dead |= 1 << u
+                                  ext | (adj[u] & gt_root & ~cur2 & ~dead),
+                                  dead))
+                dead |= low
 
 
 def _candidate_bases(g, body, target):
-    """Subsets A of the outside neighbourhood with e(B,A) = target
-    = delta(B)/(n-2) and at most one edge per body vertex into A (forced
-    for |B| >= 2); `_candidate_bodies` has checked the body's degrees.
+    """Yield (A, M) for the subsets A of the outside neighbourhood with
+    e(B,A) = target = delta(B)/(n-2) and at most one edge per body vertex
+    into A (forced for |B| >= 2), where M is the mask, over the sorted
+    body, of the vertices A touches; `_candidate_bodies` has checked the
+    body's degrees.
 
     Two structural facts shape the search.  Since each body vertex takes
     at most one base edge, the chosen base vertices have pairwise disjoint
@@ -360,17 +339,12 @@ def _candidate_bases(g, body, target):
     need = 2 if g.n == 3 else 1
     bverts = sorted(body)
     bpos = {v: i for i, v in enumerate(bverts)}
-    required = 0
-    for v in bverts:
-        if sum(1 for w in g.neighbors(v) if w in body) == need:
-            required |= 1 << bpos[v]
+    required = _mask(bpos, [v for v in bverts
+                            if len(g.neighbors(v) & body) == need])
     boundary = sorted(set().union(*(g.neighbors(v) for v in body)) - body)
     masks, weights, names = [], [], []
     for a in boundary:
-        m = 0
-        for w in g.neighbors(a):
-            if w in body:
-                m |= 1 << bpos[w]
+        m = _mask(bpos, g.neighbors(a))
         if m.bit_count() <= target:
             masks.append(m)
             weights.append(m.bit_count())
@@ -390,7 +364,7 @@ def _candidate_bases(g, body, target):
         # all required bits covered; add further disjoint base vertices in
         # index order until the edge count reaches the target
         if weight == target:
-            yield frozenset(names[j] for j in chosen)
+            yield frozenset(names[j] for j in chosen), used
             return
         if weight + suffix[idx] < target:
             return

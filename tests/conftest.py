@@ -83,6 +83,23 @@ class MaskOracle:
                 if all(self.delta[t] >= self.delta[s]
                        for t in self.supersets(s))]
 
+    def connected_subsets(self, mask):
+        """All nonempty connected submasks of `mask`, by flood fill."""
+        out = []
+        sub = mask
+        while sub:
+            reach = frontier = sub & -sub
+            while frontier:
+                i = (frontier & -frontier).bit_length() - 1
+                frontier &= frontier - 1
+                grown = self.adjmask[i] & sub & ~reach
+                reach |= grown
+                frontier |= grown
+            if reach == sub:
+                out.append(self.unmask(sub))
+            sub = (sub - 1) & mask
+        return out
+
     def delta_rel(self, bmask, amask):
         return self.delta[bmask | amask] - self.delta[amask]
 

@@ -4,8 +4,9 @@ from collections import Counter
 
 import pytest
 
-from ngons import (AmalgamError, delta, free_amalgam, girth, grow, in_class,
-                   is_strong, make_cycle, make_path)
+import ngons.builder
+from ngons import (AmalgamError, BipartiteGraph, delta, free_amalgam, girth,
+                   grow, in_class, is_strong, make_cycle, make_path)
 
 
 def test_amalgam_of_two_paths_is_a_cycle():
@@ -66,6 +67,26 @@ def test_grow_zero_steps_is_identity():
 def test_grow_rejects_bad_seed():
     with pytest.raises(AmalgamError):
         grow(make_cycle(3, 4), 1, 0)
+
+
+def test_grow_stops_when_strong_persistence_fails(monkeypatch):
+    """A candidate in which the previous graph is no longer strongly
+    embedded stops growth with the step and in_class's violator."""
+    def glue_violator(g, ext, gluing):
+        # a new vertex on three points lowers delta by one
+        v = max(g.vertices) + 1
+        parts = {u: g.part(u) for u in g.vertices}
+        parts[v] = 1
+        edges = set(g.edges) | {(u, v) for u in sorted(g.part_vertices(0))[:3]}
+        return BipartiteGraph(g.n, parts, edges)
+
+    monkeypatch.setattr(ngons.builder, "free_amalgam", glue_violator)
+    with pytest.raises(AmalgamError) as exc:
+        grow(make_cycle(3, 8), 1, 1)
+    assert str(exc.value) == (
+        "strong persistence failed at step 0: previous graph is no longer "
+        "strong (member_base is not strongly embedded; violator "
+        "[0, 1, 2, 3, 4, 5, 6, 7, 8])")
 
 
 def test_grow_deterministic():

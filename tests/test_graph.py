@@ -31,6 +31,27 @@ def test_edge_normalisation_and_counting():
     assert g.degree(1) == 2
 
 
+def test_edge_count_matches_brute_force(small_graphs):
+    """The two-set count walks the adjacency of a; it equals the number
+    of edges with one end in a and the other in b, each counted once, on
+    overlapping and disjoint sets."""
+    rng = random.Random(3)
+    overlapping = disjoint = 0
+    for g in small_graphs:
+        verts = sorted(g.vertices)
+        for _ in range(30):
+            a = set(rng.sample(verts, rng.randrange(len(verts) + 1)))
+            b = set(rng.sample(verts, rng.randrange(len(verts) + 1)))
+            expect = sum(1 for (u, v) in g.edges
+                         if (u in a and v in b) or (u in b and v in a))
+            assert g.edge_count(a, b) == g.edge_count(b, a) == expect
+            if a & b and g.edge_count(a & b):
+                overlapping += 1
+            elif not a & b and expect:
+                disjoint += 1
+    assert overlapping and disjoint
+
+
 def test_distance_basics():
     g = make_cycle(3, 6)
     assert distance(g, 0, 0) == 0
@@ -71,6 +92,20 @@ def test_is_generalized_ngon(fano):
     broken = BipartiteGraph(3, {v: fano.part(v) for v in fano.vertices},
                             sorted(fano.edges)[1:])
     assert not is_generalized_ngon(broken)[0]
+
+
+def test_generalized_ngon_diameter_failure(fano):
+    """Two disjoint Fano planes have girth 6 but infinite diameter;
+    joining them by one edge leaves girth 6 and gives diameter 7."""
+    parts = {v + s: fano.part(v) for v in fano.vertices for s in (0, 14)}
+    edges = [(u + s, v + s) for (u, v) in fano.edges for s in (0, 14)]
+    apart = BipartiteGraph(3, parts, edges)
+    joined = BipartiteGraph(3, parts, edges + [(0, 21)])
+    assert girth(apart) == girth(joined) == 6
+    assert is_generalized_ngon(apart) == (
+        False, "diameter is inf, expected 3 (witness pair (0, 14))")
+    assert is_generalized_ngon(joined) == (
+        False, "diameter is 7, expected 3 (witness pair (0, 17))")
 
 
 def test_girth_equals_twice_diameter_on_ngons(fano, gq22):

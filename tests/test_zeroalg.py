@@ -5,11 +5,12 @@ import tracemalloc
 import pytest
 
 import ngons.zeroalg
-from ngons import (BipartiteGraph, GraphError, connected_subsets,
-                   default_body_cap, degree_identity_check, delta, delta_rel,
-                   enumerate_zero_min_pairs, is_strong, is_zero_algebraic,
-                   is_zero_minimally_algebraic, make_cl_witness, make_cycle,
-                   make_gamma, make_path, minimal_base)
+from ngons import (BipartiteGraph, GraphError, default_body_cap,
+                   degree_identity_check, delta, delta_rel,
+                   enumerate_zero_min_pairs, is_connected, is_strong,
+                   is_zero_algebraic, is_zero_minimally_algebraic,
+                   make_cl_witness, make_cycle, make_gamma, make_path,
+                   minimal_base)
 from conftest import MaskOracle, random_bipartite
 
 
@@ -51,14 +52,6 @@ def enumeration_graphs(small_graphs):
     return graphs
 
 
-def test_connected_subsets_exact():
-    g = make_path(3, 3)  # path on 4 vertices
-    subs = connected_subsets(g, g.vertices)
-    # a path on k vertices has k(k+1)/2 connected subsets
-    assert len(subs) == 10
-    assert len(set(subs)) == 10
-
-
 @pytest.mark.parametrize("n", [3, 4, 5])
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_remark_path_interior_iff(n, m):
@@ -72,6 +65,57 @@ def test_remark_path_interior_iff(n, m):
     assert got == (m == n - 2)
     assert is_zero_algebraic(g, g.subsets["endpoints"],
                              g.subsets["interior"]) == (m == n - 2)
+
+
+def test_zero_algebraic_matches_mask_oracle(small_graphs):
+    """is_zero_algebraic agrees with brute force on every body over
+    random bases, for n = 3, 4, 5.  Among the bodies with delta(B/A) = 0
+    occur positives, singletons, disconnected bodies and bodies with a
+    vertex of two base edges, so each case of the reduction is reached."""
+    rng = random.Random(20261018)
+    graphs = list(small_graphs) + [random_bipartite(rng, 5, 9, 0.35)
+                                   for _ in range(3)]
+    seen = {"positive": 0, "singleton": 0, "disconnected": 0, "two_edges": 0}
+    for g in graphs:
+        oracle = MaskOracle(g)
+        verts = sorted(g.vertices)
+        for _ in range(6):
+            base = frozenset(rng.sample(verts, rng.randrange(1, 6)))
+            amask = oracle.mask(base)
+            positive = set(oracle.zero_algebraic_bodies(amask))
+            for bmask in oracle.supersets(0):
+                if not bmask or bmask & amask:
+                    continue
+                body = oracle.unmask(bmask)
+                got = is_zero_algebraic(g, base, body)
+                assert got == (bmask in positive)
+                assert is_zero_minimally_algebraic(g, base, body) == (
+                    got and all(g.neighbors(a) & body for a in base))
+                if oracle.delta_rel(bmask, amask) != 0:
+                    continue
+                seen["positive"] += got
+                seen["singleton"] += len(body) == 1
+                seen["disconnected"] += not is_connected(g, body)
+                seen["two_edges"] += len(body) > 1 and any(
+                    len(g.neighbors(v) & base) > 1 for v in body)
+    assert all(seen.values()), seen
+
+
+def test_vertex_with_two_base_edges_fails():
+    """K_{3,2} over two lines that both meet point 0: the body is
+    connected with delta(B/A) = 0, but {0} alone has relative delta 0.
+    The sub-body scan counts one base edge per vertex, so this case has
+    to be decided before it."""
+    g = BipartiteGraph(3, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 1},
+                       [(p, q) for p in (0, 1, 2) for q in (3, 4)]
+                       + [(0, 5), (2, 5), (0, 6), (1, 6)])
+    base, body = {5, 6}, {0, 1, 2, 3, 4}
+    assert delta_rel(g, body, base) == delta_rel(g, {0}, base) == 0
+    assert is_connected(g, body)
+    oracle = MaskOracle(g)
+    assert oracle.mask(body) not in oracle.zero_algebraic_bodies(
+        oracle.mask(base))
+    assert not is_zero_algebraic(g, base, body)
 
 
 def test_non_disjoint_rejected():
@@ -149,6 +193,7 @@ def test_body_weight_and_supply_bounds(enumeration_graphs):
     cut = 0
     for g in enumeration_graphs:
         n = g.n
+        oracle = MaskOracle(g)
         weight = {v: (n - 2) * g.degree(v) - (2 * n - 3) for v in g.vertices}
         for p in enumerate_zero_min_pairs(g):
             if len(p.body) < 2:
@@ -156,11 +201,11 @@ def test_body_weight_and_supply_bounds(enumeration_graphs):
             supply = sum(1 for v in p.body if g.neighbors(v) - p.body)
             assert g.edge_count(p.body, p.base) <= supply
             assert sum(weight[v] for v in p.body) >= -(n - 2)
-            for s in connected_subsets(g, p.body):
+            for s in oracle.connected_subsets(oracle.mask(p.body)):
                 if s != p.body:
                     assert sum(weight[v] for v in s) > -(n - 2)
         need = 2 if n == 3 else 1
-        cut += sum(1 for s in connected_subsets(g, g.vertices)
+        cut += sum(1 for s in oracle.connected_subsets(oracle.mask(g.vertices))
                    if len(s) >= 2
                    and all(len(g.neighbors(v) & s) >= need
                            and g.degree(v) >= 2 for v in s)

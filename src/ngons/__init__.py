@@ -20,8 +20,9 @@ from .zeroalg import (ZeroAlgebraicPair, is_zero_algebraic,
                       is_zero_minimally_algebraic, minimal_base,
                       degree_identity_check, default_body_cap,
                       enumerate_zero_min_pairs)
-from .kmu import (MuFunction, ViolationReport, default_mu, find_copies,
-                  count_copies, copies_equivalent, pairs_isomorphic, in_class)
+from .kmu import (MuFunction, ViolationReport, default_horizon, default_mu,
+                  find_copies, count_copies, copies_equivalent,
+                  pairs_isomorphic, in_class)
 from .witnesses import (make_path, make_cycle, make_gamma, make_cl_witness,
                         BaseSetSpec, find_base_set)
 from .builder import AmalgamError, StepRecord, free_amalgam, grow, TEMPLATES
@@ -42,8 +43,9 @@ __all__ = [
     "ZeroAlgebraicPair", "is_zero_algebraic",
     "is_zero_minimally_algebraic", "minimal_base", "degree_identity_check",
     "default_body_cap", "enumerate_zero_min_pairs",
-    "MuFunction", "ViolationReport", "default_mu", "find_copies",
-    "count_copies", "copies_equivalent", "pairs_isomorphic", "in_class",
+    "MuFunction", "ViolationReport", "default_horizon", "default_mu",
+    "find_copies", "count_copies", "copies_equivalent", "pairs_isomorphic",
+    "in_class",
     "make_path", "make_cycle", "make_gamma", "make_cl_witness",
     "BaseSetSpec", "find_base_set",
     "AmalgamError", "StepRecord", "free_amalgam", "grow", "TEMPLATES",

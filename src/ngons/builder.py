@@ -64,13 +64,9 @@ def free_amalgam(m, e, gluing):
     if not ok:
         raise AmalgamError("gluing base is not strong in the extension; "
                            "violator %s" % sorted(witness))
-    fresh = {}
-    next_id = max(m.vertices, default=-1) + 1
-    for v in sorted(e.vertices - dom):
-        fresh[v] = next_id
-        next_id += 1
-    relabel = dict(gluing)
-    relabel.update(fresh)
+    first = max(m.vertices, default=-1) + 1
+    fresh = {v: i for i, v in enumerate(sorted(e.vertices - dom), first)}
+    relabel = {**gluing, **fresh}
     verts = {v: m.part(v) for v in m.vertices}
     verts.update({fresh[v]: e.part(v) for v in fresh})
     edges = set(m.edges)

@@ -4,7 +4,8 @@ One command per invocation; all commands read the shared text graph
 format.  Exit codes: 0 when the queried property holds, 1 when it fails
 (with a witness where one exists), 2 on malformed input.  Output is
 deterministic; `--format structured` prints the same data as key-value
-records.
+records.  `kmu` and `zeroalg --enumerate` first print the search limits
+they run under (`SEARCHED ...`) on stderr.
 """
 
 import argparse
@@ -13,8 +14,8 @@ import sys
 from .graph import GraphError, is_generalized_ngon
 from . import io as gio
 from .predimension import delta, d_min, closure, is_strong
-from .zeroalg import _touched_base, enumerate_zero_min_pairs
-from .kmu import MuFunction, default_mu, in_class
+from .zeroalg import _touched_base, default_body_cap, enumerate_zero_min_pairs
+from .kmu import MuFunction, default_horizon, default_mu, in_class
 from .witnesses import make_path, make_cycle, make_gamma, make_cl_witness
 from .builder import grow
 from .groups import (automorphism_group, format_cycles, is_moufang,
@@ -75,21 +76,9 @@ def _write_graph(graph, path):
         gio.save_graph(graph, path)
 
 
-def _cmd_delta(args):
+def _cmd_subset_query(args):
     g = _load(args.file)
-    _emit(args, "delta", delta(g, _subset(g, args.subset)))
-    return 0
-
-
-def _cmd_dmin(args):
-    g = _load(args.file)
-    _emit(args, "dmin", d_min(g, _subset(g, args.subset)))
-    return 0
-
-
-def _cmd_closure(args):
-    g = _load(args.file)
-    _emit(args, "closure", _ids(closure(g, _subset(g, args.subset))))
+    _emit(args, args.command, args.query(g, _subset(g, args.subset)))
     return 0
 
 
@@ -106,7 +95,9 @@ def _cmd_strong(args):
 def _cmd_zeroalg(args):
     g = _load(args.file)
     if args.enumerate:
-        for pair in enumerate_zero_min_pairs(g, args.max_body):
+        cap = default_body_cap(g.n) if args.max_body is None else args.max_body
+        print("SEARCHED max_body=%d" % cap, file=sys.stderr)
+        for pair in enumerate_zero_min_pairs(g, cap):
             print("PAIR base=%s body=%s" % (_ids(pair.base), _ids(pair.body)))
         return 0
     if args.base is None or args.body is None:
@@ -126,8 +117,10 @@ def _cmd_zeroalg(args):
 def _cmd_kmu(args):
     g = _load(args.file)
     mu = _load_mu(args.mu, g.n)
-    member, reports = in_class(g, mu, horizon=args.horizon,
-                               max_body=args.max_body)
+    horizon = default_horizon(g.n) if args.horizon is None else args.horizon
+    cap = default_body_cap(g.n) if args.max_body is None else args.max_body
+    print("SEARCHED horizon=%d max_body=%d" % (horizon, cap), file=sys.stderr)
+    member, reports = in_class(g, mu, horizon=horizon, max_body=cap)
     _emit(args, "member", "true" if member else "false")
     for report in reports:
         print(report.format())
@@ -213,15 +206,17 @@ def _build_parser():
                         default="plain")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, doc in (
-            ("delta", _cmd_delta, "predimension of a subset"),
-            ("dmin", _cmd_dmin, "minimum of delta over supersets"),
-            ("closure", _cmd_closure, "smallest strong superset"),
-            ("strong", _cmd_strong, "is the subset strongly embedded")):
+    for name, query, doc in (
+            ("delta", delta, "predimension of a subset"),
+            ("dmin", d_min, "minimum of delta over supersets"),
+            ("closure", lambda g, a: _ids(closure(g, a)),
+             "smallest strong superset"),
+            ("strong", None, "is the subset strongly embedded")):
         p = sub.add_parser(name, parents=[common], help=doc)
         p.add_argument("file")
         p.add_argument("subset", help="stored subset name or id1,id2,...")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_strong if query is None else _cmd_subset_query,
+                       query=query)
 
     p = sub.add_parser("zeroalg", parents=[common],
                        help="0-(minimally-)algebraic pair check or enumeration")

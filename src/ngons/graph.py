@@ -179,12 +179,8 @@ def girth(g):
     Computed exactly: for each edge, the shortest cycle through it is one
     plus the distance between its endpoints with the edge removed.
     """
-    best = INFINITY
-    for (u, v) in g.edges:
-        d = _distance_avoiding_edge(g, u, v)
-        if d + 1 < best:
-            best = d + 1
-    return best
+    return min((_distance_avoiding_edge(g, u, v) + 1 for (u, v) in g.edges),
+               default=INFINITY)
 
 
 def _distance_avoiding_edge(g, u, v):

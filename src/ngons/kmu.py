@@ -10,7 +10,7 @@ A finite bipartite graph belongs to the class when
 Conditions 2 and 3 quantify over unbounded families; the checker explores
 cycles up to a configurable horizon and bodies up to a configurable size
 cap, so a verdict holds only within those limits.  The reports do not
-record them; the caller that chose them has to keep them.
+record them; `ngons kmu` prints them.
 
 Copies, copy equivalence, configuration isomorphism and the path test
 behind mu = 1 all run on one backtracking matcher, `_matches`; each of
@@ -117,6 +117,11 @@ def default_mu(n):
     return MuFunction(n)
 
 
+def default_horizon(n):
+    """The longest cycle condition 2 examines unless told otherwise."""
+    return 2 * n + 6
+
+
 def _matches(g1, g2, dom, allowed=None, pinned=()):
     """Yield every injective map f of `dom` into g2 that extends the
     `pinned` pairs, keeps adjacency and non-adjacency between any two
@@ -220,7 +225,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
         mu = default_mu(n)
     elif mu.n != n:
         raise GraphError("mu-function built for n=%d, graph has n=%d" % (mu.n, n))
-    horizon = 2 * n + 6 if horizon is None else horizon
+    horizon = default_horizon(n) if horizon is None else horizon
     cap = default_body_cap(n) if max_body is None else max_body
     new = None
     if member_base is not None:

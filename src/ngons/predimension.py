@@ -11,7 +11,8 @@ superset (closure) and algebraic closure relative to the finite ambient
 graph.
 
 All minimisation -- ``d_min``, ``closure`` and ``is_strong`` -- goes
-through one minimum-cut (project selection) reduction; brute force over
+through one minimum cut on a network with a node per vertex and an arc
+pair per edge (Picard-Queyranne), see ``_min_superset``; brute force over
 subsets cross-checks it in the test suite.
 """
 
@@ -90,9 +91,12 @@ def is_strong(g, a, b=None):
 
 
 class _Dinic:
-    """Plain max-flow on arc arrays; residual capacities are kept in
-    place, so the source side of the minimal minimum cut is just what
-    stays reachable afterwards."""
+    """Plain max-flow on arc arrays, residual capacities kept in place.
+
+    `max_flow` returns the flow value and the BFS levels of its last
+    round, which found no path to the sink: the nodes with a level are
+    exactly those reachable from the source in the residual network, the
+    source side of the smallest minimum cut."""
 
     def __init__(self, size):
         self.size = size
@@ -100,13 +104,13 @@ class _Dinic:
         self.cap = []
         self.adj = [[] for _ in range(size)]
 
-    def add_edge(self, u, v, capacity):
+    def add_edge(self, u, v, capacity, reverse=0):
         self.adj[u].append(len(self.to))
         self.to.append(v)
         self.cap.append(capacity)
         self.adj[v].append(len(self.to))
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(reverse)
 
     def max_flow(self, source, sink):
         to, cap, adj = self.to, self.cap, self.adj
@@ -123,7 +127,7 @@ class _Dinic:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[sink] < 0:
-                return total
+                return total, level
             it = [0] * self.size
 
             def augment(u, limit):
@@ -141,24 +145,8 @@ class _Dinic:
                     it[u] += 1
                 return 0
 
-            while True:
-                pushed = augment(source, float("inf"))
-                if not pushed:
-                    break
+            while pushed := augment(source, float("inf")):
                 total += pushed
-
-    def reachable(self, source):
-        seen = [False] * self.size
-        seen[source] = True
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for e in self.adj[u]:
-                v = self.to[e]
-                if self.cap[e] > 0 and not seen[v]:
-                    seen[v] = True
-                    queue.append(v)
-        return seen
 
 
 def _min_superset(g, a, ground):
@@ -168,14 +156,22 @@ def _min_superset(g, a, ground):
     intersection, and the smallest one, W, lies in all of them.  Dropping
     any v in W - A therefore raises delta: v has at least ceil(n/(n-2))
     edges into W and survives the peel of ground - A anchored at A.  The
-    network is built on A plus that peeled hull only, which leaves the
-    value and the smallest minimiser unchanged.
+    network is built on that peeled hull F only, which leaves the value
+    and the smallest minimiser unchanged.
 
-    Project-selection reduction: choosing S amounts to choosing
-    S' = S - A; each chosen vertex costs n-1, each edge inside S' or from
-    S' into A pays n-2.  Maximum profit = min cut; the vertices reachable
+    Vertex-only cut network (Picard and Queyranne, Networks 1982;
+    Goldberg, UCB/CSD-84-171, 1984): for X <= F, with e(X) =
+    (sum_X e(v, F) - e(X, F - X)) / 2,
+
+        2 delta(A + X) - 2 delta(A) = sum_X w(v) + (n-2) e(X, F - X),
+        w(v) = 2(n-1) - 2(n-2) e(v, A) - (n-2) e(v, F).
+
+    X is the source side of a cut with arcs source -> v of capacity -w(v)
+    (w < 0), v -> sink of capacity w(v) (w > 0) and capacity n-2 both
+    ways along each edge inside F; that cut costs the right-hand side
+    plus the offered total of -w(v) over w < 0.  The vertices reachable
     from the source in the residual network of a maximum flow form the
-    unique smallest maximiser.
+    smallest minimum cut, so the smallest minimiser.
     """
     a = frozenset(a)
     free = sorted(_peel(g, frozenset(ground) - a, a, _violator_threshold(g.n)))
@@ -183,33 +179,27 @@ def _min_superset(g, a, ground):
     if not free:
         return base, a
     n = g.n
-    # node ids: 0 = source, 1 = sink, then one per free vertex, then one
-    # per edge between free vertices
+    # node ids: 0 = source, 1 = sink, then one per free vertex
     node = {v: 2 + i for i, v in enumerate(free)}
-    internal = [(u, v) for u in free for v in g.neighbors(u)
-                if u < v and v in node]
-    net = _Dinic(2 + len(free) + len(internal))
-    inf = (n - 2) * len(internal) + (n - 1) * len(free) + 1
+    net = _Dinic(2 + len(free))
     offered = 0
     for v in free:
-        profit = (n - 2) * sum(1 for w in g.neighbors(v) if w in a)
-        cost = n - 1
-        if profit > cost:
-            net.add_edge(0, node[v], profit - cost)
-            offered += profit - cost
-        elif cost > profit:
-            net.add_edge(node[v], 1, cost - profit)
-    for j, (u, v) in enumerate(internal):
-        enode = 2 + len(free) + j
-        net.add_edge(0, enode, n - 2)
-        net.add_edge(enode, node[u], inf)
-        net.add_edge(enode, node[v], inf)
-        offered += n - 2
-    cut_value = net.max_flow(0, 1)
-    best_gain = offered - cut_value
-    seen = net.reachable(0)
-    minimiser = a | {v for v in free if seen[node[v]]}
-    return base - best_gain, frozenset(minimiser)
+        w = 2 * (n - 1)
+        for u in g.neighbors(v):
+            if u in a:
+                w -= 2 * (n - 2)
+            elif u in node:
+                w -= n - 2
+                if u < v:
+                    net.add_edge(node[u], node[v], n - 2, n - 2)
+        if w < 0:
+            net.add_edge(0, node[v], -w)
+            offered -= w
+        elif w > 0:
+            net.add_edge(node[v], 1, w)
+    cut, level = net.max_flow(0, 1)
+    return (base - (offered - cut) // 2,
+            a | {v for v in free if level[node[v]] >= 0})
 
 
 def d_min(g, a, within=None):

@@ -5,18 +5,20 @@ every proper nonempty sub-body has strictly positive relative delta; it is
 0-minimally algebraic if additionally no proper sub-base works, which
 happens exactly when every base vertex sends an edge into the body.
 
-Both the pair test and the enumeration decide positivity by one scan
-(`_pairs_for_body`): since relative delta is additive over the connected
-components of a sub-body, only connected sub-bodies count, and of those
-only the ones of at most half the body's size, each also tested by its
-complement.  The pair test reduces to the scan's setting by degree and
-connectivity checks (`_touched_base`).  The body search runs over
-bitmasks, is cut by a vertex-weight bound that every connected piece of a
-body meets, and only bodies whose base-edge count the boundary can supply
-reach the exact-cover base search (`_candidate_bodies`).
+Both the pair test and the enumeration decide positivity by one scan,
+memoised per body shape (`_pairs_for_body`): since relative delta is
+additive over the connected components of a sub-body, only connected
+sub-bodies count, and of those only the ones of at most half the body's
+size, each also tested by its complement.  The pair test reduces to the
+scan's setting by degree and connectivity checks (`_touched_base`).  The
+body search runs over bitmasks, is cut by a vertex-weight bound that
+every connected piece of a body meets, and only bodies whose base-edge
+count the boundary can supply reach the exact-cover base search
+(`_candidate_bodies`).
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .graph import GraphError, _ball, is_connected
@@ -153,13 +155,34 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
 
 def _pairs_for_body(g, body, bases):
     """The pairs (A, body) with `body` 0-minimally algebraic over A, for
-    (A, M) in `bases`: M is the mask, over the sorted body, of the body
-    vertices with an edge into A.
+    (A, M) in `bases`, in their order: M is the mask, over the sorted
+    body, of the body vertices with an edge into A.
 
-    The body is connected, and each A gives delta(B/A) = 0 and at most
-    one edge into every body vertex.  Then A works iff no proper
-    nonempty D has delta(D/A) = delta(D) - (n-2)|D & M| <= 0.  The
-    scan takes each connected S with |S| <= |B|/2 as D and as D = B - S,
+    The verdict for A is a pure function of n, the body's internal
+    adjacency (masks over its sorted vertices) and M (`_passing_masks`),
+    so memoising it on exactly those is exact, and a body shape met again
+    in a later growth step costs one lookup.  The sub-body scan behind a
+    verdict is not kept: near the n >= 4 body cap it is exponential in |B|.
+    """
+    bases = list(bases)
+    if not bases:
+        return []
+    bverts = sorted(body)
+    bpos = {v: i for i, v in enumerate(bverts)}
+    adj = tuple(_mask(bpos, g.neighbors(v)) for v in bverts)
+    passing = _passing_masks(g.n, adj, frozenset(m for _, m in bases))
+    return [ZeroAlgebraicPair(base, body, "minimally_algebraic")
+            for base, m in bases if m in passing]
+
+
+@lru_cache(maxsize=4096)
+def _passing_masks(n, adj, masks):
+    """The M in `masks` that work for the connected body with internal
+    adjacency `adj`, given delta(B/A) = 0 and at most one edge from A
+    into every body vertex: no proper nonempty D has delta(D/A) =
+    delta(D) - (n-2)|D & M| <= 0.
+
+    The scan takes each connected S with |S| <= |B|/2 as D and as D = B - S,
     where by delta(B/A) = 0, delta((B - S)/A) <= 0 iff (n-1)|S| -
     (n-2)(degsum_B(S) - e(S)) >= (n-2)|S & M|, degrees taken inside B.
 
@@ -170,16 +193,9 @@ def _pairs_for_body(g, body, bases):
     Then D' = B - R_j fails; D' is connected (B is, so each R_j touches
     D1) and so is B - D' = R_j, and the smaller of the two is scanned.
     Sub-bodies that fail neither way for any M are dropped up front; for
-    the rest each base costs bitmask arithmetic.
+    the rest each M costs bitmask arithmetic.
     """
-    n = g.n
-    bases = list(bases)
-    if not bases:
-        return []
-    bverts = sorted(body)
-    bpos = {v: i for i, v in enumerate(bverts)}
-    adj = [_mask(bpos, g.neighbors(v)) for v in bverts]
-    k = len(bverts)
+    k = len(adj)
     half = k // 2
     full = (1 << k) - 1
     subs = []
@@ -208,15 +224,15 @@ def _pairs_for_body(g, body, bases):
                               ext | (adj[u] & gt_root & ~cur2 & ~dead), dead))
                 dead |= low
 
-    out = []
-    for base, amask in bases:
+    passing = []
+    for amask in masks:
         for m, dlt, cdlt in subs:
             x = (n - 2) * (m & amask).bit_count()
             if dlt <= x or cdlt >= x:
                 break
         else:
-            out.append(ZeroAlgebraicPair(base, body, "minimally_algebraic"))
-    return out
+            passing.append(amask)
+    return frozenset(passing)
 
 
 def _candidate_bodies(g, ground, cap, dist=None):

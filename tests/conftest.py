@@ -145,6 +145,30 @@ def random_bipartite(rng, n, nv, edge_prob):
     return BipartiteGraph(n, parts, edges)
 
 
+def sparse_graph(rng, n, size, closed):
+    """A mostly degree-2 graph on `size` vertices: pendant paths of
+    length 1-3 hung at random vertices of an even cycle (`closed`) or of
+    a single vertex (a subdivided tree).  With `closed`, about one path
+    end in three is also joined to an earlier vertex of the other part."""
+    start = 2 * rng.randrange(2, 4) if closed else 1
+    parts = {v: v % 2 for v in range(start)}
+    edges = {(v, v + 1) for v in range(start - 1)}
+    if closed:
+        edges.add((0, start - 1))
+    while len(parts) < size:
+        prev = rng.randrange(len(parts))
+        for _ in range(min(rng.randint(1, 3), size - len(parts))):
+            v = len(parts)
+            parts[v] = 1 - parts[prev]
+            edges.add((prev, v))
+            prev = v
+        if closed and rng.random() < 1 / 3:
+            u = rng.randrange(prev)
+            if parts[u] != parts[prev] and (u, prev) not in edges:
+                edges.add((u, prev))
+    return BipartiteGraph(n, parts, edges)
+
+
 # ---------------------------------------------------------------- fixtures
 
 @pytest.fixture(scope="session")

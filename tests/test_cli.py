@@ -59,15 +59,26 @@ def test_zeroalg(capsys, tmp_path):
                        "--body", "interior")
     assert code == 0
     assert out.splitlines() == ["true", "true"]
-    code, out, _ = run(capsys, "zeroalg", str(p), "--enumerate")
-    assert code == 0 and out.strip() == "PAIR base=0,2 body=1"
+    code, out, err = run(capsys, "zeroalg", str(p), "--enumerate")
+    assert code == 0 and out == "PAIR base=0,2 body=1\n"
+    assert err == "SEARCHED max_body=12\n"
+    code, out, err = run(capsys, "zeroalg", str(p), "--enumerate",
+                         "--max-body", "1")
+    assert (code, out, err) == (0, "PAIR base=0,2 body=1\n",
+                                "SEARCHED max_body=1\n")
     code, _, err = run(capsys, "zeroalg", str(p))
     assert code == 2
 
 
 def test_kmu(capsys, cyc8_file, tmp_path):
-    code, out, _ = run(capsys, "kmu", cyc8_file)
-    assert code == 0 and out.strip() == "true"
+    code, out, err = run(capsys, "kmu", cyc8_file)
+    assert (code, out) == (0, "true\n")
+    # the limits the verdict holds within, defaults resolved for n = 3
+    assert err == "SEARCHED horizon=12 max_body=12\n"
+    code, out, err = run(capsys, "kmu", cyc8_file, "--horizon", "8",
+                         "--max-body", "4")
+    assert (code, out, err) == (0, "true\n",
+                                "SEARCHED horizon=8 max_body=4\n")
     bad = tmp_path / "bad.txt"
     bad.write_text(format_graph(make_cycle(3, 4)))
     code, out, _ = run(capsys, "kmu", str(bad))

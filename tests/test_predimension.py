@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from ngons import (acl_relative, closure, d_min, d_rel, delta, delta_rel,
                    is_strong, make_cycle, make_gamma, make_path, BipartiteGraph,
                    GraphError)
-from conftest import MaskOracle, random_bipartite
+from ngons.predimension import _min_superset
+from conftest import MaskOracle, random_bipartite, sparse_graph
 
 
 # ----------------------------------------------------------- exact values
@@ -90,6 +91,57 @@ def test_against_mask_oracle(small_graphs):
             assert d_min(g, a) == oracle.d_min(a)
             assert is_strong(g, a)[0] == oracle.is_strong(a)
             assert closure(g, a) == oracle.closure(a)
+
+
+def _brute_min_superset(g, a, ground):
+    """(min delta over A <= S <= ground, smallest minimiser, the oracle
+    of the induced subgraph on the ground), by iterating its subsets."""
+    induced = BipartiteGraph(
+        g.n, {v: g.part(v) for v in ground},
+        [(u, v) for (u, v) in g.edges if u in ground and v in ground])
+    oracle = MaskOracle(induced)
+    sets = list(oracle.supersets(oracle.mask(a)))
+    value = min(oracle.delta[s] for s in sets)
+    smallest = (1 << oracle.k) - 1
+    for s in sets:
+        if oracle.delta[s] == value:
+            smallest &= s
+    assert oracle.delta[smallest] == value
+    return value, oracle.unmask(smallest), oracle
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_cut_network_against_mask_oracle(n):
+    """The vertex-only network weighs edges by n-2 and halves the cut, so
+    it is checked at odd and even n-2, on the empty base, inside a ground
+    set (`within`, is_strong(g, a, b)) and in the whole graph: value and
+    smallest minimiser against brute force.  Dense graphs give negative
+    delta over the empty base; sparse ones give ties whose smallest
+    minimiser leaves edges cut, which a wrong edge weight breaks."""
+    rng = random.Random(100 + n)
+    moved = {"empty": 0, "within": 0, "whole": 0}
+    for i in range(24):
+        g = (sparse_graph(rng, n, rng.randrange(8, 13), closed=True) if i % 2
+             else random_bipartite(rng, n, rng.randrange(8, 12),
+                                   rng.uniform(0.4, 0.8)))
+        verts = sorted(g.vertices)
+        for _ in range(8):
+            ground = frozenset(rng.sample(verts, rng.randrange(1, len(verts) + 1)))
+            for a in (frozenset(), frozenset(rng.sample(sorted(ground),
+                                                        rng.randrange(len(ground))))):
+                for where, b in (("within", ground), ("whole", g.vertices)):
+                    value, smallest, oracle = _brute_min_superset(g, a, b)
+                    assert _min_superset(g, a, b) == (value, smallest)
+                    assert d_min(g, a, within=b) == value
+                    ok, witness = is_strong(g, a, b)
+                    assert ok == (value >= delta(g, a))
+                    if where == "whole":
+                        assert closure(g, a) == smallest
+                    key = "empty" if not a else where
+                    moved[key] += smallest != a
+                    if not ok:
+                        _assert_inclusion_minimal_violator(oracle, a, witness)
+    assert all(moved.values()), moved
 
 
 def _assert_inclusion_minimal_violator(oracle, a, witness):

@@ -11,31 +11,7 @@ from ngons import (BipartiteGraph, GraphError, default_body_cap,
                    is_zero_algebraic, is_zero_minimally_algebraic,
                    make_cl_witness, make_cycle, make_gamma, make_path,
                    minimal_base)
-from conftest import MaskOracle, random_bipartite
-
-
-def sparse_graph(rng, n, size, closed):
-    """A mostly degree-2 graph on `size` vertices: pendant paths of
-    length 1-3 hung at random vertices of an even cycle (`closed`) or of
-    a single vertex (a subdivided tree).  With `closed`, about one path
-    end in three is also joined to an earlier vertex of the other part."""
-    start = 2 * rng.randrange(2, 4) if closed else 1
-    parts = {v: v % 2 for v in range(start)}
-    edges = {(v, v + 1) for v in range(start - 1)}
-    if closed:
-        edges.add((0, start - 1))
-    while len(parts) < size:
-        prev = rng.randrange(len(parts))
-        for _ in range(min(rng.randint(1, 3), size - len(parts))):
-            v = len(parts)
-            parts[v] = 1 - parts[prev]
-            edges.add((prev, v))
-            prev = v
-        if closed and rng.random() < 1 / 3:
-            u = rng.randrange(prev)
-            if parts[u] != parts[prev] and (u, prev) not in edges:
-                edges.add((u, prev))
-    return BipartiteGraph(n, parts, edges)
+from conftest import MaskOracle, random_bipartite, sparse_graph
 
 
 @pytest.fixture(scope="module")
@@ -278,3 +254,71 @@ def test_body_search_streams(monkeypatch):
         tracemalloc.stop()
     assert len(pairs) == 60
     assert peak < held
+
+
+def _pair_answers(graphs):
+    """Enumerated pairs and pair-test verdicts on each graph: every
+    enumerated pair, the same body over the base minus a vertex and plus
+    an outside vertex, and random disjoint pairs."""
+    out = []
+    for g in graphs:
+        rng = random.Random(repr(sorted(g.edges)))
+        pairs = enumerate_zero_min_pairs(g)
+        verts = sorted(g.vertices)
+        tests = [(p.base, p.body) for p in pairs]
+        for base, body in tests[:20]:
+            rest = [v for v in verts if v not in base | body]
+            tests.append((base - {min(base)}, body))
+            if rest:
+                tests.append((base | {rng.choice(rest)}, body))
+        for _ in range(20):
+            sample = rng.sample(verts, rng.randrange(2, len(verts) + 1))
+            cut = rng.randrange(1, len(sample))
+            tests.append((frozenset(sample[:cut]), frozenset(sample[cut:])))
+        out.append((pairs, [(is_zero_algebraic(g, a, b),
+                             is_zero_minimally_algebraic(g, a, b))
+                            for a, b in tests]))
+    return out
+
+
+def test_memo_answers_cold_and_warm(enumeration_graphs):
+    """The verdict memo changes no answer: enumeration and pair tests
+    agree with an emptied memo, a warm one and one filled in the reverse
+    graph order.  The memo is bounded."""
+    memo = ngons.zeroalg._passing_masks
+    assert memo.cache_info().maxsize is not None
+    memo.cache_clear()
+    cold = _pair_answers(enumeration_graphs)
+    hits = memo.cache_info().hits
+    assert _pair_answers(enumeration_graphs) == cold
+    assert memo.cache_info().hits > hits
+    memo.cache_clear()
+    assert _pair_answers(enumeration_graphs[::-1]) == cold[::-1]
+    assert sum(bool(verdicts[0]) for _, tested in cold
+               for verdicts in tested) > 0
+
+
+def test_memo_shared_by_relabelled_bodies():
+    """A second copy of a configuration, its ids shifted so that the
+    sorted order of each body is kept, meets only memoised body shapes
+    and gets the shifted pairs of the first copy."""
+    w = make_cl_witness(4, 2)
+    shift = 1000
+    parts = {v: w.part(v) for v in w.vertices}
+    parts.update({v + shift: w.part(v) for v in w.vertices})
+    g = BipartiteGraph(4, parts, list(w.edges)
+                       + [(u + shift, v + shift) for u, v in w.edges])
+    memo = ngons.zeroalg._passing_masks
+    memo.cache_clear()
+    first = enumerate_zero_min_pairs(w, 8)
+    misses = memo.cache_info().misses
+    both = enumerate_zero_min_pairs(g, 8)
+    assert memo.cache_info().misses == misses
+    moved = [ngons.ZeroAlgebraicPair(frozenset(v + shift for v in p.base),
+                                     frozenset(v + shift for v in p.body),
+                                     p.kind) for p in first]
+    assert len(first) == 60
+    assert sorted(both, key=lambda p: (sorted(p.body), sorted(p.base))) == \
+        sorted(first + moved, key=lambda p: (sorted(p.body), sorted(p.base)))
+    for p in moved:
+        assert is_zero_minimally_algebraic(g, p.base, p.body)

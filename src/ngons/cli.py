@@ -9,6 +9,7 @@ they run under (`SEARCHED ...`) on stderr.
 """
 
 import argparse
+import re
 import sys
 
 from .graph import GraphError, is_generalized_ngon
@@ -24,6 +25,16 @@ from .groups import (automorphism_group, format_cycles, is_moufang,
 
 class _InputError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads an id list with a leading minus ("-5,2") as a value, where
+    argparse would take it for an unknown option; the ids are integers,
+    and no option of this CLI looks like one."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(,-?\d*)*$")
 
 
 def _load(path):
@@ -197,7 +208,7 @@ def _cmd_transdeg(args):
 
 
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ngons",
         description="Predimension calculus, class membership and "
                     "transitivity checks on finite generalized n-gons.")

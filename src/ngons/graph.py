@@ -8,7 +8,6 @@ after construction; no operation here mutates its input.
 """
 
 import math
-from collections import deque
 
 INFINITY = math.inf
 
@@ -176,27 +175,23 @@ def diameter(g):
 def girth(g):
     """Length of a shortest cycle; INFINITY if the graph is a forest.
 
-    Computed exactly: for each edge, the shortest cycle through it is one
-    plus the distance between its endpoints with the edge removed.
+    One BFS per root.  A vertex at distance d with two neighbours at
+    distance d-1 ends two shortest paths from the root, whose union holds
+    a cycle of length at most 2d.  Conversely, seen from a vertex of a
+    shortest cycle (length 2d, the graph being bipartite), the antipode
+    lies at distance d with both its cycle neighbours at distance d-1.
+    Every cycle meets both parts, so the roots of the smaller part do.
     """
-    return min((_distance_avoiding_edge(g, u, v) + 1 for (u, v) in g.edges),
-               default=INFINITY)
-
-
-def _distance_avoiding_edge(g, u, v):
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        for w in g.neighbors(x):
-            if x == u and w == v:
-                continue
-            if w == v:
-                return dist[x] + 1
-            if w not in dist:
-                dist[w] = dist[x] + 1
-                queue.append(w)
-    return INFINITY
+    best = INFINITY
+    for root in min(g.part_vertices(0), g.part_vertices(1), key=len):
+        # only cycles shorter than the best so far are looked for
+        dist = _ball(g, (root,),
+                     INFINITY if best == INFINITY else best // 2 - 1)
+        for w, d in dist.items():
+            if sum(dist.get(u) == d - 1 for u in g.neighbors(w)) >= 2:
+                best = 2 * d
+                break
+    return best
 
 
 def is_generalized_ngon(g, thick=False):

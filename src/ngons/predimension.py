@@ -10,10 +10,13 @@ d(A) = min { delta(A') : A <= A' <= ambient }, the smallest strong
 superset (closure) and algebraic closure relative to the finite ambient
 graph.
 
-All minimisation -- ``d_min``, ``closure`` and ``is_strong`` -- goes
-through one minimum cut on a network with a node per vertex and an arc
-pair per edge (Picard-Queyranne), see ``_min_superset``; brute force over
-subsets cross-checks it in the test suite.
+All minimisation -- ``d_min``, ``closure``, ``is_strong`` and the
+0-algebraicity test of ``zeroalg`` -- goes through one minimum cut on a
+network with a node per vertex and an arc pair per edge
+(Picard-Queyranne), built by ``_cut_network``: ``_min_superset`` reads
+the smallest minimiser off it, ``zeroalg`` the strong connectivity of its
+residual network.  Brute force over subsets cross-checks both in the test
+suite.
 """
 
 import math
@@ -148,6 +151,46 @@ class _Dinic:
             while pushed := augment(source, float("inf")):
                 total += pushed
 
+    def strongly_connected(self, first):
+        """Is the residual network restricted to the nodes from `first` on
+        strongly connected?  One search along residual arcs and one
+        against them, both from `first`."""
+        to, cap = self.to, self.cap
+        for back in (0, 1):
+            seen = {first}
+            stack = [first]
+            while stack:
+                u = stack.pop()
+                for e in self.adj[u]:
+                    v = to[e]
+                    # arc e runs u -> v, its partner e ^ 1 runs v -> u
+                    if v >= first and v not in seen and cap[e ^ back] > 0:
+                        seen.add(v)
+                        stack.append(v)
+            if len(seen) < self.size - first:
+                return False
+        return True
+
+
+def _cut_network(n, rows):
+    """The vertex-only cut network of `_min_superset` on free vertices
+    0, 1, ...: rows[i] = (e(i, A), the free neighbours of i).  Node 0 is
+    the source, node 1 the sink and node 2 + i free vertex i.  Returns the
+    network and the offered total of -w(v) over w(v) < 0."""
+    net = _Dinic(2 + len(rows))
+    offered = 0
+    for i, (base_edges, free_nbrs) in enumerate(rows):
+        w = 2 * (n - 1) - 2 * (n - 2) * base_edges - (n - 2) * len(free_nbrs)
+        for j in free_nbrs:
+            if j < i:
+                net.add_edge(2 + j, 2 + i, n - 2, n - 2)
+        if w < 0:
+            net.add_edge(0, 2 + i, -w)
+            offered -= w
+        elif w > 0:
+            net.add_edge(2 + i, 1, w)
+    return net, offered
+
 
 def _min_superset(g, a, ground):
     """(min delta over A <= S <= ground, inclusion-smallest minimiser).
@@ -160,8 +203,8 @@ def _min_superset(g, a, ground):
     and the smallest minimiser unchanged.
 
     Vertex-only cut network (Picard and Queyranne, Networks 1982;
-    Goldberg, UCB/CSD-84-171, 1984): for X <= F, with e(X) =
-    (sum_X e(v, F) - e(X, F - X)) / 2,
+    Goldberg, UCB/CSD-84-171, 1984), `_cut_network`: for X <= F, with
+    e(X) = (sum_X e(v, F) - e(X, F - X)) / 2,
 
         2 delta(A + X) - 2 delta(A) = sum_X w(v) + (n-2) e(X, F - X),
         w(v) = 2(n-1) - 2(n-2) e(v, A) - (n-2) e(v, F).
@@ -178,28 +221,20 @@ def _min_superset(g, a, ground):
     base = delta(g, a)
     if not free:
         return base, a
-    n = g.n
-    # node ids: 0 = source, 1 = sink, then one per free vertex
-    node = {v: 2 + i for i, v in enumerate(free)}
-    net = _Dinic(2 + len(free))
-    offered = 0
+    index = {v: i for i, v in enumerate(free)}
+    rows = []
     for v in free:
-        w = 2 * (n - 1)
+        base_edges, free_nbrs = 0, []
         for u in g.neighbors(v):
             if u in a:
-                w -= 2 * (n - 2)
-            elif u in node:
-                w -= n - 2
-                if u < v:
-                    net.add_edge(node[u], node[v], n - 2, n - 2)
-        if w < 0:
-            net.add_edge(0, node[v], -w)
-            offered -= w
-        elif w > 0:
-            net.add_edge(node[v], 1, w)
+                base_edges += 1
+            elif u in index:
+                free_nbrs.append(index[u])
+        rows.append((base_edges, free_nbrs))
+    net, offered = _cut_network(g.n, rows)
     cut, level = net.max_flow(0, 1)
     return (base - (offered - cut) // 2,
-            a | {v for v in free if level[node[v]] >= 0})
+            a | {v for i, v in enumerate(free) if level[2 + i] >= 0})
 
 
 def d_min(g, a, within=None):

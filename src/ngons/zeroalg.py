@@ -5,15 +5,13 @@ every proper nonempty sub-body has strictly positive relative delta; it is
 0-minimally algebraic if additionally no proper sub-base works, which
 happens exactly when every base vertex sends an edge into the body.
 
-Both the pair test and the enumeration decide positivity by one scan,
-memoised per body shape (`_pairs_for_body`): since relative delta is
-additive over the connected components of a sub-body, only connected
-sub-bodies count, and of those only the ones of at most half the body's
-size, each also tested by its complement.  The pair test reduces to the
-scan's setting by degree and connectivity checks (`_touched_base`).  The
-body search runs over bitmasks, is cut by a vertex-weight bound that
-every connected piece of a body meets, and only bodies whose base-edge
-count the boundary can supply reach the exact-cover base search
+Both the pair test and the enumeration decide positivity by one max flow
+per base on a network with a node per body vertex, memoised per body
+shape and per-vertex base-edge counts (`_zero_algebraic`): the body is
+0-algebraic exactly when the residual network on it is strongly
+connected.  The body search runs over bitmasks, is cut by a vertex-weight
+bound that every connected piece of a body meets, and only bodies whose
+base-edge count the boundary can supply reach the exact-cover base search
 (`_candidate_bodies`).
 """
 
@@ -21,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import GraphError, _ball, is_connected
-from .predimension import _peel, _violator_threshold, delta_rel
+from .graph import GraphError, _ball
+from .predimension import _cut_network, _peel, _violator_threshold, delta_rel
 
 
 @dataclass(frozen=True)
@@ -53,26 +51,15 @@ def _mask(pos, vertices):
 def _touched_base(g, base, body):
     """The base vertices with an edge into `body`, over which the body is
     then 0-minimally algebraic, if it is 0-algebraic over `base`; else None.
-
-    A single vertex needs only delta(B/A) = 0.  A larger body fails if it
-    is disconnected, as relative delta adds up over components, or if a
-    vertex has two base edges, as that vertex alone has relative delta
-    <= 3 - n <= 0.  What is left is the setting of `_pairs_for_body`.
     """
     base, body = _require_disjoint(g, base, body)
     if not body or delta_rel(g, body, base) != 0:
         return None
     touched = frozenset(a for a in base if g.neighbors(a) & body)
-    if len(body) == 1:
-        return touched
-    if not is_connected(g, body):
-        return None
-    hits = [w for a in touched for w in g.neighbors(a) & body]
-    if len(set(hits)) < len(hits):
-        return None
-    bpos = {v: i for i, v in enumerate(sorted(body))}
-    pairs = _pairs_for_body(g, body, [(touched, _mask(bpos, hits))])
-    return touched if pairs else None
+    counts = [len(g.neighbors(v) & base) for v in sorted(body)]
+    levels = tuple(sum(1 << i for i, c in enumerate(counts) if c > j)
+                   for j in range(max(counts)))
+    return touched if _pairs_for_body(g, body, [(touched, levels)]) else None
 
 
 def is_zero_algebraic(g, base, body):
@@ -102,9 +89,9 @@ def degree_identity_check(g, base, body):
     return len(body) * (n - 1) == (n - 2) * (g.edge_count(body) + g.edge_count(body, base))
 
 
-def default_body_cap(n, l_max=3):
-    # Large enough for the cycle-with-spokes witnesses up to l_max.
-    return 4 * l_max * (n - 2)
+def default_body_cap(n):
+    # Large enough for the cycle-with-spokes witnesses up to l = 3.
+    return 12 * (n - 2)
 
 
 def enumerate_zero_min_pairs(g, max_body=None, around=None):
@@ -155,84 +142,47 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
 
 def _pairs_for_body(g, body, bases):
     """The pairs (A, body) with `body` 0-minimally algebraic over A, for
-    (A, M) in `bases`, in their order: M is the mask, over the sorted
-    body, of the body vertices with an edge into A.
+    (A, L) in `bases`, in their order, given delta(body/A) = 0: L[c] is
+    the mask, over the sorted body, of the body vertices with more than c
+    edges into A.
 
     The verdict for A is a pure function of n, the body's internal
-    adjacency (masks over its sorted vertices) and M (`_passing_masks`),
+    adjacency (masks over its sorted vertices) and L (`_zero_algebraic`),
     so memoising it on exactly those is exact, and a body shape met again
-    in a later growth step costs one lookup.  The sub-body scan behind a
-    verdict is not kept: near the n >= 4 body cap it is exponential in |B|.
+    in a later growth step costs one lookup per base.
     """
-    bases = list(bases)
-    if not bases:
-        return []
     bverts = sorted(body)
     bpos = {v: i for i, v in enumerate(bverts)}
     adj = tuple(_mask(bpos, g.neighbors(v)) for v in bverts)
-    passing = _passing_masks(g.n, adj, frozenset(m for _, m in bases))
     return [ZeroAlgebraicPair(base, body, "minimally_algebraic")
-            for base, m in bases if m in passing]
+            for base, levels in bases if _zero_algebraic(g.n, adj, levels)]
 
 
 @lru_cache(maxsize=4096)
-def _passing_masks(n, adj, masks):
-    """The M in `masks` that work for the connected body with internal
-    adjacency `adj`, given delta(B/A) = 0 and at most one edge from A
-    into every body vertex: no proper nonempty D has delta(D/A) =
-    delta(D) - (n-2)|D & M| <= 0.
+def _zero_algebraic(n, adj, levels):
+    """Is the body with internal adjacency `adj` 0-algebraic over a base A
+    that sends e(v, A) = #{c : v in levels[c]} edges to each body vertex
+    v, given delta(B/A) = 0?
 
-    The scan takes each connected S with |S| <= |B|/2 as D and as D = B - S,
-    where by delta(B/A) = 0, delta((B - S)/A) <= 0 iff (n-1)|S| -
-    (n-2)(degsum_B(S) - e(S)) >= (n-2)|S & M|, degrees taken inside B.
-
-    Half the sizes do: let D fail.  Relative delta over A adds up over
-    components, so some component D1 of D fails.  The components R_j of
-    B - D1 share no edges, so 0 = delta(B/A) = delta(D1/A) +
-    sum_j delta(R_j / A + D1) and some R_j has delta(R_j / A + D1) >= 0.
-    Then D' = B - R_j fails; D' is connected (B is, so each R_j touches
-    D1) and so is B - D' = R_j, and the smaller of the two is scanned.
-    Sub-bodies that fail neither way for any M are dropped up front; for
-    the rest each M costs bitmask arithmetic.
+    Min-cut over the body (`_cut_network` with F = B and no peel): the
+    cut of X <= B costs 2 delta(X/A) plus a constant, so X = {} and X = B
+    are both cuts of equal cost.  After a maximum flow, the minimum cuts
+    are exactly the source sides closed under residual arcs (Picard and
+    Queyranne, Math. Prog. Study 13, 1980).  If the residual network on B
+    is strongly connected, no proper nonempty X is closed, so the minimum
+    is reached at {} and B only, and every proper sub-body has positive
+    relative delta.  Conversely, if B is 0-algebraic, the minimum is 0,
+    so {} and B are minimum cuts: every source and sink arc is saturated,
+    and any X <= B closed under the residual arcs inside B is a minimum
+    cut, hence {} or B.  A negative minimum thus always shows up as a
+    broken strong connectivity.
     """
     k = len(adj)
-    half = k // 2
-    full = (1 << k) - 1
-    subs = []
-    for r in range(k):
-        gt_root = full & ~((1 << (r + 1)) - 1)
-        # depth first over the connected S with least vertex r, carrying
-        # |S|, e(S) and degsum_B(S).  The children of S take the vertices
-        # u of its extension `ext` in turn; each one adds u, its new
-        # neighbours to `ext`, and the earlier u's to `dead`.
-        stack = [(1 << r, 1, 0, adj[r].bit_count(), adj[r] & gt_root, 0)]
-        while stack:
-            cur, size, edges, degsum, ext, dead = stack.pop()
-            dlt = (n - 1) * size - (n - 2) * edges
-            cdlt = (n - 1) * size - (n - 2) * (degsum - edges)
-            if dlt <= (n - 2) * size or cdlt >= 0:
-                subs.append((cur, dlt, cdlt))
-            if size == half:
-                continue
-            while ext:
-                low = ext & -ext
-                ext ^= low
-                u = low.bit_length() - 1
-                cur2 = cur | low
-                stack.append((cur2, size + 1, edges + (adj[u] & cur).bit_count(),
-                              degsum + adj[u].bit_count(),
-                              ext | (adj[u] & gt_root & ~cur2 & ~dead), dead))
-                dead |= low
-
-    passing = []
-    for amask in masks:
-        for m, dlt, cdlt in subs:
-            x = (n - 2) * (m & amask).bit_count()
-            if dlt <= x or cdlt >= x:
-                break
-        else:
-            passing.append(amask)
-    return frozenset(passing)
+    net, _ = _cut_network(n, [(sum(level >> i & 1 for level in levels),
+                               [j for j in range(k) if m >> j & 1])
+                              for i, m in enumerate(adj)])
+    net.max_flow(0, 1)
+    return net.strongly_connected(2)
 
 
 def _candidate_bodies(g, ground, cap, dist=None):
@@ -302,8 +252,10 @@ def _candidate_bodies(g, ground, cap, dist=None):
 
     for r in range(len(verts)):
         gt_root = full & ~((1 << (r + 1)) - 1)
-        # depth first over the connected subsets with least vertex r, with
-        # the extension and the dead vertices as in `_pairs_for_body`
+        # depth first over the connected subsets with least vertex r.  The
+        # children of a subset take the vertices u of its extension `ext`
+        # in turn; each one adds u, its new neighbours to `ext`, and the
+        # earlier u's to `dead`.
         stack = [(1 << r, 1, weight[r], adj[r] & gt_root, 0)]
         while stack:
             current, size, wsum, ext, dead = stack.pop()
@@ -338,11 +290,12 @@ def _candidate_bodies(g, ground, cap, dist=None):
 
 
 def _candidate_bases(g, body, target):
-    """Yield (A, M) for the subsets A of the outside neighbourhood with
-    e(B,A) = target = delta(B)/(n-2) and at most one edge per body vertex
-    into A (forced for |B| >= 2), where M is the mask, over the sorted
-    body, of the vertices A touches; `_candidate_bodies` has checked the
-    body's degrees.
+    """Yield (A, (M,)) for the subsets A of the outside neighbourhood
+    with e(B,A) = target = delta(B)/(n-2) and at most one edge per body
+    vertex into A (forced for |B| >= 2), where M is the mask, over the
+    sorted body, of the vertices A touches (so (M,) are the levels of
+    `_pairs_for_body`); `_candidate_bodies` has checked the body's
+    degrees.
 
     Two structural facts shape the search.  Since each body vertex takes
     at most one base edge, the chosen base vertices have pairwise disjoint
@@ -380,7 +333,7 @@ def _candidate_bases(g, body, target):
         # all required bits covered; add further disjoint base vertices in
         # index order until the edge count reaches the target
         if weight == target:
-            yield frozenset(names[j] for j in chosen), used
+            yield frozenset(names[j] for j in chosen), (used,)
             return
         if weight + suffix[idx] < target:
             return

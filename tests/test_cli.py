@@ -1,6 +1,7 @@
 import pytest
 
-from ngons import format_graph, make_cycle, make_path, parse_graph, fano_graph
+from ngons import (BipartiteGraph, format_graph, make_cycle, make_path,
+                   parse_graph, fano_graph)
 from ngons.cli import main
 
 
@@ -68,6 +69,25 @@ def test_zeroalg(capsys, tmp_path):
                                 "SEARCHED max_body=1\n")
     code, _, err = run(capsys, "zeroalg", str(p))
     assert code == 2
+
+
+def test_negative_ids(capsys, tmp_path):
+    """Subsets and --base/--body values may start with a negative id."""
+    g = BipartiteGraph(3, {-5: 0, -2: 1, 7: 0, 2: 1},
+                       [(-5, -2), (-2, 7), (7, 2)])
+    p = tmp_path / "neg.txt"
+    p.write_text(format_graph(g))
+    assert run(capsys, "delta", str(p), "-5,2") == (0, "4\n", "")
+    assert run(capsys, "delta", str(p), "-5") == (0, "2\n", "")
+    assert run(capsys, "delta", str(p), "-5,-2", "--format",
+               "structured") == (0, "delta 3\n", "")
+    assert run(capsys, "closure", str(p), "-5,7") == (0, "-5,7\n", "")
+    for argv in (("--base", "-5,7", "--body", "-2"),
+                 ("--body", "-2", "--base", "-5,7")):
+        assert run(capsys, "zeroalg", str(p), *argv) == (0, "true\ntrue\n", "")
+    code, out, _ = run(capsys, "zeroalg", str(p), "--base", "-5,2",
+                       "--body", "7")
+    assert (code, out) == (1, "false\nfalse\n")
 
 
 def test_kmu(capsys, cyc8_file, tmp_path):

@@ -81,6 +81,23 @@ def test_girth_diameter_classics(fano):
     assert girth(tree) == math.inf
 
 
+def test_girth_matches_shortest_enumerated_cycle(small_graphs, grow_outputs,
+                                                 fano, gq22, pg23):
+    """girth is the shortest length at which enumerate_cycles finds a
+    cycle, on the mixed corpus, grown graphs, the bundled polygons and
+    trees (INFINITY)."""
+    tree = BipartiteGraph(4, {0: 0, 1: 1, 3: 1, 2: 0, 4: 0, 6: 0, 8: 0},
+                          [(0, 1), (0, 3), (1, 2), (3, 4), (3, 6), (1, 8)])
+    graphs = list(small_graphs) + [g for g, _ in grow_outputs.values()]
+    graphs += [grow(make_cycle(4, 10), 6, 1)[0], fano, gq22, pg23, tree,
+               make_path(3, 4)]
+    for g in graphs:
+        shortest = next((L for L in range(4, len(g.vertices) + 1, 2)
+                         if enumerate_cycles(g, L)), math.inf)
+        assert girth(g) == shortest
+    assert girth(tree) == math.inf
+
+
 def test_is_generalized_ngon(fano):
     ok, reason = is_generalized_ngon(fano, thick=True)
     assert ok and reason is None

@@ -121,7 +121,7 @@ def test_broken_file_exits_2(g, data):
         path = os.path.join(tmp, "g.txt")
         with open(path, "w") as fh:
             fh.write(text)
-        code, out, err = _cli(["delta", "--", path, "%d," % min(g.vertices)])
+        code, out, err = _cli(["delta", path, "%d," % min(g.vertices)])
     assert (code, out) == (2, ""), what
     assert err.startswith("error: ") and err.count("\n") == 1, (what, err)
 
@@ -140,9 +140,9 @@ def test_mutated_file_never_crashes(g, data):
         path = os.path.join(tmp, "g.txt")
         with open(path, "w") as fh:
             fh.write(text)
-        # "v," is never a subset name, so it always means vertex v; "--"
-        # keeps a negative id from reading as an option
-        code, out, err = _cli(["delta", "--", path, "%d," % min(g.vertices)])
+        # "v," is never a subset name, so it always means vertex v, also
+        # when v is negative
+        code, out, err = _cli(["delta", path, "%d," % min(g.vertices)])
     if code == 0:
         assert err == "" and int(out) == delta(parse_graph(text),
                                                {min(g.vertices)})

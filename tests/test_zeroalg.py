@@ -79,9 +79,8 @@ def test_zero_algebraic_matches_mask_oracle(small_graphs):
 
 def test_vertex_with_two_base_edges_fails():
     """K_{3,2} over two lines that both meet point 0: the body is
-    connected with delta(B/A) = 0, but {0} alone has relative delta 0.
-    The sub-body scan counts one base edge per vertex, so this case has
-    to be decided before it."""
+    connected with delta(B/A) = 0, but {0} alone has relative delta 0:
+    its two base edges leave it a proper minimiser of the body's cut."""
     g = BipartiteGraph(3, {0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1, 6: 1},
                        [(p, q) for p in (0, 1, 2) for q in (3, 4)]
                        + [(0, 5), (2, 5), (0, 6), (1, 6)])
@@ -285,7 +284,7 @@ def test_memo_answers_cold_and_warm(enumeration_graphs):
     """The verdict memo changes no answer: enumeration and pair tests
     agree with an emptied memo, a warm one and one filled in the reverse
     graph order.  The memo is bounded."""
-    memo = ngons.zeroalg._passing_masks
+    memo = ngons.zeroalg._zero_algebraic
     assert memo.cache_info().maxsize is not None
     memo.cache_clear()
     cold = _pair_answers(enumeration_graphs)
@@ -308,7 +307,7 @@ def test_memo_shared_by_relabelled_bodies():
     parts.update({v + shift: w.part(v) for v in w.vertices})
     g = BipartiteGraph(4, parts, list(w.edges)
                        + [(u + shift, v + shift) for u, v in w.edges])
-    memo = ngons.zeroalg._passing_masks
+    memo = ngons.zeroalg._zero_algebraic
     memo.cache_clear()
     first = enumerate_zero_min_pairs(w, 8)
     misses = memo.cache_info().misses

@@ -172,7 +172,7 @@ def diameter(g):
     return worst
 
 
-def girth(g):
+def girth(g, roots=None):
     """Length of a shortest cycle; INFINITY if the graph is a forest.
 
     One BFS per root.  A vertex at distance d with two neighbours at
@@ -180,10 +180,12 @@ def girth(g):
     a cycle of length at most 2d.  Conversely, seen from a vertex of a
     shortest cycle (length 2d, the graph being bipartite), the antipode
     lies at distance d with both its cycle neighbours at distance d-1.
-    Every cycle meets both parts, so the roots of the smaller part do.
+    Every cycle meets both parts, so the roots of the smaller part do;
+    `roots` that meet every orbit of a group of automorphisms meet an
+    image of every cycle.
     """
     best = INFINITY
-    for root in min(g.part_vertices(0), g.part_vertices(1), key=len):
+    for root in roots or min(g.part_vertices(0), g.part_vertices(1), key=len):
         # only cycles shorter than the best so far are looked for
         dist = _ball(g, (root,),
                      INFINITY if best == INFINITY else best // 2 - 1)
@@ -194,25 +196,24 @@ def girth(g):
     return best
 
 
-def is_generalized_ngon(g, thick=False):
+def is_generalized_ngon(g, thick=False, roots=None):
     """Check the generalized n-gon axioms: diameter n and girth 2n.
 
     Returns (ok, reason); reason is None on success and otherwise names
     the first failing condition with a witness.  Girth 2n already forces
     diameter >= n (a shorter path between two antipodes of a 2n-cycle
     would close a shorter cycle), so one sweep for a pair at distance
-    > n decides the diameter.
+    > n decides the diameter.  Given `roots`, the least vertex of each
+    orbit of a group of automorphisms, BFS starts there only: girth and
+    eccentricity are invariant, so each witness, which starts at the
+    least vertex that has one, starts at a root.
     """
     n = g.n
-    gi = girth(g)
+    gi = girth(g, roots)
     if gi != 2 * n:
-        witness = None
-        if gi != INFINITY:
-            for cyc in enumerate_cycles(g, gi):
-                witness = cyc
-                break
+        witness = enumerate_cycles(g, gi, roots)[0] if gi != INFINITY else None
         return False, "girth is %s, expected %d (witness cycle %s)" % (gi, 2 * n, witness)
-    pair = _diameter_witness(g, n)
+    pair = _diameter_witness(g, n, roots)
     if pair is not None:
         return False, "diameter is %s, expected %d (witness pair %s)" % (
             diameter(g), n, pair)
@@ -223,15 +224,14 @@ def is_generalized_ngon(g, thick=False):
     return True, None
 
 
-def _diameter_witness(g, n):
-    for v in sorted(g.vertices):
+def _diameter_witness(g, n, roots):
+    for v in sorted(roots or g.vertices):
         dist = bfs_distances(g, v)
         if len(dist) < len(g.vertices):
             return (v, min(g.vertices - dist.keys()))
         far = max(dist.values())
         if far > n:
-            w = min(x for x, d in dist.items() if d == far)
-            return (v, w)
+            return (v, min(x for x, d in dist.items() if d == far))
     return None
 
 
@@ -288,10 +288,11 @@ def ordered_cycles(g, length, start_part=None):
     return sorted(set(out))
 
 
-def simple_paths(g, length):
-    """All ordered simple paths (x_0, ..., x_length) in g."""
+def simple_paths(g, length, start=None):
+    """All ordered simple paths (x_0, ..., x_length) in g, in lexicographic
+    order; with `start` (a vertex set), only those with x_0 in it."""
     out = []
-    for v in sorted(g.vertices):
+    for v in sorted(g.vertices if start is None else g.check_subset(start)):
         stack = [((v,), frozenset((v,)))]
         while stack:
             path, seen = stack.pop()

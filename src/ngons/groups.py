@@ -7,7 +7,9 @@ Groups are kept as generators and never enumerated: automorphisms are
 found by backtracking over an equitable colour refinement, pruned by the
 orbits of the generators already found.  The order and every pointwise
 stabilizer come from one Schreier–Sims stabilizer chain with a chosen
-base; one simple path per G-orbit is tested, and transitivity on ordered
+base.  Each check starts from the least vertex of each G-orbit, in
+ascending order, as what it decides is G-invariant (Seress 2003, ch. 4):
+one simple path per G-orbit is tested, and transitivity on ordered
 cycles is counted.
 """
 
@@ -157,6 +159,7 @@ def _schreier_sims(degree, gens, base, order=None):
 
     if gens:
         add(gens, 0)
+    del add  # add reaches itself through its closure: free the chain at once
     return levels
 
 
@@ -262,35 +265,46 @@ def _check_automorphism(g, p, type_preserving):
 
 def _require(g, grp, ngon=True):
     """Raise GraphError unless grp acts on g by automorphisms and (with
-    ngon set) g is a generalized n-gon."""
+    ngon set) g is a generalized n-gon.  Return the orbits of grp, keyed
+    by their least vertex in ascending order; the n-gon check runs its
+    BFS from those least vertices only."""
     if grp.domain != tuple(sorted(g.vertices)):
         raise GraphError("the group does not act on the graph's vertex set")
     for p in grp.generators:
         _check_automorphism(g, p, type_preserving=False)
-    ok, reason = is_generalized_ngon(g) if ngon else (True, None)
+    orbits, seen = {}, set()
+    for v in grp.domain:
+        if v not in seen:
+            seen |= orbits.setdefault(v, grp.orbit(v))
+    ok, reason = is_generalized_ngon(g, roots=list(orbits)) if ngon else (True, None)
     if not ok:
         raise GraphError("graph is not a generalized %d-gon: %s" % (g.n, reason))
+    return orbits
 
 
 def _first_failing_path(g, grp, moufang):
     """(True, None), or False and the first simple path (x_0, ..., x_n)
     whose pointwise stabilizer (with moufang set: that of D_1(x_1) + ...
-    + D_1(x_{n-1})) is not transitive on D_1(x_n) minus x_{n-1}.  The
-    condition is G-invariant, so a passing path clears its G-orbit."""
-    _require(g, grp)
-    n = g.n
-    covered = set()
-    for path in simple_paths(g, n):
-        targets = g.neighbors(path[-1]) - {path[-2]}
-        if path in covered or not targets:
-            continue
-        fixed = path
-        if moufang:  # the union contains the path; fix the rest too
-            rest = set().union(*(g.neighbors(x) for x in path[1:n]))
-            fixed += tuple(sorted(rest - set(path)))
-        if grp.stabilizer(fixed).orbit(min(targets)) != targets:
-            return False, path
-        covered.update(grp.orbit(path))
+    + D_1(x_{n-1})) is not transitive on D_1(x_n) minus x_{n-1}.
+
+    The condition is G-invariant, so that path starts at the least vertex
+    x of its orbit; only paths from such x are walked, in the same order.
+    Paths from x lie in one G-orbit iff they lie in one G_x-orbit, so a
+    passing path clears its G_x-orbit.  Path stabilizers are read off
+    G_x's chain, whose known order lets Schreier–Sims stop early."""
+    for x in _require(g, grp):
+        stab_x, covered = grp.stabilizer((x,)), set()
+        for path in simple_paths(g, g.n, (x,)):
+            targets = g.neighbors(path[-1]) - {path[-2]}
+            if path in covered or not targets:
+                continue
+            fixed = path
+            if moufang:  # the union contains the path; fix the rest too
+                rest = set().union(*(g.neighbors(y) for y in path[1:-1]))
+                fixed += tuple(sorted(rest - set(path)))
+            if stab_x.stabilizer(fixed[1:]).orbit(min(targets)) != targets:
+                return False, path
+            covered.update(stab_x.orbit(path))
     return True, None
 
 
@@ -314,22 +328,26 @@ def check_remark_2_2(g, grp):
     acts transitively on (D_1(x_1) - {x_0, x_2}) x (D_1(x_2) - {x_1, x_3}).
     Returns (L == R, L, R).
 
-    Transitivity is counted: length * |cycles| ordered cycles start in
-    part 0, and only the type-preserving part G_0 takes one such c to
-    another, so they form one orbit iff |G_0| / |G_c| is that count.
-    [G:G_0] is 2 if a generator swaps the parts (polygons are connected).
+    Transitivity is counted from one vertex x per G-orbit O.  Only the
+    type-preserving part G_0 moves ordered cycles starting in part 0, and
+    its orbits there are the G-orbits met with part 0.  The number c(x)
+    of cycles through x is G-invariant, and 2c(x) ordered ones start at x.
+    So they form one orbit iff one O meeting part 0 carries cycles and
+    |G| / |G_c| = 2 |O| c(x) for a cycle c ([G:G_0] |O in part 0| = |O|).
     """
-    _require(g, grp)
-    v = grp.domain[0]
-    index = 2 if any(g.part(p[v]) != g.part(v) for p in grp.generators) else 1
+    orbits = _require(g, grp)
     sides = []
     for length in (2 * g.n + 2, 2 * g.n):
-        cycles = enumerate_cycles(g, length)
-        if cycles:  # one of them, rotated to start in part 0
+        # the orbits that meet part 0 and carry cycles, up to the second
+        carriers = ((len(orbit), found) for x, orbit in orbits.items()
+                    if not all(map(g.part, orbit))
+                    and (found := enumerate_cycles(g, length, through=(x,))))
+        (size, cycles), second = next(carriers, (0, ())), next(carriers, None)
+        if cycles and second is None:  # one cycle, rotated to start in part 0
             cyc = cycles[0][g.part(cycles[0][0]):] + cycles[0][:g.part(cycles[0][0])]
             stab = grp.stabilizer(cyc)
-        sides.append(not cycles
-                     or grp.order == index * length * len(cycles) * stab.order)
+        sides.append(not cycles or second is None
+                     and grp.order == 2 * size * len(cycles) * stab.order)
     left, right = sides
     if right and cycles:
         # the 2n-cycles (the last loop) form one orbit: one stabilizer suffices

@@ -4,11 +4,12 @@ The oracles work over bitmasks with a precomputed delta table, so they
 share no code with the implementations they check."""
 
 import random
+from itertools import product
 
 import pytest
 
-from ngons import (BipartiteGraph, fano_graph, gq22_graph, grow, make_cycle,
-                   projective_plane)
+from ngons import (BipartiteGraph, PermGroup, fano_graph, gq22_graph, grow,
+                   make_cycle, projective_plane)
 
 
 # ---------------------------------------------------------------- oracles
@@ -167,6 +168,37 @@ def sparse_graph(rng, n, size, closed):
             if parts[u] != parts[prev] and (u, prev) not in edges:
                 edges.add((u, prev))
     return BipartiteGraph(n, parts, edges)
+
+
+def pgl3(p):
+    """PG(2,p) with PGL(3,p) acting on it, built from generators without
+    the automorphism search: the six elementary transvections I + E_ij
+    and diag(r, 1, 1) for the least primitive root r mod p.  A matrix A
+    takes point x to Ax and line l to A^-T l, which is proportional to
+    the cofactor matrix of A times l.  Ids follow `projective_plane`."""
+    reps = [v for v in product(range(p), repeat=3)
+            if any(v) and next(c for c in v if c) == 1]
+    index = {v: i for i, v in enumerate(reps)}
+
+    def image(a, v):
+        w = [sum(x * y for x, y in zip(row, v)) % p for row in a]
+        inv = pow(next(c for c in w if c), -1, p)
+        return index[tuple(c * inv % p for c in w)]
+
+    root = next(r for r in range(1, p)
+                if len({pow(r, e, p) for e in range(p - 1)}) == p - 1)
+    mats = [[[int(r == c) + ((r, c) == (i, j)) for c in range(3)] for r in range(3)]
+            for i in range(3) for j in range(3) if i != j]
+    mats.append([[root, 0, 0], [0, 1, 0], [0, 0, 1]])
+    k, gens = len(reps), []
+    for a in mats:
+        cof = [[a[(r + 1) % 3][(c + 1) % 3] * a[(r + 2) % 3][(c + 2) % 3]
+                - a[(r + 1) % 3][(c + 2) % 3] * a[(r + 2) % 3][(c + 1) % 3]
+                for c in range(3)] for r in range(3)]
+        perm = {i: image(a, v) for i, v in enumerate(reps)}
+        perm.update({k + i: k + image(cof, v) for i, v in enumerate(reps)})
+        gens.append(perm)
+    return projective_plane(p), PermGroup(range(2 * k), gens)
 
 
 # ---------------------------------------------------------------- fixtures

@@ -201,6 +201,28 @@ def test_simple_paths():
         assert len(set(p)) == 4
 
 
+def test_simple_paths_start_matches_filtered(fano, gq22, grow_outputs):
+    """Paths from a vertex set S are the full list, which is sorted,
+    filtered by x_0 in S, on Fano, GQ(2,2) and grown n = 3 and n = 4
+    graphs, for every length up to n."""
+    rng = random.Random(20261019)
+    graphs = [fano, gq22] + [g for g, _ in grow_outputs.values()]
+    graphs.append(grow(make_cycle(4, 10), 4, 1, templates=(
+        "pendant_path", "path_completion", "cycle_attach"))[0])
+    for g in graphs:
+        verts = sorted(g.vertices)
+        for length in range(1, g.n + 1):
+            paths = simple_paths(g, length)
+            assert paths == sorted(paths)
+            assert simple_paths(g, length, start=g.vertices) == paths
+            assert simple_paths(g, length, start=()) == []
+            for _ in range(4):
+                s = set(rng.sample(verts, rng.randint(1, 4)))
+                assert simple_paths(g, length, s) == [p for p in paths if p[0] in s]
+    with pytest.raises(GraphError):
+        simple_paths(fano, 3, start={99})
+
+
 def test_components():
     g = BipartiteGraph(3, {0: 0, 1: 1, 2: 0, 3: 1}, [(0, 1), (2, 3)])
     assert len(connected_components(g)) == 2

@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
 
-from conftest import random_bipartite
+from conftest import pgl3, random_bipartite
 from ngons import (BipartiteGraph, GraphError, PermGroup, automorphism_group,
                    check_remark_2_2, fano_graph, format_cycles, gq22_graph,
                    is_generalized_ngon, is_moufang, is_strongly_transitive,
@@ -156,6 +157,20 @@ def test_pg25_battery(pg25):
     assert is_moufang(pg25, grp) == (True, None)
     assert check_remark_2_2(pg25, grp) == (True, True, True)
     assert stabilizer_transitivity_degree(pg25, grp, 0) == 3
+
+
+def test_pg27_battery_from_generators():
+    """PG(2,7) under PGL(3,7) given by generators, as the automorphism
+    search takes seconds there; on PG(2,3) the same builder gives the
+    whole type-preserving group."""
+    g, grp = pgl3(3)
+    assert grp.order == automorphism_group(g).order == 5616
+    g, grp = pgl3(7)
+    assert grp.order == 5630688
+    assert is_strongly_transitive(g, grp) == (True, None)
+    assert is_moufang(g, grp) == (True, None)
+    assert check_remark_2_2(g, grp) == (True, True, True)
+    assert stabilizer_transitivity_degree(g, grp, 0) == 3
 
 
 def test_projective_plane():
@@ -355,6 +370,79 @@ def test_path_form_matches_cycle_form(scan_corpus, fano, gq22, pg23, pg25,
     verdicts = [is_strongly_transitive(g, grp)[0] for g, grp in cases]
     assert verdicts == [_cycle_form(g, grp) for g, grp in cases]
     assert True in verdicts and False in verdicts
+
+
+@pytest.fixture(scope="module")
+def lines_first_corpus():
+    """Fano and GQ(2,2) relabelled so that their lines hold the smallest
+    ids, each with its type-preserving and full group and 16 random
+    subgroups of those (half inside the stabilizer of line 0)."""
+    rng = random.Random(20261019)
+    corpus = []
+    for polygon in (fano_graph(), gq22_graph()):
+        lines, points = sorted(polygon.part_vertices(1)), sorted(polygon.part_vertices(0))
+        rng.shuffle(lines)
+        rng.shuffle(points)
+        ids = {v: i for i, v in enumerate(lines + points)}
+        g = BipartiteGraph(polygon.n, {ids[v]: polygon.part(v) for v in ids},
+                           [(ids[u], ids[v]) for u, v in polygon.edges])
+        for type_preserving in (True, False):
+            full = automorphism_group(g, type_preserving)
+            corpus.append((g, full))
+            for _ in range(8):
+                pool = full.elements()
+                if rng.random() < 0.5:
+                    pool = [p for p in pool if p[0] == 0]
+                corpus.append((g, PermGroup(sorted(g.vertices),
+                                            rng.choices(pool, k=rng.randrange(1, 4)))))
+    return corpus
+
+
+def test_battery_matches_element_scan_with_lines_first(lines_first_corpus):
+    """The battery starts from the least vertex of each orbit.  Here
+    those are lines, and under a group that swaps the parts they all are,
+    so a start restricted to one part would miss cycles and paths."""
+    seen = Counter()
+    for g, grp in lines_first_corpus:
+        ref = ElementScan(g, grp)
+        strans, moufang = is_strongly_transitive(g, grp), is_moufang(g, grp)
+        remark = check_remark_2_2(g, grp)
+        assert strans == ref.is_strongly_transitive()
+        assert moufang == ref.is_moufang()
+        assert remark == ref.check_remark_2_2()
+        for x in (0, max(g.vertices)):
+            assert (stabilizer_transitivity_degree(g, grp, x)
+                    == ref.transitivity_degree(x))
+        minima = {min(grp.orbit(v)) for v in g.vertices}
+        seen["minima all lines"] += all(g.part(v) for v in minima)
+        seen["strans fails"] += strans[0] is False
+        seen["moufang fails"] += moufang[0] is False
+        seen["witness off 0"] += moufang[0] is False and moufang[1][0] != 0
+        seen["left fails"] += remark[1] is False
+        seen["remark holds"] += remark == (True, True, True)
+    assert len(seen) == 6 and all(seen.values()), seen
+
+
+def test_require_reason_matches_is_generalized_ngon(fano):
+    """The battery checks the n-gon axioms from one vertex per orbit and
+    must report what the full check reports: on the 8-cycle at n = 3
+    (girth), two Fano planes apart or joined by an edge, and Fano with a
+    pendant point on a line (diameter; its least far vertex is 3)."""
+    parts = {v + s: fano.part(v) for v in fano.vertices for s in (0, 14)}
+    edges = [(u + s, v + s) for (u, v) in fano.edges for s in (0, 14)]
+    pendant = BipartiteGraph(3, {**{v: fano.part(v) for v in fano.vertices}, 14: 0},
+                             sorted(fano.edges) + [(7, 14)])
+    assert is_generalized_ngon(pendant)[1].endswith("(witness pair (3, 14))")
+    graphs = [make_cycle(3, 8), BipartiteGraph(3, parts, edges),
+              BipartiteGraph(3, parts, edges + [(0, 21)]), pendant]
+    for g in graphs:
+        want = "graph is not a generalized 3-gon: " + is_generalized_ngon(g)[1]
+        for grp in (automorphism_group(g), automorphism_group(g, False),
+                    PermGroup(sorted(g.vertices), [])):
+            for check in (is_strongly_transitive, is_moufang, check_remark_2_2):
+                with pytest.raises(GraphError) as err:
+                    check(g, grp)
+                assert str(err.value) == want
 
 
 def test_remark_on_full_groups(fano, gq22):

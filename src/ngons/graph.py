@@ -105,12 +105,6 @@ class BipartiteGraph:
             raise GraphError("unknown vertex ids %s" % sorted(unknown))
         return members
 
-    def with_subsets(self, **named):
-        """A copy of this graph with additional named subsets."""
-        subsets = dict(self.subsets)
-        subsets.update(named)
-        return BipartiteGraph(self.n, self._part, self.edges, subsets)
-
     def part_vertices(self, p):
         return frozenset(v for v in self.vertices if self._part[v] == p)
 
@@ -253,7 +247,7 @@ def enumerate_cycles(g, length, through=None):
     out = []
     for root in sorted(roots):
         dist = _ball(g, (root,), length // 2,
-                     lambda w: w > root or (through is not None and w not in roots))
+                     lambda w: w > root or w not in roots)
         stack = [((root,), frozenset((root,)))]
         while stack:
             path, seen = stack.pop()

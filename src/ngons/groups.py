@@ -230,29 +230,31 @@ def automorphism_group(g, type_preserving=True):
                       if w not in images and colours[w] == colours[v]
                       and g.neighbors(w) & images == want)
 
-    def extend(i, mapping):
-        """The first automorphism extending mapping on order[:i], or None."""
-        if i == len(order):
-            return mapping
-        for w in candidates(order[i], mapping):
-            found = extend(i + 1, {**mapping, order[i]: w})
-            if found is not None:
-                return found
-        return None
-
     gens = []
     for i in reversed(range(len(order))):
         v = order[i]
         fixed = {u: u for u in order[:i]}
         for w in candidates(v, fixed):
             if w not in PermGroup(verts, gens).orbit(v):
-                found = extend(i + 1, {**fixed, v: w})
+                found = _extend(order, candidates, i + 1, {**fixed, v: w})
                 if found is not None:
                     gens.append(found)
     grp = PermGroup(verts, gens)
     for p in grp.generators:
         _check_automorphism(g, p, type_preserving)
     return grp
+
+
+def _extend(order, candidates, i, mapping):
+    """The first automorphism extending mapping on order[:i], or None (a
+    recursive closure would leave a reference cycle behind every call)."""
+    if i == len(order):
+        return mapping
+    for w in candidates(order[i], mapping):
+        found = _extend(order, candidates, i + 1, {**mapping, order[i]: w})
+        if found is not None:
+            return found
+    return None
 
 
 def _check_automorphism(g, p, type_preserving):

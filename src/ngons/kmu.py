@@ -203,17 +203,17 @@ def pairs_isomorphic(g1, base1, body1, g2, base2, body2):
 
 def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
              member_base=None):
-    """Full membership check.  Returns (member, reports); every violation
+    """Membership check.  Returns (member, reports); every violation
     found within the search horizons is reported, not just the first.
 
-    `member_base` restricts the search: a vertex set whose induced
-    subgraph the caller already knows to be a class member.  It must be
-    strongly embedded in g (this is verified).  Then delta-minima over
-    old sets are unchanged (for strong H <= G and any Y <= G,
-    delta(Y) >= delta(Y and H) by submodularity), every copy count that
-    grew involves a new vertex, and only cycles, bodies and bases meeting
-    the complement need to be examined: cycles are enumerated through the
-    new vertices only, bodies around them.
+    Only cycles, bodies and bases that meet the new vertices are examined:
+    cycles are enumerated through them, bodies around them.  By default
+    every vertex is new.  With `member_base`, a vertex set whose induced
+    subgraph the caller already knows to be a class member, only its
+    complement is; it must be strongly embedded in g (this is verified).
+    Then delta-minima over old sets are unchanged (for strong H <= G and
+    any Y <= G, delta(Y) >= delta(Y and H) by submodularity), and every
+    copy count that grew involves a new vertex.
 
     Condition 2 solves each cycle C by one min-cut on C plus its peeled
     hull: the smallest minimiser W lies in every minimiser, so each v in
@@ -227,7 +227,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
         raise GraphError("mu-function built for n=%d, graph has n=%d" % (mu.n, n))
     horizon = default_horizon(n) if horizon is None else horizon
     cap = default_body_cap(n) if max_body is None else max_body
-    new = None
+    new = g.vertices
     if member_base is not None:
         member_base = g.check_subset(member_base)
         ok, witness = is_strong(g, member_base)
@@ -259,15 +259,15 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     # Condition 3: copy counts of 0-minimally algebraic bodies stay within
     # mu.  Every copy of an enumerated body is itself 0-minimally algebraic
     # over the same base and no larger, so when every body over a base was
-    # enumerated (full mode, or a base meeting the new vertices) a class
-    # of copies over the (pointwise fixed) base is counted by its size.
-    # Over an old base in restricted mode the copies lying entirely in the
-    # old part were not enumerated, so find_copies recounts the class.
+    # enumerated (a base meeting the new vertices) a class of copies over
+    # the (pointwise fixed) base is counted by its size.  Over an old base
+    # the copies lying entirely in the old part were not enumerated, so
+    # find_copies recounts the class.
     by_base = {}
     for pair in enumerate_zero_min_pairs(g, cap, around=new):
         by_base.setdefault(pair.base, []).append(pair.body)
     for base in sorted(by_base, key=sorted):
-        complete = new is None or base & new
+        complete = base & new
         classes = []
         for body in sorted(by_base[base], key=sorted):
             key = (len(body), g.edge_count(body))

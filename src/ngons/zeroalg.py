@@ -11,8 +11,8 @@ shape and per-vertex base-edge counts (`_zero_algebraic`): the body is
 0-algebraic exactly when the residual network on it is strongly
 connected.  The body search runs over bitmasks, is cut by a vertex-weight
 bound that every connected piece of a body meets, and only bodies whose
-base-edge count the boundary can supply reach the exact-cover base search
-(`_candidate_bodies`).
+base-edge count the boundary can supply reach the base search, one walk
+over the body's vertices per body (`_pairs_for_body`).
 """
 
 from dataclasses import dataclass
@@ -48,6 +48,12 @@ def _mask(pos, vertices):
     return m
 
 
+def _index(g, body):
+    """Positions in the sorted body, and each vertex's body-neighbour mask."""
+    bpos = {v: i for i, v in enumerate(sorted(body))}
+    return bpos, tuple(_mask(bpos, g.neighbors(v)) for v in bpos)
+
+
 def _touched_base(g, base, body):
     """The base vertices with an edge into `body`, over which the body is
     then 0-minimally algebraic, if it is 0-algebraic over `base`; else None.
@@ -56,10 +62,11 @@ def _touched_base(g, base, body):
     if not body or delta_rel(g, body, base) != 0:
         return None
     touched = frozenset(a for a in base if g.neighbors(a) & body)
-    counts = [len(g.neighbors(v) & base) for v in sorted(body)]
+    bpos, adj = _index(g, body)
+    counts = [len(g.neighbors(v) & base) for v in bpos]
     levels = tuple(sum(1 << i for i, c in enumerate(counts) if c > j)
                    for j in range(max(counts)))
-    return touched if _pairs_for_body(g, body, [(touched, levels)]) else None
+    return touched if _zero_algebraic(g.n, adj, levels) else None
 
 
 def is_zero_algebraic(g, base, body):
@@ -102,7 +109,8 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
     component with nonpositive relative delta, contradicting minimality.
 
     With `around` (a vertex set), only pairs whose base or body meets it
-    are returned; the search is pruned accordingly.
+    are returned; the search is pruned accordingly.  Without it the same
+    search runs with every ground vertex in the touch set.
     """
     n = g.n
     cap = default_body_cap(n) if max_body is None else max_body
@@ -123,39 +131,74 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
         t = _violator_threshold(n)
         ground = _peel(g, {v for v in g.vertices if len(g.neighbors(v)) >= t},
                        (), t - 1)
-        dist = None
-        if around is not None:
-            # a relevant pair has base or body meeting `around`, so its
-            # body meets `around` or the neighbourhood of `around`, the
-            # touch set; a connected body then stays within the cap-ball
-            # around that
-            touch = set(around).union(*(g.neighbors(v) for v in around))
-            dist = _ball(g, touch & ground, cap - 1, ground.__contains__)
-            ground = set(dist)
-        for body, target in _candidate_bodies(g, ground, cap, dist):
-            pairs.extend(_pairs_for_body(g, body,
-                                         _candidate_bases(g, body, target)))
+        # a relevant pair has base or body meeting `around`, so its body
+        # meets `around` or the neighbourhood of `around`, the touch set;
+        # a connected body then stays within the cap-ball around that
+        touch = ground if around is None else \
+            set(around).union(*(g.neighbors(v) for v in around))
+        dist = _ball(g, touch & ground, cap - 1, ground.__contains__)
+        for body, target in _candidate_bodies(g, set(dist), cap, dist):
+            pairs.extend(_pairs_for_body(g, body, target))
     if around is not None:
         pairs = [p for p in pairs if (p.base | p.body) & around]
     return sorted(pairs, key=lambda p: (sorted(p.body), sorted(p.base)))
 
 
-def _pairs_for_body(g, body, bases):
-    """The pairs (A, body) with `body` 0-minimally algebraic over A, for
-    (A, L) in `bases`, in their order, given delta(body/A) = 0: L[c] is
-    the mask, over the sorted body, of the body vertices with more than c
-    edges into A.
+def _pairs_for_body(g, body, target):
+    """The pairs (A, body) with `body` 0-minimally algebraic over A, for a
+    body that `_candidate_bodies` yielded with target = delta(B)/(n-2).
 
-    The verdict for A is a pure function of n, the body's internal
-    adjacency (masks over its sorted vertices) and L (`_zero_algebraic`),
-    so memoising it on exactly those is exact, and a body shape met again
-    in a later growth step costs one lookup per base.
+    Such an A lies in the boundary, has e(B, A) = target and sends at most
+    one edge to each body vertex (the sub-body {v} has positive relative
+    delta), so its vertices have disjoint body neighbourhoods; a required
+    vertex, at the minimum internal degree, must take a base edge.  One
+    stack branches on the lowest undecided body vertex v: a boundary
+    vertex whose lowest body neighbour is v and whose body neighbourhood
+    avoids every decided vertex takes v and decides that neighbourhood,
+    or, if v is not required, v gets no base edge.  Each admissible A is
+    reached exactly once: by disjointness at most one vertex of A covers
+    v, and none of the decided vertices below v is its neighbour.
+
+    The verdict for A depends only on n, the body's internal adjacency
+    and the mask of the body vertices A touches (`_zero_algebraic`), so
+    it is memoised on exactly those: a body shape met again in a later
+    growth step costs one lookup per base.
     """
-    bverts = sorted(body)
-    bpos = {v: i for i, v in enumerate(bverts)}
-    adj = tuple(_mask(bpos, g.neighbors(v)) for v in bverts)
-    return [ZeroAlgebraicPair(base, body, "minimally_algebraic")
-            for base, levels in bases if _zero_algebraic(g.n, adj, levels)]
+    n = g.n
+    need = 2 if n == 3 else 1
+    bpos, adj = _index(g, body)
+    required = sum(1 << i for i, m in enumerate(adj) if m.bit_count() == need)
+    by_low = {}
+    for a in sorted(set().union(*(g.neighbors(v) for v in body)) - body):
+        m = _mask(bpos, g.neighbors(a))
+        if m.bit_count() <= target:
+            by_low.setdefault((m & -m).bit_length() - 1, []).append((a, m))
+    full = (1 << len(adj)) - 1
+    pairs = []
+    # (decided, used = the body vertices that `chosen` touches, chosen,
+    # e(B, chosen))
+    stack = [(0, 0, (), 0)]
+    while stack:
+        decided, used, chosen, weight = stack.pop()
+        if weight == target:
+            if not required & ~used and _zero_algebraic(n, adj, (used,)):
+                pairs.append(ZeroAlgebraicPair(frozenset(chosen), body,
+                                               "minimally_algebraic"))
+            continue
+        # each open vertex takes at most one base edge, a required one
+        # exactly one
+        open_ = full & ~decided
+        if weight + open_.bit_count() < target \
+                or weight + (open_ & required).bit_count() > target:
+            continue
+        low = open_ & -open_
+        if not low & required:
+            stack.append((decided | low, used, chosen, weight))
+        for a, m in by_low.get(low.bit_length() - 1, ()):
+            if not m & decided and weight + m.bit_count() <= target:
+                stack.append((decided | m, used | m, chosen + (a,),
+                              weight + m.bit_count()))
+    return pairs
 
 
 @lru_cache(maxsize=4096)
@@ -185,11 +228,12 @@ def _zero_algebraic(n, adj, levels):
     return net.strongly_connected(2)
 
 
-def _candidate_bodies(g, ground, cap, dist=None):
+def _candidate_bodies(g, ground, cap, dist):
     """Yield (B, delta(B)/(n-2)) for each connected B inside `ground` with
-    2 <= |B| <= cap that passes the tests `_candidate_bases` relies on:
-    (n-2) | delta(B) > 0, and #required <= delta(B)/(n-2) <= supply(B)
-    with every required vertex having an outside neighbour.  A body
+    2 <= |B| <= cap that meets the touch set and passes the tests
+    `_pairs_for_body` relies on: (n-2) | delta(B) > 0, and #required <=
+    delta(B)/(n-2) <= supply(B) with every required vertex having an
+    outside neighbour.  A body
     vertex needs internal degree >= 2 for n = 3 and >= 1 otherwise, since
     (n-2) e(v, rest + A) >= n, and the required ones, at exactly that
     degree, must take a base edge; supply(B) counts the vertices with a
@@ -208,11 +252,11 @@ def _candidate_bodies(g, ground, cap, dist=None):
     n = 4: a connected piece of a body has at most 2 + sum (2 deg(v) - 5)
     over its vertices of degree >= 3 vertices of degree 2.)  For n = 3
     the ground peel leaves degree >= 3 only, so the cut never fires.
-    With `dist`, the BFS distance inside the ground graph from each
-    ground vertex to a touch set, only subsets meeting the touch set (at
-    distance 0) are produced, and branches that cannot reach it within
-    the size cap are cut.  Bodies are yielded as the search finds them,
-    so memory follows the search depth, not the number of bodies.
+    `dist` holds the BFS distance inside the ground graph from each ground
+    vertex to the touch set (the vertices at distance 0); only subsets
+    meeting it are produced, and branches that cannot reach it within the
+    size cap are cut.  Bodies are yielded as the search finds them, so
+    memory follows the search depth, not the number of bodies.
     """
     n = g.n
     need = 2 if n == 3 else 1
@@ -224,13 +268,8 @@ def _candidate_bodies(g, ground, cap, dist=None):
     weight = [(n - 2) * d - (2 * n - 3) for d in deg]
     full = (1 << len(verts)) - 1
 
-    near = None
-    if dist is not None:
-        # near[k]: the ground vertices within distance k of the touch set
-        near = [_mask(pos, [v for v in verts if dist[v] <= k])
-                for k in range(cap)]
-        if not near[0]:
-            return
+    # near[k]: the ground vertices within distance k of the touch set
+    near = [_mask(pos, [v for v in verts if dist[v] <= k]) for k in range(cap)]
 
     def target(current, size):
         # delta(B)/(n-2) if B passes the tests above, else 0
@@ -259,8 +298,7 @@ def _candidate_bodies(g, ground, cap, dist=None):
         stack = [(1 << r, 1, weight[r], adj[r] & gt_root, 0)]
         while stack:
             current, size, wsum, ext, dead = stack.pop()
-            found = size >= 2 and (near is None or current & near[0]) \
-                and target(current, size)
+            found = size >= 2 and current & near[0] and target(current, size)
             if found:
                 yield frozenset(v for i, v in enumerate(verts)
                                 if current >> i & 1), found
@@ -280,79 +318,10 @@ def _candidate_bodies(g, ground, cap, dist=None):
                     i = (m & -m).bit_length() - 1
                     m &= m - 1
                     bad = (adj[i] & feasible).bit_count() < need
-                if not bad and near is not None and not cur2 & near[0]:
+                if not bad and not cur2 & near[0]:
                     bad = not room or not feasible & ~cur2 & near[room - 1]
                 if not bad:
                     stack.append((cur2, size + 1, wsum + weight[u],
                                   ext | (adj[u] & gt_root & ~cur2 & ~dead),
                                   dead))
                 dead |= low
-
-
-def _candidate_bases(g, body, target):
-    """Yield (A, (M,)) for the subsets A of the outside neighbourhood
-    with e(B,A) = target = delta(B)/(n-2) and at most one edge per body
-    vertex into A (forced for |B| >= 2), where M is the mask, over the
-    sorted body, of the vertices A touches (so (M,) are the levels of
-    `_pairs_for_body`); `_candidate_bodies` has checked the body's
-    degrees.
-
-    Two structural facts shape the search.  Since each body vertex takes
-    at most one base edge, the chosen base vertices have pairwise disjoint
-    neighbourhoods inside the body.  And a body vertex at the minimum
-    internal degree must receive a base edge (removing it from the body
-    would otherwise leave a sub-body with nonpositive relative delta), so
-    those vertices pose an exact-cover problem: branching on the lowest
-    uncovered one at each step visits every admissible base exactly once.
-    """
-    need = 2 if g.n == 3 else 1
-    bverts = sorted(body)
-    bpos = {v: i for i, v in enumerate(bverts)}
-    required = _mask(bpos, [v for v in bverts
-                            if len(g.neighbors(v) & body) == need])
-    boundary = sorted(set().union(*(g.neighbors(v) for v in body)) - body)
-    masks, weights, names = [], [], []
-    for a in boundary:
-        m = _mask(bpos, g.neighbors(a))
-        if m.bit_count() <= target:
-            masks.append(m)
-            weights.append(m.bit_count())
-            names.append(a)
-    covering = {}
-    for j, m in enumerate(masks):
-        mm = m & required
-        while mm:
-            i = (mm & -mm).bit_length() - 1
-            mm &= mm - 1
-            covering.setdefault(i, []).append(j)
-    suffix = [0] * (len(masks) + 1)
-    for j in range(len(masks) - 1, -1, -1):
-        suffix[j] = suffix[j + 1] + weights[j]
-
-    def extend(idx, used, chosen, weight):
-        # all required bits covered; add further disjoint base vertices in
-        # index order until the edge count reaches the target
-        if weight == target:
-            yield frozenset(names[j] for j in chosen), (used,)
-            return
-        if weight + suffix[idx] < target:
-            return
-        for j in range(idx, len(masks)):
-            if weight + weights[j] <= target and not masks[j] & used:
-                yield from extend(j + 1, used | masks[j], chosen + [j],
-                                  weight + weights[j])
-
-    def cover(used, chosen, weight):
-        missing = required & ~used
-        if not missing:
-            yield from extend(0, used, chosen, weight)
-            return
-        if weight + missing.bit_count() > target:
-            return
-        i = (missing & -missing).bit_length() - 1
-        for j in covering.get(i, ()):
-            if not masks[j] & used and weight + weights[j] <= target:
-                yield from cover(used | masks[j], chosen + [j],
-                                 weight + weights[j])
-
-    yield from cover(0, [], 0)

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from itertools import permutations
@@ -501,3 +502,15 @@ def test_each_generator_enlarges_the_group(fano, gq22, pg23):
             orders = [PermGroup(sorted(g.vertices), gens[:k]).order
                       for k in range(len(gens) + 1)]
             assert all(a < b for a, b in zip(orders, orders[1:]))
+
+
+def test_automorphism_group_leaves_no_reference_cycle():
+    """The search frees what it built without the cyclic collector."""
+    g = fano_graph()
+    gc.collect()
+    gc.disable()
+    try:
+        automorphism_group(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,13 +1,14 @@
 import random
 import sys
 import tracemalloc
+from itertools import combinations
 
 import pytest
 
 import ngons.zeroalg
 from ngons import (BipartiteGraph, GraphError, default_body_cap,
                    degree_identity_check, delta, delta_rel,
-                   enumerate_zero_min_pairs, is_connected, is_strong,
+                   enumerate_zero_min_pairs, grow, is_connected, is_strong,
                    is_zero_algebraic, is_zero_minimally_algebraic,
                    make_cl_witness, make_cycle, make_gamma, make_path,
                    minimal_base)
@@ -321,3 +322,49 @@ def test_memo_shared_by_relabelled_bodies():
         sorted(first + moved, key=lambda p: (sorted(p.body), sorted(p.base)))
     for p in moved:
         assert is_zero_minimally_algebraic(g, p.base, p.body)
+
+
+def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
+    """For every candidate body with at most 14 boundary vertices, on cl
+    witnesses with and without b and on grown n = 3 and n = 4 graphs, the
+    base search yields exactly the A inside the boundary with e(B, A) =
+    delta(B)/(n-2) over which B is 0-minimally algebraic.  Every boundary
+    vertex sends an edge into B, so such an A has at most that many
+    vertices."""
+    graphs = [make_cl_witness(n, l, with_b=b)
+              for n, l in ((3, 2), (3, 3), (4, 2)) for b in (False, True)]
+    graphs += [g for g, _ in grow_outputs.values()]
+    graphs += [grow(make_cycle(4, 10), 2, s,
+                    templates=("pendant_path", "path_completion",
+                               "cycle_attach"))[0] for s in range(1, 7)]
+    real = ngons.zeroalg._candidate_bodies
+    seen = []
+
+    def record(*args):
+        for body, target in real(*args):
+            seen.append((body, target))
+            yield body, target
+
+    monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", record)
+    bodies = pairs = 0
+    for g in graphs:
+        seen.clear()
+        enumerate_zero_min_pairs(g)
+        for body, target in seen:
+            boundary = sorted(set().union(*(g.neighbors(v) for v in body))
+                              - body)
+            if len(boundary) > 14:
+                continue
+            into = {a: len(g.neighbors(a) & body) for a in boundary}
+            expect = {frozenset(a) for k in range(1, target + 1)
+                      for a in combinations(boundary, k)
+                      if sum(into[v] for v in a) == target
+                      and is_zero_minimally_algebraic(g, a, body)}
+            got = [p.base for p in ngons.zeroalg._pairs_for_body(g, body,
+                                                                 target)]
+            assert len(got) == len(set(got))
+            assert set(got) == expect
+            bodies += 1
+            pairs += len(got)
+    assert {g.n for g in graphs} == {3, 4}
+    assert bodies > 1000 and pairs > 100

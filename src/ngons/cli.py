@@ -248,22 +248,15 @@ def _build_parser():
     p = sub.add_parser("witness", parents=[common],
                        help="emit a standard witness graph")
     ws = p.add_subparsers(dest="kind", required=True)
-    wp = ws.add_parser("path")
-    wp.add_argument("n", type=int)
-    wp.add_argument("length", type=int)
-    wc = ws.add_parser("cycle")
-    wc.add_argument("n", type=int)
-    wc.add_argument("length", type=int)
-    wg = ws.add_parser("gamma")
-    wg.add_argument("n", type=int)
-    wl = ws.add_parser("cl")
-    wl.add_argument("n", type=int)
-    wl.add_argument("l", type=int)
-    wl.add_argument("--with-b", action="store_true")
-    for q in (wp, wc, wg, wl):
+    for kind, size in (("path", "length"), ("cycle", "length"),
+                       ("gamma", None), ("cl", "l")):
+        q = ws.add_parser(kind)
+        q.add_argument("n", type=int)
+        if size:
+            q.add_argument(size, type=int)
         q.add_argument("-o", "--output", default=None)
-        q.add_argument("--format", choices=("plain", "structured"),
-                       default="plain")
+        q.add_argument("--format", choices=("plain", "structured"), default="plain")
+    q.add_argument("--with-b", action="store_true")  # cl only
     p.set_defaults(fn=_cmd_witness)
 
     p = sub.add_parser("grow", parents=[common],

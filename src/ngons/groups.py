@@ -5,12 +5,12 @@ point stabilizer on the neighbourhood D_1(x).
 
 Groups are kept as generators and never enumerated: automorphisms are
 found by backtracking over an equitable colour refinement, pruned by the
-orbits of the generators already found.  The order and every pointwise
-stabilizer come from one Schreier–Sims stabilizer chain with a chosen
-base.  Each check starts from the least vertex of each G-orbit, in
-ascending order, as what it decides is G-invariant (Seress 2003, ch. 4):
-one simple path per G-orbit is tested, and transitivity on ordered
-cycles is counted.
+orbits of the generators already found, whose sizes give the order.  A
+pointwise stabilizer is built point by point by Schreier–Sims and kept
+on the group, so the checks share G_x and every path prefix.  Each check
+starts from the least vertex of each G-orbit, in ascending order, as
+what it decides is G-invariant (Seress 2003, ch. 4): one simple path per
+G-orbit is tested, and transitivity on ordered cycles is counted.
 """
 
 from collections import Counter
@@ -26,42 +26,34 @@ def _compose(p, q):
 
 def format_cycles(p):
     """Cycle notation, e.g. (0 1 2)(5 6); the identity prints as ()."""
-    seen = set()
-    out = []
+    seen, out = set(), ""
     for v in sorted(p):
-        if v in seen or p[v] == v:
-            seen.add(v)
-            continue
-        cyc = [v]
-        w = p[v]
-        while w != v:
-            cyc.append(w)
-            w = p[w]
-        seen.update(cyc)
-        out.append("(" + " ".join(str(x) for x in cyc) + ")")
-    return "".join(out) if out else "()"
+        if v not in seen and p[v] != v:
+            cyc = [v]
+            while p[cyc[-1]] != v:
+                cyc.append(p[cyc[-1]])
+            seen.update(cyc)
+            out += "(" + " ".join(map(str, cyc)) + ")"
+    return out or "()"
 
 
 class PermGroup:
     """A permutation group on the vertex set, given by generators.
 
-    `order` and `stabilizer` read a stabilizer chain (`_schreier_sims`);
-    `elements` lists the group, for tests and small groups only (nothing
-    in the library calls it).  Order and elements are cached.
-    """
+    `order` and `stabilizer` read stabilizer chains (`_schreier_sims`);
+    `elements` lists the group, for tests and small groups only.  Order,
+    elements and each stabilizer asked for are kept on the group, which
+    thus points to its subgroups and never back."""
 
     def __init__(self, domain, generators):
         self.domain = tuple(sorted(domain))
         self._points = dom = frozenset(self.domain)
-        gens = []
-        for p in generators:
-            if frozenset(p) != dom or frozenset(p.values()) != dom:
-                raise GraphError("generator is not a permutation of the domain")
-            if any(p[v] != v for v in self.domain):
-                gens.append(dict(p))
-        self.generators = gens
-        self._elements = None
-        self._order = None
+        gens = [dict(p) for p in generators]
+        if not all(frozenset(p) == dom == frozenset(p.values()) for p in gens):
+            raise GraphError("generator is not a permutation of the domain")
+        self.generators = [p for p in gens if any(p[v] != v for v in dom)]
+        self._elements = self._order = None
+        self._stabilizers = {}
 
     def elements(self):
         """Every group element, as a list of dicts (identity included):
@@ -79,27 +71,35 @@ class PermGroup:
         return self._order
 
     def stabilizer(self, fixed):
-        """The pointwise stabilizer of the points `fixed`: the strong
-        generators that fix them in a chain whose base starts with them,
-        with its order read off the same chain."""
+        """The pointwise stabilizer of the points `fixed`, kept on the group.
+        Within H, the stabilizer of fixed[:-1], a chain whose base starts
+        with the last point gives its strong generators and order; once |H|
+        is known, Schreier–Sims stops when the chain accounts for all of H."""
         fixed = tuple(fixed)
+        if fixed in self._stabilizers:
+            return self._stabilizers[fixed]
         if not self._points.issuperset(fixed):
             raise GraphError("%r is not in the group's domain" % (fixed,))
-        dom = self.domain
-        index = {v: i for i, v in enumerate(dom)}
-        gens = [tuple(index[p[v]] for v in dom) for p in self.generators]
-        levels = _schreier_sims(len(dom), gens, [index[v] for v in fixed],
-                                self.order if fixed else None)[len(fixed):]
-        sub = PermGroup(dom, [{v: dom[s[i]] for i, v in enumerate(dom)}
-                              for s, _ in (levels[0][1] if levels else ())])
-        sub._order = prod(len(level[2]) for level in levels)
+        if len(fixed) > 1:  # a point the prefix's group fixes costs nothing
+            sub = self.stabilizer(fixed[:-1])
+            if any(p[fixed[-1]] != fixed[-1] for p in sub.generators):
+                sub = sub.stabilizer(fixed[-1:])
+        else:
+            dom = self.domain
+            index = {v: i for i, v in enumerate(dom)}
+            gens = [tuple(index[p[v]] for v in dom) for p in self.generators]
+            levels = _schreier_sims(len(dom), gens, [index[v] for v in fixed],
+                                    self._order)[len(fixed):]
+            sub = PermGroup(dom, [{v: dom[s[i]] for i, v in enumerate(dom)}
+                                  for s, _ in (levels[0][1] if levels else ())])
+            sub._order = prod(len(level[2]) for level in levels)
+        self._stabilizers[fixed] = sub
         return sub
 
     def orbit(self, x):
         """The orbit of a point (or of a tuple of points, acted on
         componentwise)."""
-        single = not isinstance(x, tuple)
-        start = (x,) if single else x
+        start = x if isinstance(x, tuple) else (x,)
         if not self._points.issuperset(start):
             raise GraphError("%r is not in the group's domain" % (x,))
         seen, queue = {start}, [start]
@@ -110,7 +110,7 @@ class PermGroup:
                 if img not in seen:
                     seen.add(img)
                     queue.append(img)
-        return frozenset(t[0] for t in seen) if single else seen
+        return seen if isinstance(x, tuple) else frozenset(t[0] for t in seen)
 
 
 def _schreier_sims(degree, gens, base, order=None):
@@ -122,9 +122,8 @@ def _schreier_sims(degree, gens, base, order=None):
     fix b_0, ..., b_{i-1} and generate the pointwise stabilizer G_i of
     those points; T_i maps each point of the orbit of b_i under G_i to a
     pair (u, u^-1), u in G_i taking b_i there.  So |G| is the product of
-    the |T_i|.  Given |G|, the search stops when the product reaches it:
-    the products u_0 u_1 ... of one element per T_i are distinct elements
-    of G, so then they are all of G.
+    the |T_i|.  Given |G|, the search stops once the product reaches it:
+    the products u_0 u_1 ... of one element per T_i are distinct in G.
     """
     ident = tuple(range(degree))
     levels = [(b, [], {b: (ident, ident)}) for b in base]
@@ -189,11 +188,11 @@ def automorphism_group(g, type_preserving=True):
     search order to the first, with order[:i] fixed pointwise, it seeks
     one automorphism per candidate image of order[i] not yet in the orbit
     of order[i] under the generators found so far; these subtrees are
-    disjoint parts of the full tree.  By induction from the last level,
-    the generators found at levels >= i generate the pointwise stabilizer
-    of order[:i] (they generate that of order[:i+1] and reach its orbit
-    of order[i]), so at level 0 the whole group.  Each one moves order[i]
-    out of the orbit of the ones before it: it strictly enlarges their group.
+    disjoint.  By induction from the last level, the generators found at
+    levels >= i generate the pointwise stabilizer of order[:i] (they
+    generate that of order[:i+1] and reach its orbit of order[i]), so at
+    level 0 the whole group, of order the product of those orbit sizes.
+    Each one moves order[i] out of the orbit of the ones before it.
     """
     verts = sorted(g.vertices)
     colours = {v: (g.part(v) if type_preserving else 0, len(g.neighbors(v)))
@@ -205,8 +204,7 @@ def automorphism_group(g, type_preserving=True):
         by_colour.setdefault(colours[v], []).append(v)
     # start at a most constrained vertex, then stay connected: a vertex
     # with a mapped neighbour has at most degree-many candidate images
-    order = []
-    placed = set()
+    order, placed = [], set()
     while len(order) < len(verts):
         pool = [v for v in verts if v not in placed]
         anchored = [v for v in pool if g.neighbors(v) & placed]
@@ -230,16 +228,20 @@ def automorphism_group(g, type_preserving=True):
                       if w not in images and colours[w] == colours[v]
                       and g.neighbors(w) & images == want)
 
-    gens = []
+    gens, size = [], 1
     for i in reversed(range(len(order))):
         v = order[i]
         fixed = {u: u for u in order[:i]}
+        orbit = PermGroup(verts, gens).orbit(v)
         for w in candidates(v, fixed):
-            if w not in PermGroup(verts, gens).orbit(v):
+            if w not in orbit:
                 found = _extend(order, candidates, i + 1, {**fixed, v: w})
                 if found is not None:
                     gens.append(found)
+                    orbit = PermGroup(verts, gens).orbit(v)
+        size *= len(orbit)
     grp = PermGroup(verts, gens)
+    grp._order = size
     for p in grp.generators:
         _check_automorphism(g, p, type_preserving)
     return grp
@@ -292,21 +294,20 @@ def _first_failing_path(g, grp, moufang):
     The condition is G-invariant, so that path starts at the least vertex
     x of its orbit; only paths from such x are walked, in the same order.
     Paths from x lie in one G-orbit iff they lie in one G_x-orbit, so a
-    passing path clears its G_x-orbit.  Path stabilizers are read off
-    G_x's chain, whose known order lets Schreier–Sims stop early."""
+    passing path clears its G_x-orbit.  The fixed tuple starts with the
+    path, so Moufang extends the stabilizers kept by strong transitivity."""
     for x in _require(g, grp):
-        stab_x, covered = grp.stabilizer((x,)), set()
+        covered = set()
         for path in simple_paths(g, g.n, (x,)):
             targets = g.neighbors(path[-1]) - {path[-2]}
             if path in covered or not targets:
                 continue
-            fixed = path
-            if moufang:  # the union contains the path; fix the rest too
-                rest = set().union(*(g.neighbors(y) for y in path[1:-1]))
-                fixed += tuple(sorted(rest - set(path)))
-            if stab_x.stabilizer(fixed[1:]).orbit(min(targets)) != targets:
+            # with moufang set, the union contains the path: fix the rest too
+            union = set(path).union(*(g.neighbors(y) for y in path[1:-1] if moufang))
+            fixed = path + tuple(sorted(union - set(path)))
+            if grp.stabilizer(fixed).orbit(min(targets)) != targets:
                 return False, path
-            covered.update(stab_x.orbit(path))
+            covered.update(grp.stabilizer((x,)).orbit(path))
     return True, None
 
 
@@ -345,11 +346,10 @@ def check_remark_2_2(g, grp):
                     if not all(map(g.part, orbit))
                     and (found := enumerate_cycles(g, length, through=(x,))))
         (size, cycles), second = next(carriers, (0, ())), next(carriers, None)
-        if cycles and second is None:  # one cycle, rotated to start in part 0
+        if cycles:  # a cycle, rotated to start in part 0
             cyc = cycles[0][g.part(cycles[0][0]):] + cycles[0][:g.part(cycles[0][0])]
-            stab = grp.stabilizer(cyc)
-        sides.append(not cycles or second is None
-                     and grp.order == 2 * size * len(cycles) * stab.order)
+        sides.append(not cycles or second is None and grp.order
+                     == 2 * size * len(cycles) * grp.stabilizer(cyc).order)
     left, right = sides
     if right and cycles:
         # the 2n-cycles (the last loop) form one orbit: one stabilizer suffices
@@ -357,7 +357,7 @@ def check_remark_2_2(g, grp):
                  for a in g.neighbors(cyc[1]) - {cyc[0], cyc[2]}
                  for b in g.neighbors(cyc[2]) - {cyc[1], cyc[3]}}
         if pairs:
-            right = stab.orbit(min(pairs)) == pairs
+            right = grp.stabilizer(cyc).orbit(min(pairs)) == pairs
     return left == right, left, right
 
 

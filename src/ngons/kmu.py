@@ -71,8 +71,7 @@ class MuFunction:
         if graph.n != self.n:
             raise GraphError("override exemplar has gonality %d, expected %d"
                              % (graph.n, self.n))
-        base = graph.check_subset(base)
-        body = graph.check_subset(body)
+        base, body = graph.check_subset(base), graph.check_subset(body)
         if _is_path_pair(graph, base, body):
             if value != 1:
                 raise GraphError("the path configuration must have mu = 1")
@@ -82,8 +81,7 @@ class MuFunction:
         self.overrides.append((graph, base, body, value))
 
     def __call__(self, g, base, body):
-        base = g.check_subset(base)
-        body = g.check_subset(body)
+        base, body = g.check_subset(base), g.check_subset(body)
         for (xg, xbase, xbody, value) in self.overrides:
             if pairs_isomorphic(g, base, body, xg, xbase, xbody):
                 return value
@@ -140,26 +138,27 @@ def _matches(g1, g2, dom, allowed=None, pinned=()):
         order.append(v)
         placed.add(v)
         left.discard(v)
-    images = set(f.values())
+    return _extend_match(g1, g2, allowed, order, f, set(f.values()), 0)
 
-    def extend(i):
-        if i == len(order):
-            yield f
-            return
-        v = order[i]
-        want = {f[u] for u in g1.neighbors(v) if u in f}
-        pool = g2.neighbors(min(want)) if want else g2.vertices
-        if allowed is not None:
-            pool = pool & allowed(v)
-        for c in sorted(pool - images):
-            if g2.neighbors(c) & images == want:
-                f[v] = c
-                images.add(c)
-                yield from extend(i + 1)
-                del f[v]
-                images.discard(c)
 
-    return extend(0)
+def _extend_match(g1, g2, allowed, order, f, images, i):
+    """The search of `_matches` from order[i] on (a recursive closure would
+    leave a reference cycle behind every call)."""
+    if i == len(order):
+        yield f
+        return
+    v = order[i]
+    want = {f[u] for u in g1.neighbors(v) if u in f}
+    pool = g2.neighbors(min(want)) if want else g2.vertices
+    if allowed is not None:
+        pool = pool & allowed(v)
+    for c in sorted(pool - images):
+        if g2.neighbors(c) & images == want:
+            f[v] = c
+            images.add(c)
+            yield from _extend_match(g1, g2, allowed, order, f, images, i + 1)
+            del f[v]
+            images.discard(c)
 
 
 def find_copies(g, base, body):

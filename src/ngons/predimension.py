@@ -130,6 +130,7 @@ class _Dinic:
                         level[v] = level[u] + 1
                         queue.append(v)
             if level[sink] < 0:
+                augment = None  # it reaches itself through its closure
                 return total, level
             it = [0] * self.size
 

@@ -12,7 +12,8 @@ shape and per-vertex base-edge counts (`_zero_algebraic`): the body is
 connected.  The body search runs over bitmasks, is cut by a vertex-weight
 bound that every connected piece of a body meets, and only bodies whose
 base-edge count the boundary can supply reach the base search, one walk
-over the body's vertices per body (`_pairs_for_body`).
+over the body's vertices per body (`_pairs_for_body`).  For n >= 4 that
+walk keeps the touched body vertices at body distance n - 2 or more.
 """
 
 from dataclasses import dataclass
@@ -46,6 +47,15 @@ def _mask(pos, vertices):
         if w in pos:
             m |= 1 << pos[w]
     return m
+
+
+def _union(masks, m):
+    """The union of masks[i] over the bits i of m."""
+    out = 0
+    while m:
+        out |= masks[(m & -m).bit_length() - 1]
+        m &= m - 1
+    return out
 
 
 def _index(g, body):
@@ -159,6 +169,13 @@ def _pairs_for_body(g, body, target):
     reached exactly once: by disjointness at most one vertex of A covers
     v, and none of the decided vertices below v is its neighbour.
 
+    For n >= 4 and |B| > n - 2, taking v also decides the body vertices
+    within body distance n - 3 of the new neighbourhood, without a base
+    edge, and is refused if a required vertex is among them: two touched
+    vertices at body distance d <= n - 3 lie on a shortest path P in B of
+    k = d + 1 < |B| vertices, induced, with e(P, A) >= 2, so delta(P/A)
+    <= (n-1)k - (n-2)(k+1) = k - (n-2) <= 0.  n = 3 takes no new work.
+
     The verdict for A depends only on n, the body's internal adjacency
     and the mask of the body vertices A touches (`_zero_algebraic`), so
     it is memoised on exactly those: a body shape met again in a later
@@ -168,11 +185,16 @@ def _pairs_for_body(g, body, target):
     need = 2 if n == 3 else 1
     bpos, adj = _index(g, body)
     required = sum(1 << i for i, m in enumerate(adj) if m.bit_count() == need)
+    radius = n - 3 if len(adj) > n - 2 else 0
+    ball = [m | 1 << i for i, m in enumerate(adj)] if radius else ()
+    for _ in range(radius - 1):  # ball[i]: the body vertices within radius of i
+        ball = [_union(ball, m | 1 << i) for i, m in enumerate(adj)]
     by_low = {}
     for a in sorted(set().union(*(g.neighbors(v) for v in body)) - body):
         m = _mask(bpos, g.neighbors(a))
-        if m.bit_count() <= target:
-            by_low.setdefault((m & -m).bit_length() - 1, []).append((a, m))
+        near = _union(ball, m) if radius else m
+        if m.bit_count() <= target and not near & ~m & required:
+            by_low.setdefault((m & -m).bit_length() - 1, []).append((a, m, near))
     full = (1 << len(adj)) - 1
     pairs = []
     # (decided, used = the body vertices that `chosen` touches, chosen,
@@ -194,9 +216,9 @@ def _pairs_for_body(g, body, target):
         low = open_ & -open_
         if not low & required:
             stack.append((decided | low, used, chosen, weight))
-        for a, m in by_low.get(low.bit_length() - 1, ()):
+        for a, m, near in by_low.get(low.bit_length() - 1, ()):
             if not m & decided and weight + m.bit_count() <= target:
-                stack.append((decided | m, used | m, chosen + (a,),
+                stack.append((decided | near, used | m, chosen + (a,),
                               weight + m.bit_count()))
     return pairs
 

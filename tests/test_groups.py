@@ -340,13 +340,22 @@ def test_battery_matches_element_scan_on_random_subgroups(scan_corpus):
 
 
 def test_stabilizer_chain_matches_element_scan(scan_corpus):
+    """Each group answers tuples that share prefixes, last points or
+    lengths, a longer one both before and after its prefixes, from the
+    stabilizers it keeps; asked again, it returns the same object."""
     rng = random.Random(5)
     for g, grp, x in scan_corpus:
         ref = ElementScan(g, grp)
         verts = sorted(g.vertices)
-        for size in (0, 1, rng.randrange(2, len(verts)), len(verts)):
-            fixed = tuple(rng.sample(verts, size))
+        whole = tuple(rng.sample(verts, len(verts)))
+        t = whole[:rng.randrange(2, len(verts))]
+        asked = [t, t[:1], t[:-1], t, t[1:], t[-1:], t[::-1], (), whole,
+                 t[:-1] + whole[-1:], t + whole[-1:]]
+        answers = {}
+        for fixed in asked:
             stab, members = grp.stabilizer(fixed), ref.stabilizer(fixed)
+            assert stab is answers.setdefault(fixed, stab)
+            assert stab is grp.stabilizer(list(fixed))
             assert all(p[v] == v for p in stab.generators for v in fixed)
             assert stab.order == len(members)
             assert stab.orbit(x) == {p[x] for p in members}
@@ -502,6 +511,25 @@ def test_each_generator_enlarges_the_group(fano, gq22, pg23):
             orders = [PermGroup(sorted(g.vertices), gens[:k]).order
                       for k in range(len(gens) + 1)]
             assert all(a < b for a, b in zip(orders, orders[1:]))
+
+
+def test_battery_leaves_no_reference_cycle(fano, gq22, pg23):
+    """A group points to the stabilizers it keeps and they never point
+    back: after a full battery, dropping the group frees every chain
+    without the cyclic collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (fano, gq22, pg23):
+            grp = automorphism_group(g)
+            assert is_strongly_transitive(g, grp) == is_moufang(g, grp) == (True, None)
+            assert check_remark_2_2(g, grp) == (True, True, True)
+            assert stabilizer_transitivity_degree(g, grp, 0) >= 3
+            assert grp.stabilizer((0,)).order < grp.order
+            del grp
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_automorphism_group_leaves_no_reference_cycle():

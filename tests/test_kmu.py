@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, permutations
 
@@ -6,9 +7,10 @@ import pytest
 import ngons.kmu
 from conftest import random_bipartite
 from ngons import (BipartiteGraph, GraphError, MuFunction, TEMPLATES,
-                   count_copies, default_mu, delta, find_copies, free_amalgam,
-                   girth, grow, in_class, is_connected, make_cl_witness,
-                   make_cycle, make_path, pairs_isomorphic, copies_equivalent)
+                   count_copies, default_mu, delta, enumerate_zero_min_pairs,
+                   find_copies, free_amalgam, girth, grow, in_class,
+                   is_connected, make_cl_witness, make_cycle, make_path,
+                   pairs_isomorphic, copies_equivalent)
 
 
 def double_path(n):
@@ -402,3 +404,21 @@ def test_incremental_agrees_on_rejected_candidates_n4(monkeypatch):
         templates=("pendant_path", "path_completion", "cycle_attach"))
     assert rejected >= 15 and conditions == ALL_CONDITIONS
     assert old_base_recount
+
+
+def test_matcher_leaves_no_reference_cycle():
+    """The matcher frees its search without the cyclic collector, run to
+    the end (find_copies) or stopped at the first match."""
+    g = make_cl_witness(3, 3)
+    pairs = [p for p in enumerate_zero_min_pairs(g) if len(p.body) > 1][::5]
+    assert len(pairs) > 5
+    gc.collect()
+    gc.disable()
+    try:
+        for p in pairs:
+            copies = find_copies(g, p.base, p.body)
+            assert copies_equivalent(g, p.base, p.body, max(copies, key=sorted))
+            assert pairs_isomorphic(g, p.base, p.body, g, p.base, p.body)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,11 +1,13 @@
+import gc
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ngons import (acl_relative, closure, d_min, d_rel, delta, delta_rel,
-                   is_strong, make_cycle, make_gamma, make_path, BipartiteGraph,
-                   GraphError)
+                   is_strong, make_cl_witness, make_cycle, make_gamma, make_path,
+                   BipartiteGraph, GraphError)
+from ngons.graph import enumerate_cycles
 from ngons.predimension import _min_superset
 from conftest import MaskOracle, random_bipartite, sparse_graph
 
@@ -288,3 +290,21 @@ def test_closure_contained_in_every_strong_superset(data):
     cl = closure(g, a)
     for s in oracle.strong_supersets(a):
         assert cl <= s
+
+
+def test_min_cut_leaves_no_reference_cycle():
+    """The max flow behind `_min_superset` frees its networks without
+    the cyclic collector, on every 8- and 10-cycle of a cl witness."""
+    g = make_cl_witness(3, 3)
+    cycles = [frozenset(c) for k in (8, 10) for c in enumerate_cycles(g, k)]
+    assert len(cycles) > 10
+    gc.collect()
+    gc.disable()
+    try:
+        for c in cycles:
+            _min_superset(g, c, g.vertices)
+            is_strong(g, c)
+            closure(g, c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

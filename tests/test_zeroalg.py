@@ -1,6 +1,7 @@
 import random
 import sys
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -326,17 +327,19 @@ def test_memo_shared_by_relabelled_bodies():
 
 def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
     """For every candidate body with at most 14 boundary vertices, on cl
-    witnesses with and without b and on grown n = 3 and n = 4 graphs, the
-    base search yields exactly the A inside the boundary with e(B, A) =
-    delta(B)/(n-2) over which B is 0-minimally algebraic.  Every boundary
-    vertex sends an edge into B, so such an A has at most that many
-    vertices."""
-    graphs = [make_cl_witness(n, l, with_b=b)
+    witnesses with and without b, on cl(5, 2) and cl(6, 2) at small caps
+    (where the radius n - 3 that a touched body vertex blocks exceeds 1)
+    and on grown n = 3 and n = 4 graphs, the base search yields exactly
+    the A inside the boundary with e(B, A) = delta(B)/(n-2) over which B
+    is 0-minimally algebraic.  Every boundary vertex sends an edge into B,
+    so such an A has at most that many vertices."""
+    graphs = [(make_cl_witness(n, l, with_b=b), None)
               for n, l in ((3, 2), (3, 3), (4, 2)) for b in (False, True)]
-    graphs += [g for g, _ in grow_outputs.values()]
-    graphs += [grow(make_cycle(4, 10), 2, s,
-                    templates=("pendant_path", "path_completion",
-                               "cycle_attach"))[0] for s in range(1, 7)]
+    graphs += [(make_cl_witness(5, 2), 10), (make_cl_witness(6, 2), 8)]
+    graphs += [(g, None) for g, _ in grow_outputs.values()]
+    graphs += [(grow(make_cycle(4, 10), 2, s,
+                     templates=("pendant_path", "path_completion",
+                                "cycle_attach"))[0], None) for s in range(1, 7)]
     real = ngons.zeroalg._candidate_bodies
     seen = []
 
@@ -347,9 +350,10 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
 
     monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", record)
     bodies = pairs = 0
-    for g in graphs:
+    per_n = Counter()
+    for g, cap in graphs:
         seen.clear()
-        enumerate_zero_min_pairs(g)
+        enumerate_zero_min_pairs(g, cap)
         for body, target in seen:
             boundary = sorted(set().union(*(g.neighbors(v) for v in body))
                               - body)
@@ -366,5 +370,6 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
             assert set(got) == expect
             bodies += 1
             pairs += len(got)
-    assert {g.n for g in graphs} == {3, 4}
+            per_n[g.n] += len(got)
+    assert sorted(per_n) == [3, 4, 5, 6] and min(per_n.values()) > 10, per_n
     assert bodies > 1000 and pairs > 100

@@ -1,6 +1,7 @@
 """Finite bipartite graphs with a gonality parameter, plus the basic metric
-machinery: distances, girth, diameter, cycle enumeration and the
-generalized n-gon axioms.
+machinery: distances, girth, diameter, cycle enumeration, the
+generalized n-gon axioms, and the one backtracking matcher behind
+copies, configuration isomorphism and automorphisms (`_matches`).
 
 Vertices are opaque integers carrying a part label in {0, 1}.  All graphs
 are simple and every edge joins part 0 to part 1.  Graphs are immutable
@@ -297,6 +298,48 @@ def simple_paths(g, length, start=None):
                 if w not in seen:
                     stack.append((path + (w,), seen | {w}))
     return out
+
+
+def _matches(g1, g2, dom, allowed=None, pinned=()):
+    """Yield every injective map f of `dom` into g2 that extends the
+    `pinned` pairs, keeps adjacency and non-adjacency between any two
+    mapped vertices and sends each v into allowed(v) (default: anywhere).
+
+    The order is connected where it can be: next comes the smallest
+    vertex with a mapped neighbour, else the smallest one left, and a
+    vertex with a mapped neighbour u only tries the neighbours of f(u).
+    The yielded dict is reused by the search; copy what you keep.
+    """
+    f = dict(pinned)
+    order, placed, left = [], set(f), set(dom) - set(f)
+    while left:
+        v = min([u for u in left if not placed.isdisjoint(g1.neighbors(u))]
+                or left)
+        order.append(v)
+        placed.add(v)
+        left.discard(v)
+    return _extend_match(g1, g2, allowed, order, f, set(f.values()), 0)
+
+
+def _extend_match(g1, g2, allowed, order, f, images, i):
+    """The search of `_matches` from order[i] on, in the caller's order:
+    `f` holds the maps of order[:i] and `images` their images.  (A
+    recursive closure would leave a reference cycle behind every call.)"""
+    if i == len(order):
+        yield f
+        return
+    v = order[i]
+    want = {f[u] for u in g1.neighbors(v) if u in f}
+    pool = g2.neighbors(min(want)) if want else g2.vertices
+    if allowed is not None:
+        pool = pool & allowed(v)
+    for c in sorted(pool - images):
+        if g2.neighbors(c) & images == want:
+            f[v] = c
+            images.add(c)
+            yield from _extend_match(g1, g2, allowed, order, f, images, i + 1)
+            del f[v]
+            images.discard(c)
 
 
 def connected_components(g, within=None):

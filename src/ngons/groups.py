@@ -4,19 +4,22 @@ ordered cycles, the Moufang condition, and the transitivity degree of a
 point stabilizer on the neighbourhood D_1(x).
 
 Groups are kept as generators and never enumerated: automorphisms are
-found by backtracking over an equitable colour refinement, pruned by the
-orbits of the generators already found, whose sizes give the order.  A
-pointwise stabilizer is built point by point by Schreier–Sims and kept
-on the group, so the checks share G_x and every path prefix.  Each check
-starts from the least vertex of each G-orbit, in ascending order, as
-what it decides is G-invariant (Seress 2003, ch. 4): one simple path per
-G-orbit is tested, and transitivity on ordered cycles is counted.
+found by the backtracking matcher of `graph`, the one `kmu` finds copies
+with, each vertex mapped into its class of an equitable colour
+refinement; the search is pruned by the orbits of the generators already
+found, whose sizes give the order.  A pointwise stabilizer is built
+point by point by Schreier–Sims and kept on the group, so the checks
+share G_x and every path prefix.  Each check starts from the least
+vertex of each G-orbit, in ascending order, as what it decides is
+G-invariant (Seress 2003, ch. 4): one simple path per G-orbit is
+tested, and transitivity on ordered cycles is counted.
 """
 
 from collections import Counter
 from math import perm, prod
 
-from .graph import GraphError, enumerate_cycles, is_generalized_ngon, simple_paths
+from .graph import (GraphError, enumerate_cycles, is_generalized_ngon, simple_paths,
+                    _extend_match, _matches)
 
 
 def _compose(p, q):
@@ -144,9 +147,10 @@ def _schreier_sims(degree, gens, base, order=None):
             if s[x] not in trans:
                 trans[s[x]] = (_compose(s, u), _compose(uinv, sinv))
                 pairs.extend((s[x], j) for j in range(len(strong)))
+        # the product grows only above and in add([h], i + 1) below
+        if order == prod(len(level[2]) for level in levels):
+            return
         for x, k in pairs:
-            if order == prod(len(level[2]) for level in levels):
-                return
             s = strong[k][0]
             h = _compose(trans[s[x]][1], _compose(s, trans[x][0]))
             for b, _, lower in levels[i + 1:]:  # sift h
@@ -155,6 +159,8 @@ def _schreier_sims(degree, gens, base, order=None):
                 h = _compose(lower[h[b]][1], h)
             if h != ident:
                 add([h], i + 1)
+                if order == prod(len(level[2]) for level in levels):
+                    return
 
     if gens:
         add(gens, 0)
@@ -183,12 +189,15 @@ def automorphism_group(g, type_preserving=True):
 
     Backtracking over an equitable colour refinement; the initial colours
     encode the part labels when type_preserving is set, and vertex degrees
-    otherwise.  The search is pruned by the orbits of the automorphisms
-    already found (McKay & Piperno 2014): from the last vertex of the
-    search order to the first, with order[:i] fixed pointwise, it seeks
-    one automorphism per candidate image of order[i] not yet in the orbit
-    of order[i] under the generators found so far; these subtrees are
-    disjoint.  By induction from the last level, the generators found at
+    otherwise.  Maps are extended by the matcher `graph._extend_match`,
+    each vertex into its colour class, in one fixed order: next comes a
+    vertex with the most mapped neighbours, or if none has one, a vertex
+    of a smallest class.  The search is pruned by the orbits of the
+    automorphisms already found (McKay & Piperno 2014): from the last
+    vertex of the order to the first, with order[:i] fixed pointwise, it
+    seeks one automorphism per candidate image of order[i] not yet in the
+    orbit of order[i] under the generators found so far; these subtrees
+    are disjoint.  By induction from the last level, the generators found at
     levels >= i generate the pointwise stabilizer of order[:i] (they
     generate that of order[:i+1] and reach its orbit of order[i]), so at
     level 0 the whole group, of order the product of those orbit sizes.
@@ -201,7 +210,9 @@ def automorphism_group(g, type_preserving=True):
     colours = _refine_colours(g, {v: palette[colours[v]] for v in verts})
     by_colour = {}
     for v in verts:
-        by_colour.setdefault(colours[v], []).append(v)
+        by_colour.setdefault(colours[v], set()).add(v)
+    cls = {v: c for c in map(frozenset, by_colour.values()) for v in c}
+    allowed = cls.__getitem__  # the images of v keep its colour
     # start at a most constrained vertex, then stay connected: a vertex
     # with a mapped neighbour has at most degree-many candidate images
     order, placed = [], set()
@@ -211,33 +222,23 @@ def automorphism_group(g, type_preserving=True):
         if anchored:
             nxt = max(anchored,
                       key=lambda v: (len(g.neighbors(v) & placed),
-                                     -len(by_colour[colours[v]]), -v))
+                                     -len(cls[v]), -v))
         else:
-            nxt = min(pool, key=lambda v: (len(by_colour[colours[v]]), colours[v], v))
+            nxt = min(pool, key=lambda v: (len(cls[v]), colours[v], v))
         order.append(nxt)
         placed.add(nxt)
-
-    def candidates(v, mapping):
-        """Images of v consistent with colours and the mapped neighbours."""
-        mapped_nbrs = [u for u in g.neighbors(v) if u in mapping]
-        pool = (g.neighbors(mapping[mapped_nbrs[0]]) if mapped_nbrs
-                else by_colour[colours[v]])
-        want = {mapping[u] for u in mapped_nbrs}
-        images = set(mapping.values())
-        return sorted(w for w in pool
-                      if w not in images and colours[w] == colours[v]
-                      and g.neighbors(w) & images == want)
 
     gens, size = [], 1
     for i in reversed(range(len(order))):
         v = order[i]
         fixed = {u: u for u in order[:i]}
         orbit = PermGroup(verts, gens).orbit(v)
-        for w in candidates(v, fixed):
+        for w in [f[v] for f in _matches(g, g, (v,), allowed, fixed)]:
             if w not in orbit:
-                found = _extend(order, candidates, i + 1, {**fixed, v: w})
+                found = next(_extend_match(g, g, allowed, order, {**fixed, v: w},
+                                           {*fixed, w}, i + 1), None)
                 if found is not None:
-                    gens.append(found)
+                    gens.append(dict(found))
                     orbit = PermGroup(verts, gens).orbit(v)
         size *= len(orbit)
     grp = PermGroup(verts, gens)
@@ -245,18 +246,6 @@ def automorphism_group(g, type_preserving=True):
     for p in grp.generators:
         _check_automorphism(g, p, type_preserving)
     return grp
-
-
-def _extend(order, candidates, i, mapping):
-    """The first automorphism extending mapping on order[:i], or None (a
-    recursive closure would leave a reference cycle behind every call)."""
-    if i == len(order):
-        return mapping
-    for w in candidates(order[i], mapping):
-        found = _extend(order, candidates, i + 1, {**mapping, order[i]: w})
-        if found is not None:
-            return found
-    return None
 
 
 def _check_automorphism(g, p, type_preserving):

@@ -13,15 +13,16 @@ cap, so a verdict holds only within those limits.  The reports do not
 record them; `ngons kmu` prints them.
 
 Copies, copy equivalence, configuration isomorphism and the path test
-behind mu = 1 all run on one backtracking matcher, `_matches`; each of
-them raises GraphError on a body that meets its base.
+behind mu = 1 all run on one backtracking matcher, `graph._matches`,
+which the automorphism search shares; each of them raises GraphError on
+a body that meets its base.
 """
 
 import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import GraphError, enumerate_cycles
+from .graph import GraphError, enumerate_cycles, _matches
 from . import io as gio
 from .predimension import delta, is_strong, _min_superset
 from .witnesses import make_path
@@ -118,47 +119,6 @@ def default_mu(n):
 def default_horizon(n):
     """The longest cycle condition 2 examines unless told otherwise."""
     return 2 * n + 6
-
-
-def _matches(g1, g2, dom, allowed=None, pinned=()):
-    """Yield every injective map f of `dom` into g2 that extends the
-    `pinned` pairs, keeps adjacency and non-adjacency between any two
-    mapped vertices and sends each v into allowed(v) (default: anywhere).
-
-    The order is connected where it can be: next comes the smallest
-    vertex with a mapped neighbour, else the smallest one left, and a
-    vertex with a mapped neighbour u only tries the neighbours of f(u).
-    The yielded dict is reused by the search; copy what you keep.
-    """
-    f = dict(pinned)
-    order, placed, left = [], set(f), set(dom) - set(f)
-    while left:
-        v = min([u for u in left if not placed.isdisjoint(g1.neighbors(u))]
-                or left)
-        order.append(v)
-        placed.add(v)
-        left.discard(v)
-    return _extend_match(g1, g2, allowed, order, f, set(f.values()), 0)
-
-
-def _extend_match(g1, g2, allowed, order, f, images, i):
-    """The search of `_matches` from order[i] on (a recursive closure would
-    leave a reference cycle behind every call)."""
-    if i == len(order):
-        yield f
-        return
-    v = order[i]
-    want = {f[u] for u in g1.neighbors(v) if u in f}
-    pool = g2.neighbors(min(want)) if want else g2.vertices
-    if allowed is not None:
-        pool = pool & allowed(v)
-    for c in sorted(pool - images):
-        if g2.neighbors(c) & images == want:
-            f[v] = c
-            images.add(c)
-            yield from _extend_match(g1, g2, allowed, order, f, images, i + 1)
-            del f[v]
-            images.discard(c)
 
 
 def find_copies(g, base, body):

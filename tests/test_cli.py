@@ -1,8 +1,12 @@
+import re
+
 import pytest
 
 from ngons import (BipartiteGraph, format_graph, make_cycle, make_path,
                    parse_graph, fano_graph)
 from ngons.cli import main
+
+CYCLES = re.compile(r"(\(\d+( \d+)+\))+")  # format_cycles of a non-identity
 
 
 @pytest.fixture()
@@ -155,7 +159,11 @@ def test_group_commands(capsys, fano_file):
     code, out, _ = run(capsys, "aut", fano_file, "--type-preserving")
     lines = out.splitlines()
     assert code == 0 and lines[0] == "order 168"
-    assert all(line.startswith("(") for line in lines[1:])
+    assert all(CYCLES.fullmatch(line) for line in lines[1:])
+    code, out, _ = run(capsys, "aut", fano_file)
+    lines = out.splitlines()
+    assert code == 0 and lines[0] == "order 336"
+    assert len(lines) > 1 and all(CYCLES.fullmatch(line) for line in lines[1:])
     code, out, _ = run(capsys, "strans", fano_file)
     assert code == 0 and out.strip() == "true"
     code, out, _ = run(capsys, "moufang", fano_file)

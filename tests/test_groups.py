@@ -532,13 +532,15 @@ def test_battery_leaves_no_reference_cycle(fano, gq22, pg23):
         gc.enable()
 
 
-def test_automorphism_group_leaves_no_reference_cycle():
-    """The search frees what it built without the cyclic collector."""
-    g = fano_graph()
+def test_automorphism_group_leaves_no_reference_cycle(fano, gq22, pg23):
+    """The search frees what it built, the matcher it stops at each
+    automorphism found included, without the cyclic collector."""
     gc.collect()
     gc.disable()
     try:
-        automorphism_group(g)
-        assert gc.collect() == 0
+        for g in (fano, gq22, pg23):
+            for type_preserving in (True, False):
+                automorphism_group(g, type_preserving)
+                assert gc.collect() == 0
     finally:
         gc.enable()

@@ -204,8 +204,7 @@ def _candidate(g, rng, template):
 TEMPLATES = ("pendant_path", "path_completion", "cycle_attach", "cl_witness")
 
 
-def grow(seed, steps, rng_seed, mu=None, horizon=None, max_body=None,
-         templates=TEMPLATES):
+def grow(seed, steps, rng_seed, mu=None, templates=TEMPLATES):
     """Grow a class member by `steps` seeded amalgamation attempts.
 
     Returns (graph, log).  Rejected candidates are logged, never
@@ -213,7 +212,7 @@ def grow(seed, steps, rng_seed, mu=None, horizon=None, max_body=None,
     """
     if mu is None:
         mu = default_mu(seed.n)
-    ok, reports = in_class(seed, mu, horizon=horizon, max_body=max_body)
+    ok, reports = in_class(seed, mu)
     if not ok:
         raise AmalgamError("seed graph is not in the class: %s"
                            % "; ".join(r.format() for r in reports))
@@ -237,8 +236,7 @@ def grow(seed, steps, rng_seed, mu=None, horizon=None, max_body=None,
         # the previous graph is a member; in_class verifies that it stays
         # strongly embedded, and then only looks at the new vertices
         try:
-            ok, reports = in_class(candidate, mu, horizon=horizon,
-                                   max_body=max_body, member_base=g.vertices)
+            ok, reports = in_class(candidate, mu, member_base=g.vertices)
         except GraphError as exc:
             raise AmalgamError(
                 "strong persistence failed at step %d: previous graph is no "

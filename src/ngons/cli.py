@@ -5,10 +5,13 @@ format.  Exit codes: 0 when the queried property holds, 1 when it fails
 (with a witness where one exists), 2 on malformed input.  Output is
 deterministic; `--format structured` prints the same data as key-value
 records.  `kmu` and `zeroalg --enumerate` first print the search limits
-they run under (`SEARCHED ...`) on stderr.
+they run under (`SEARCHED ...`) on stderr.  A reader that closes stdout
+early (`ngons aut g.txt | head -n 1`) ends the command with exit code 1
+and no traceback.
 """
 
 import argparse
+import os
 import re
 import sys
 
@@ -305,7 +308,16 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code else 0
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit does not fail again (the recipe of Python's `signal` docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (_InputError, GraphError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

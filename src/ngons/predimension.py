@@ -15,12 +15,13 @@ All minimisation -- ``d_min``, ``closure``, ``is_strong`` and the
 network with a node per vertex and an arc pair per edge
 (Picard-Queyranne), built by ``_cut_network``: ``_min_superset`` reads
 the smallest minimiser off it, ``zeroalg`` the strong connectivity of its
-residual network.  Brute force over subsets cross-checks both in the test
-suite.
+residual network.  The max flow takes shortest augmenting paths, and one
+breadth-first residual search (``_Network.reach``) finds the augmenting
+paths, the source side of the cut and strong connectivity.  Brute force
+over subsets cross-checks both in the test suite.
 """
 
 import math
-from collections import deque
 
 from .graph import GraphError
 
@@ -93,13 +94,12 @@ def is_strong(g, a, b=None):
     return False, w
 
 
-class _Dinic:
-    """Plain max-flow on arc arrays, residual capacities kept in place.
+class _Network:
+    """Max-flow on arc arrays, residual capacities kept in place, by
+    shortest augmenting paths (Edmonds and Karp, J. ACM 1972).
 
-    `max_flow` returns the flow value and the BFS levels of its last
-    round, which found no path to the sink: the nodes with a level are
-    exactly those reachable from the source in the residual network, the
-    source side of the smallest minimum cut."""
+    One breadth-first residual search, `reach`, finds the augmenting
+    paths, the source side of the cut and strong connectivity."""
 
     def __init__(self, size):
         self.size = size
@@ -115,62 +115,48 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(reverse)
 
-    def max_flow(self, source, sink):
+    def reach(self, start, back=0, first=0):
+        """The nodes from `first` on that `start` reaches along residual
+        arcs (against them when back=1), each mapped to the arc that
+        reached it first (`start` to None)."""
         to, cap, adj = self.to, self.cap, self.adj
+        side = {start: None}
+        queue = [start]
+        for u in queue:
+            for e in adj[u]:
+                v = to[e]
+                # arc e runs u -> v, its partner e ^ 1 runs v -> u
+                if v >= first and v not in side and cap[e ^ back] > 0:
+                    side[v] = e
+                    queue.append(v)
+        return side
+
+    def max_flow(self, source, sink):
+        """The flow value and the last `reach(source)`, which misses the
+        sink: exactly the nodes reachable from the source in the residual
+        network, the source side of the smallest minimum cut."""
+        to, cap = self.to, self.cap
         total = 0
-        while True:
-            level = [-1] * self.size
-            level[source] = 0
-            queue = deque([source])
-            while queue:
-                u = queue.popleft()
-                for e in adj[u]:
-                    v = to[e]
-                    if cap[e] > 0 and level[v] < 0:
-                        level[v] = level[u] + 1
-                        queue.append(v)
-            if level[sink] < 0:
-                augment = None  # it reaches itself through its closure
-                return total, level
-            it = [0] * self.size
-
-            def augment(u, limit):
-                if u == sink:
-                    return limit
-                while it[u] < len(adj[u]):
-                    e = adj[u][it[u]]
-                    v = to[e]
-                    if cap[e] > 0 and level[v] == level[u] + 1:
-                        pushed = augment(v, min(limit, cap[e]))
-                        if pushed:
-                            cap[e] -= pushed
-                            cap[e ^ 1] += pushed
-                            return pushed
-                    it[u] += 1
-                return 0
-
-            while pushed := augment(source, float("inf")):
-                total += pushed
+        while sink in (side := self.reach(source)):
+            path = []
+            v = sink
+            while v != source:
+                e = side[v]
+                path.append(e)
+                v = to[e ^ 1]
+            pushed = min(cap[e] for e in path)
+            for e in path:
+                cap[e] -= pushed
+                cap[e ^ 1] += pushed
+            total += pushed
+        return total, side
 
     def strongly_connected(self, first):
         """Is the residual network restricted to the nodes from `first` on
         strongly connected?  One search along residual arcs and one
         against them, both from `first`."""
-        to, cap = self.to, self.cap
-        for back in (0, 1):
-            seen = {first}
-            stack = [first]
-            while stack:
-                u = stack.pop()
-                for e in self.adj[u]:
-                    v = to[e]
-                    # arc e runs u -> v, its partner e ^ 1 runs v -> u
-                    if v >= first and v not in seen and cap[e ^ back] > 0:
-                        seen.add(v)
-                        stack.append(v)
-            if len(seen) < self.size - first:
-                return False
-        return True
+        return all(len(self.reach(first, back, first)) == self.size - first
+                   for back in (0, 1))
 
 
 def _cut_network(n, rows):
@@ -178,7 +164,7 @@ def _cut_network(n, rows):
     0, 1, ...: rows[i] = (e(i, A), the free neighbours of i).  Node 0 is
     the source, node 1 the sink and node 2 + i free vertex i.  Returns the
     network and the offered total of -w(v) over w(v) < 0."""
-    net = _Dinic(2 + len(rows))
+    net = _Network(2 + len(rows))
     offered = 0
     for i, (base_edges, free_nbrs) in enumerate(rows):
         w = 2 * (n - 1) - 2 * (n - 2) * base_edges - (n - 2) * len(free_nbrs)
@@ -233,9 +219,9 @@ def _min_superset(g, a, ground):
                 free_nbrs.append(index[u])
         rows.append((base_edges, free_nbrs))
     net, offered = _cut_network(g.n, rows)
-    cut, level = net.max_flow(0, 1)
+    cut, side = net.max_flow(0, 1)
     return (base - (offered - cut) // 2,
-            a | {v for i, v in enumerate(free) if level[2 + i] >= 0})
+            a | {v for i, v in enumerate(free) if 2 + i in side})
 
 
 def d_min(g, a, within=None):

@@ -118,13 +118,12 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
     Only connected bodies are searched: a disconnected body has a
     component with nonpositive relative delta, contradicting minimality.
 
-    With `around` (a vertex set), only pairs whose base or body meets it
-    are returned; the search is pruned accordingly.  Without it the same
-    search runs with every ground vertex in the touch set.
+    With `around` (a vertex set, default: every vertex), only pairs whose
+    base or body meets it are returned; the search is pruned accordingly.
     """
     n = g.n
     cap = default_body_cap(n) if max_body is None else max_body
-    around = None if around is None else g.check_subset(around)
+    around = g.vertices if around is None else g.check_subset(around)
     pairs = []
     # Singleton bodies: delta(b/A) = 0 forces (n-2) | n-1, i.e. n = 3 with
     # exactly two base neighbours.
@@ -144,13 +143,11 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
         # a relevant pair has base or body meeting `around`, so its body
         # meets `around` or the neighbourhood of `around`, the touch set;
         # a connected body then stays within the cap-ball around that
-        touch = ground if around is None else \
-            set(around).union(*(g.neighbors(v) for v in around))
+        touch = set(around).union(*(g.neighbors(v) for v in around))
         dist = _ball(g, touch & ground, cap - 1, ground.__contains__)
         for body, target in _candidate_bodies(g, set(dist), cap, dist):
             pairs.extend(_pairs_for_body(g, body, target))
-    if around is not None:
-        pairs = [p for p in pairs if (p.base | p.body) & around]
+    pairs = [p for p in pairs if (p.base | p.body) & around]
     return sorted(pairs, key=lambda p: (sorted(p.body), sorted(p.base)))
 
 

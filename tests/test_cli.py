@@ -1,7 +1,11 @@
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
+import ngons
 from ngons import (BipartiteGraph, format_graph, make_cycle, make_path,
                    parse_graph, fano_graph)
 from ngons.cli import main
@@ -170,6 +174,21 @@ def test_group_commands(capsys, fano_file):
     assert code == 0 and out.strip() == "true"
     code, out, _ = run(capsys, "transdeg", fano_file, "0")
     assert code == 0 and out.strip() == "3"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+def test_closed_stdout_exits_1_without_traceback(fano_file, unbuffered):
+    """A reader that closes stdout before the command writes (as `head`
+    does once it has its line) gets exit code 1 and nothing on stderr."""
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.path.dirname(os.path.dirname(ngons.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "ngons.cli", "aut", fano_file],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=env)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_malformed_inputs(capsys, tmp_path, fano_file):

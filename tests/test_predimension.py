@@ -308,3 +308,21 @@ def test_min_cut_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_min_cut_on_a_long_tube():
+    """The tube C4 x P_1200: vertex 4l + i is corner i of layer l, each
+    layer a 4-cycle, and a rung joins 4l + i to 4(l+1) + i.  One end
+    layer is strong with d = delta = 4; the augmenting paths run the
+    length of the tube, which no recursion depth may limit."""
+    layers = 1200
+    parts = {4 * l + i: (l + i) % 2 for l in range(layers) for i in range(4)}
+    edges = [(4 * l + i, 4 * l + (i + 1) % 4)
+             for l in range(layers) for i in range(4)]
+    edges += [(4 * l + i, 4 * (l + 1) + i)
+              for l in range(layers - 1) for i in range(4)]
+    g = BipartiteGraph(3, parts, edges)
+    a = frozenset(range(4))
+    assert d_min(g, a) == 4
+    assert closure(g, a) == a
+    assert is_strong(g, a) == (True, None)

@@ -4,11 +4,13 @@ generalized n-gon axioms, and the one backtracking matcher behind
 copies, configuration isomorphism and automorphisms (`_matches`).
 
 Vertices are opaque integers carrying a part label in {0, 1}.  All graphs
-are simple and every edge joins part 0 to part 1.  Graphs are immutable
-after construction; no operation here mutates its input.
+are simple and every edge joins part 0 to part 1.  No operation mutates a
+graph; it only gains its bitset index (`_index`), built on first use for
+the min-cuts and the pair search and left out of == and hash.
 """
 
 import math
+from functools import cached_property
 
 INFINITY = math.inf
 
@@ -64,6 +66,10 @@ class BipartiteGraph:
                 raise GraphError("subset %r mentions unknown vertices" % (name,))
             self.subsets[name] = members
 
+    @cached_property
+    def _index(self):
+        return _Index(self)
+
     def part(self, v):
         try:
             return self._part[v]
@@ -83,13 +89,8 @@ class BipartiteGraph:
         return v in self.neighbors(u)
 
     def edge_count(self, a, b=None):
-        """Number of edges inside a, or between disjoint-or-not sets a and b.
-
-        With one argument: edges with both endpoints in a.  With two:
-        edges with one endpoint in a and the other in b (edges inside the
-        intersection are not counted twice; the two-argument form counts
-        pairs (u, v), u in a, v in b, u-v an edge, each unordered edge once).
-        """
+        """The number of edges inside a; with b, of edges with one end in a
+        and the other in b, each once (also those inside a & b)."""
         a = frozenset(a)
         if b is None:
             return sum(len(self._adj[v] & a) for v in a if v in self._adj) // 2
@@ -126,6 +127,47 @@ class BipartiteGraph:
             self.n, len(self.vertices), len(self.edges))
 
 
+class _Index:
+    """Sorted vertices, their positions, and per position the adjacency
+    bitmask (bit j for a neighbour at position j) and the degree; below[t]
+    masks the vertices of degree below t (t <= 3).  A vertex set is a mask
+    over these positions."""
+
+    def __init__(self, g):
+        self.verts = tuple(sorted(g.vertices))
+        self.pos = pos = {v: i for i, v in enumerate(self.verts)}
+        adj = [0] * len(pos)
+        for u, v in g.edges:
+            adj[pos[u]] |= 1 << pos[v]
+            adj[pos[v]] |= 1 << pos[u]
+        self.adj, self.full = adj, (1 << len(adj)) - 1
+        self.deg = deg = [m.bit_count() for m in adj]
+        self.below = [0] + [sum(1 << i for i, d in enumerate(deg) if d < t)
+                            for t in (1, 2, 3)]
+
+    def mask(self, vertices):
+        return sum(1 << self.pos[v] for v in vertices)
+
+
+def _bits(m):
+    """The positions of the set bits of m, ascending."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
+
+
+def _union(masks, m):
+    """The union of masks[i] over the bits i of m."""
+    out = 0
+    while m:
+        out |= masks[(m & -m).bit_length() - 1]
+        m &= m - 1
+    return out
+
+
 def bfs_distances(g, source):
     """Dict of BFS distances from source to every reachable vertex."""
     g.part(source)
@@ -155,13 +197,10 @@ def distance(g, u, v):
 
 def diameter(g):
     """Largest distance between any two vertices; INFINITY if disconnected."""
-    if not g.vertices:
-        return 0
     worst = 0
-    nv = len(g.vertices)
     for v in g.vertices:
         dist = bfs_distances(g, v)
-        if len(dist) < nv:
+        if len(dist) < len(g.vertices):
             return INFINITY
         worst = max(worst, max(dist.values()))
     return worst
@@ -357,7 +396,4 @@ def connected_components(g, within=None):
 
 
 def is_connected(g, within=None):
-    within = g.vertices if within is None else frozenset(within)
-    if not within:
-        return True
-    return len(connected_components(g, within)) == 1
+    return len(connected_components(g, within)) <= 1

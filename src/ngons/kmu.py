@@ -175,9 +175,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     copy count that grew involves a new vertex.
 
     Condition 2 solves each cycle C by one min-cut on C plus its peeled
-    hull: the smallest minimiser W lies in every minimiser, so each v in
-    W - C has at least ceil(n/(n-2)) edges into W (dropping it must raise
-    delta) and survives the peel of V - C anchored at C (`_min_superset`).
+    hull (`_min_superset`).
     """
     n = g.n
     if mu is None:

@@ -10,20 +10,20 @@ d(A) = min { delta(A') : A <= A' <= ambient }, the smallest strong
 superset (closure) and algebraic closure relative to the finite ambient
 graph.
 
-All minimisation -- ``d_min``, ``closure``, ``is_strong`` and the
-0-algebraicity test of ``zeroalg`` -- goes through one minimum cut on a
-network with a node per vertex and an arc pair per edge
-(Picard-Queyranne), built by ``_cut_network``: ``_min_superset`` reads
-the smallest minimiser off it, ``zeroalg`` the strong connectivity of its
-residual network.  The max flow takes shortest augmenting paths, and one
-breadth-first residual search (``_Network.reach``) finds the augmenting
-paths, the source side of the cut and strong connectivity.  Brute force
-over subsets cross-checks both in the test suite.
+All minimisation -- ``d_min``, ``closure``, ``is_strong``, ``acl_relative``
+and the 0-algebraicity test of ``zeroalg`` -- goes through one minimum cut
+on a network with a node per vertex and an arc pair per edge
+(Picard-Queyranne), built by ``_cut_network`` on masks over the graph's
+bitset index: ``_min_superset`` reads the smallest minimiser off it,
+``acl_relative`` the largest, ``zeroalg`` the strong connectivity of its
+residual network.  One breadth-first residual search (``_Network.reach``)
+finds the shortest augmenting paths, both sides of the cut and strong
+connectivity.  Brute force over subsets cross-checks all in the tests.
 """
 
 import math
 
-from .graph import GraphError
+from .graph import GraphError, _bits, _union
 
 
 def delta(g, a):
@@ -34,34 +34,27 @@ def delta(g, a):
 
 def delta_rel(g, a, b):
     """delta(A/B) = delta(A union B) - delta(B)."""
-    a = g.check_subset(a)
-    b = g.check_subset(b)
+    a, b = g.check_subset(a), g.check_subset(b)
     return delta(g, a | b) - delta(g, b)
 
 
-def _violator_threshold(n):
-    # A vertex v whose removal from a set W raises delta has
-    # (n-2) e(v, W) > n-1, that is e(v, W) >= ceil(n/(n-2)).
-    return math.ceil(n / (n - 2))
-
-
-def _peel(g, candidates, anchor, threshold):
-    """The largest subset of the candidates (disjoint from the anchor) in
-    which every vertex has at least `threshold` edges into it plus the
-    anchor."""
-    alive = {v for v in candidates if len(g.neighbors(v)) >= threshold}
-    keep = frozenset(anchor)
-    support = {v: sum(1 for w in g.neighbors(v) if w in alive or w in keep)
-               for v in alive}
-    doomed = [v for v in alive if support[v] < threshold]
-    alive.difference_update(doomed)
-    for v in doomed:
-        for w in g.neighbors(v):
-            if w in alive:
-                support[w] -= 1
-                if support[w] < threshold:
-                    alive.discard(w)
-                    doomed.append(w)
+def _peel(idx, candidates, anchor, threshold):
+    """The largest subset of the candidates (a mask over the graph's index
+    `idx`, disjoint from the anchor) in which every vertex has at least
+    `threshold` edges into it plus the anchor: a k-core that drops lower
+    degrees at once and then rechecks only neighbours of dropped ones."""
+    adj = idx.adj
+    alive = check = candidates & ~idx.below[threshold]
+    while check:
+        keep = alive | anchor
+        doomed = 0
+        while check:
+            low = check & -check
+            check ^= low
+            if (adj[low.bit_length() - 1] & keep).bit_count() < threshold:
+                doomed |= low
+        alive &= ~doomed
+        check = _union(adj, doomed) & alive
     return alive
 
 
@@ -96,13 +89,11 @@ def is_strong(g, a, b=None):
 
 class _Network:
     """Max-flow on arc arrays, residual capacities kept in place, by
-    shortest augmenting paths (Edmonds and Karp, J. ACM 1972).
-
-    One breadth-first residual search, `reach`, finds the augmenting
-    paths, the source side of the cut and strong connectivity."""
+    shortest augmenting paths (Edmonds and Karp, J. ACM 1972).  One
+    breadth-first residual search, `reach`, finds the augmenting paths,
+    the sides of the cut and strong connectivity."""
 
     def __init__(self, size):
-        self.size = size
         self.to = []
         self.cap = []
         self.adj = [[] for _ in range(size)]
@@ -151,32 +142,41 @@ class _Network:
             total += pushed
         return total, side
 
-    def strongly_connected(self, first):
-        """Is the residual network restricted to the nodes from `first` on
-        strongly connected?  One search along residual arcs and one
-        against them, both from `first`."""
-        return all(len(self.reach(first, back, first)) == self.size - first
-                   for back in (0, 1))
 
-
-def _cut_network(n, rows):
+def _cut_network(n, size, rows):
     """The vertex-only cut network of `_min_superset` on free vertices
-    0, 1, ...: rows[i] = (e(i, A), the free neighbours of i).  Node 0 is
-    the source, node 1 the sink and node 2 + i free vertex i.  Returns the
-    network and the offered total of -w(v) over w(v) < 0."""
-    net = _Network(2 + len(rows))
+    0 .. size-1, given rows (i, e(i, A), mask of i's free neighbours):
+    node 0 is the source, node 1 the sink and node 2 + i free vertex i.
+    Returns the network and the offered total of -w(v) over w(v) < 0."""
+    net = _Network(2 + size)
     offered = 0
-    for i, (base_edges, free_nbrs) in enumerate(rows):
-        w = 2 * (n - 1) - 2 * (n - 2) * base_edges - (n - 2) * len(free_nbrs)
-        for j in free_nbrs:
-            if j < i:
-                net.add_edge(2 + j, 2 + i, n - 2, n - 2)
+    for i, base_edges, free_nbrs in rows:
+        w = 2 * (n - 1) - 2 * (n - 2) * base_edges - (n - 2) * free_nbrs.bit_count()
+        for j in _bits(free_nbrs & ((1 << i) - 1)):
+            net.add_edge(2 + j, 2 + i, n - 2, n - 2)
         if w < 0:
             net.add_edge(0, 2 + i, -w)
             offered -= w
         elif w > 0:
             net.add_edge(2 + i, 1, w)
     return net, offered
+
+
+def _hull_cut(g, a, ground, threshold):
+    """The max flow of `_min_superset` on ground - A peeled by `threshold`:
+    (min delta over A <= S <= ground, network, source side, hull vertex
+    of each free node)."""
+    idx = g._index
+    adj, amask = idx.adj, idx.mask(a)
+    gmask = idx.full if len(ground) == len(idx.verts) else idx.mask(ground)
+    free = _peel(idx, gmask & ~amask, amask, threshold)
+    if not free:
+        return delta(g, a), None, None, {}
+    net, offered = _cut_network(g.n, free.bit_length(), (
+        (i, (adj[i] & amask).bit_count(), adj[i] & free) for i in _bits(free)))
+    cut, side = net.max_flow(0, 1)
+    return (delta(g, a) - (offered - cut) // 2, net, side,
+            {2 + i: idx.verts[i] for i in _bits(free)})
 
 
 def _min_superset(g, a, ground):
@@ -204,24 +204,8 @@ def _min_superset(g, a, ground):
     smallest minimum cut, so the smallest minimiser.
     """
     a = frozenset(a)
-    free = sorted(_peel(g, frozenset(ground) - a, a, _violator_threshold(g.n)))
-    base = delta(g, a)
-    if not free:
-        return base, a
-    index = {v: i for i, v in enumerate(free)}
-    rows = []
-    for v in free:
-        base_edges, free_nbrs = 0, []
-        for u in g.neighbors(v):
-            if u in a:
-                base_edges += 1
-            elif u in index:
-                free_nbrs.append(index[u])
-        rows.append((base_edges, free_nbrs))
-    net, offered = _cut_network(g.n, rows)
-    cut, side = net.max_flow(0, 1)
-    return (base - (offered - cut) // 2,
-            a | {v for i, v in enumerate(free) if 2 + i in side})
+    value, _, side, hull = _hull_cut(g, a, ground, math.ceil(g.n / (g.n - 2)))
+    return value, a.union([v for node, v in hull.items() if node in side])
 
 
 def d_min(g, a, within=None):
@@ -231,14 +215,12 @@ def d_min(g, a, within=None):
     ground = g.vertices if within is None else g.check_subset(within)
     if not a <= ground:
         raise GraphError("d_min requires A to be contained in the ground set")
-    value, _ = _min_superset(g, a, ground)
-    return value
+    return _min_superset(g, a, ground)[0]
 
 
 def d_rel(g, b, a):
     """d(B/A) = d(B union A) - d(A)."""
-    a = g.check_subset(a)
-    b = g.check_subset(b)
+    a, b = g.check_subset(a), g.check_subset(b)
     return d_min(g, a | b) - d_min(g, a)
 
 
@@ -249,21 +231,22 @@ def closure(g, a):
     every minimiser is strong, and the closure is itself a minimiser, so
     the lattice bottom is exactly cl(A).
     """
-    a = g.check_subset(a)
-    _, minimiser = _min_superset(g, a, g.vertices)
-    return minimiser
+    return _min_superset(g, g.check_subset(a), g.vertices)[1]
 
 
 def acl_relative(g, a):
     """All x in the ambient graph with d(A + x) = d(A).
 
     This relativizes the paper-style algebraic closure to the finite
-    ambient graph; it contains closure(A).
+    ambient graph; it contains closure(A).  It is the largest minimiser
+    W of delta over supersets of A: a minimiser over A + x is one over A
+    when d(A + x) = d(A), and x in W gives d(A + x) <= delta(W) = d(A).
+    Dropping v in W - A does not lower delta, so v has at least
+    ceil((n-1)/(n-2)) edges into W and survives that peel; W - A is then
+    the free nodes that cannot reach the sink after the max flow.
     """
     a = g.check_subset(a)
-    da = d_min(g, a)
-    out = set(a)
-    for x in sorted(g.vertices - a):
-        if d_min(g, a | {x}) == da:
-            out.add(x)
-    return frozenset(out)
+    _, net, _, hull = _hull_cut(g, a, g.vertices,
+                                math.ceil((g.n - 1) / (g.n - 2)))
+    to_sink = hull and net.reach(1, back=1)
+    return a.union([v for node, v in hull.items() if node not in to_sink])

@@ -9,19 +9,20 @@ Both the pair test and the enumeration decide positivity by one max flow
 per base on a network with a node per body vertex, memoised per body
 shape and per-vertex base-edge counts (`_zero_algebraic`): the body is
 0-algebraic exactly when the residual network on it is strongly
-connected.  The body search runs over bitmasks, is cut by a vertex-weight
-bound that every connected piece of a body meets, and only bodies whose
-base-edge count the boundary can supply reach the base search, one walk
-over the body's vertices per body (`_pairs_for_body`).  For n >= 4 that
-walk keeps the touched body vertices at body distance n - 2 or more.
+connected.  The enumeration runs on masks over the graph's bitset index
+and builds vertex sets only for the pairs it returns; its body search is
+cut by a vertex-weight bound that every connected piece of a body meets,
+and only bodies whose base-edge count the boundary can supply reach the
+base search, one walk per body (`_pairs_for_body`), which for n >= 4
+keeps the touched body vertices at body distance n - 2 or more.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import GraphError, _ball
-from .predimension import _cut_network, _peel, _violator_threshold, delta_rel
+from .graph import GraphError, _bits, _union
+from .predimension import _cut_network, _peel, delta_rel
 
 
 @dataclass(frozen=True)
@@ -32,36 +33,19 @@ class ZeroAlgebraicPair:
 
 
 def _require_disjoint(g, base, body):
-    base = g.check_subset(base)
-    body = g.check_subset(body)
+    base, body = g.check_subset(base), g.check_subset(body)
     if base & body:
         raise GraphError("base and body must be disjoint, share %s"
                          % sorted(base & body))
     return base, body
 
 
-def _mask(pos, vertices):
-    """The bitmask of those `vertices` that `pos` indexes."""
-    m = 0
-    for w in vertices:
-        if w in pos:
-            m |= 1 << pos[w]
-    return m
-
-
-def _union(masks, m):
-    """The union of masks[i] over the bits i of m."""
-    out = 0
-    while m:
-        out |= masks[(m & -m).bit_length() - 1]
-        m &= m - 1
-    return out
-
-
-def _index(g, body):
-    """Positions in the sorted body, and each vertex's body-neighbour mask."""
-    bpos = {v: i for i, v in enumerate(sorted(body))}
-    return bpos, tuple(_mask(bpos, g.neighbors(v)) for v in bpos)
+def _shape(adj, body):
+    """For a body (a mask): the `_union` table from each body vertex's
+    index position to its bit in the sorted body, and the body's shape,
+    each body vertex's body-neighbour mask in those bits."""
+    local = {p: 1 << k for k, p in enumerate(_bits(body))}
+    return local, tuple(_union(local, adj[p] & body) for p in local)
 
 
 def _touched_base(g, base, body):
@@ -72,8 +56,8 @@ def _touched_base(g, base, body):
     if not body or delta_rel(g, body, base) != 0:
         return None
     touched = frozenset(a for a in base if g.neighbors(a) & body)
-    bpos, adj = _index(g, body)
-    counts = [len(g.neighbors(v) & base) for v in bpos]
+    _, adj = _shape(g._index.adj, g._index.mask(body))
+    counts = [len(g.neighbors(v) & base) for v in sorted(body)]
     levels = tuple(sum(1 << i for i, c in enumerate(counts) if c > j)
                    for j in range(max(counts)))
     return touched if _zero_algebraic(g.n, adj, levels) else None
@@ -125,8 +109,7 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
     cap = default_body_cap(n) if max_body is None else max_body
     around = g.vertices if around is None else g.check_subset(around)
     pairs = []
-    # Singleton bodies: delta(b/A) = 0 forces (n-2) | n-1, i.e. n = 3 with
-    # exactly two base neighbours.
+    # delta(b/A) = 0 for a singleton body forces n = 3 and two base edges
     if n == 3 and cap >= 1:
         for b in sorted(g.vertices):
             for ends in combinations(sorted(g.neighbors(b)), 2):
@@ -135,88 +118,104 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
     if cap >= 2:
         # In a body of size >= 2 every vertex v has (n-2) e(v, rest of body
         # + base) >= n with at most one edge into the base, so it needs
-        # degree >= t and internal degree >= t-1; peeling by the latter
-        # cuts n = 3 graphs at every plain path.
-        t = _violator_threshold(n)
-        ground = _peel(g, {v for v in g.vertices if len(g.neighbors(v)) >= t},
-                       (), t - 1)
-        # a relevant pair has base or body meeting `around`, so its body
-        # meets `around` or the neighbourhood of `around`, the touch set;
-        # a connected body then stays within the cap-ball around that
-        touch = set(around).union(*(g.neighbors(v) for v in around))
-        dist = _ball(g, touch & ground, cap - 1, ground.__contains__)
-        for body, target in _candidate_bodies(g, set(dist), cap, dist):
-            pairs.extend(_pairs_for_body(g, body, target))
+        # degree >= t = ceil(n/(n-2)) and internal degree >= t-1; peeling
+        # by the latter cuts n = 3 graphs at every plain path.
+        t, idx = -(-n // (n - 2)), g._index
+        adj, amask = idx.adj, idx.mask(around)
+        ground = _peel(idx, idx.full & ~idx.below[t], 0, t - 1)
+        # the body of a pair meeting `around` meets the touch set near[0]:
+        # `around` and its neighbours.  near[k] is the ground within ground
+        # distance k of it, so near[cap - 1] holds every such body
+        near = [(amask | _union(adj, amask)) & ground]
+        rim = near[0]
+        while len(near) < cap:
+            rim = _union(adj, rim) & ground & ~near[-1]
+            near.append(near[-1] | rim)
+        for body, target in _candidate_bodies(idx, n, near, cap):
+            pairs.extend(_pairs_for_body(g, body, target, amask))
     pairs = [p for p in pairs if (p.base | p.body) & around]
     return sorted(pairs, key=lambda p: (sorted(p.body), sorted(p.base)))
 
 
-def _pairs_for_body(g, body, target):
-    """The pairs (A, body) with `body` 0-minimally algebraic over A, for a
-    body that `_candidate_bodies` yielded with target = delta(B)/(n-2).
+def _pairs_for_body(g, body, target, around):
+    """The pairs (A, B) with B 0-minimally algebraic over A and A or B
+    meeting `around` (a mask), for a body B (a mask over the graph's
+    index) that `_candidate_bodies` yielded with target = delta(B)/(n-2).
 
     Such an A lies in the boundary, has e(B, A) = target and sends at most
     one edge to each body vertex (the sub-body {v} has positive relative
     delta), so its vertices have disjoint body neighbourhoods; a required
-    vertex, at the minimum internal degree, must take a base edge.  One
-    stack branches on the lowest undecided body vertex v: a boundary
-    vertex whose lowest body neighbour is v and whose body neighbourhood
-    avoids every decided vertex takes v and decides that neighbourhood,
-    or, if v is not required, v gets no base edge.  Each admissible A is
-    reached exactly once: by disjointness at most one vertex of A covers
-    v, and none of the decided vertices below v is its neighbour.
+    vertex, at the minimum internal degree, must take a base edge.  If the
+    admissible boundary vertices miss a required vertex or cover fewer
+    than `target` body vertices there is no A; the body vertices they
+    cannot cover get no base edge.  One stack branches on the lowest
+    undecided body vertex v they cover: a boundary vertex whose lowest
+    body neighbour is v and whose body neighbourhood avoids every decided
+    vertex takes v and decides that neighbourhood, or, if v is not
+    required, v gets no base edge.  By disjointness at most one vertex of
+    A covers v, so each A is reached once.  If B misses `around`, A must
+    meet it: each admissible boundary vertex in `around` seeds a walk
+    with it taken that leaves the earlier seeds out.
 
     For n >= 4 and |B| > n - 2, taking v also decides the body vertices
-    within body distance n - 3 of the new neighbourhood, without a base
-    edge, and is refused if a required vertex is among them: two touched
-    vertices at body distance d <= n - 3 lie on a shortest path P in B of
-    k = d + 1 < |B| vertices, induced, with e(P, A) >= 2, so delta(P/A)
-    <= (n-1)k - (n-2)(k+1) = k - (n-2) <= 0.  n = 3 takes no new work.
+    within body distance n - 3 of the new neighbourhood, and is refused
+    if a required vertex is among them: two touched vertices at body
+    distance d <= n - 3 lie on a shortest path P in B of k = d + 1 < |B|
+    vertices, induced, with e(P, A) >= 2, so delta(P/A) <= (n-1)k -
+    (n-2)(k+1) = k - (n-2) <= 0.
 
-    The verdict for A depends only on n, the body's internal adjacency
-    and the mask of the body vertices A touches (`_zero_algebraic`), so
-    it is memoised on exactly those: a body shape met again in a later
-    growth step costs one lookup per base.
+    The verdict for A depends only on n, the body's shape and the body
+    vertices A touches (`_zero_algebraic`), and is memoised on those: a
+    body shape met again in a later growth step costs one lookup per base.
     """
-    n = g.n
-    need = 2 if n == 3 else 1
-    bpos, adj = _index(g, body)
-    required = sum(1 << i for i, m in enumerate(adj) if m.bit_count() == need)
-    radius = n - 3 if len(adj) > n - 2 else 0
-    ball = [m | 1 << i for i, m in enumerate(adj)] if radius else ()
-    for _ in range(radius - 1):  # ball[i]: the body vertices within radius of i
-        ball = [_union(ball, m | 1 << i) for i, m in enumerate(adj)]
-    by_low = {}
-    for a in sorted(set().union(*(g.neighbors(v) for v in body)) - body):
-        m = _mask(bpos, g.neighbors(a))
+    n, idx = g.n, g._index
+    adj, need = idx.adj, 2 if n == 3 else 1
+    local, shape = _shape(adj, body)
+    required = sum(1 << i for i, m in enumerate(shape) if m.bit_count() == need)
+    radius = n - 3 if len(shape) > n - 2 else 0
+    ball = [1 << i for i in range(len(shape))]  # the body within radius of i
+    for _ in range(radius):
+        ball = [_union(ball, m | 1 << i) for i, m in enumerate(shape)]
+    by_low, seeds, cover = {}, [], 0
+    boundary = _bits(_union(adj, body) & ~body)
+    for a in boundary:
+        m = _union(local, adj[a] & body)
         near = _union(ball, m) if radius else m
         if m.bit_count() <= target and not near & ~m & required:
-            by_low.setdefault((m & -m).bit_length() - 1, []).append((a, m, near))
-    full = (1 << len(adj)) - 1
-    pairs = []
+            # rank: the seed number of a seed, else above every seed
+            rank = len(boundary)
+            if around >> a & 1 and not body & around:
+                rank = len(seeds)
+                seeds.append((near, m, (idx.verts[a],), m.bit_count(), rank))
+            by_low.setdefault(m & -m, []).append((idx.verts[a], m, near, rank))
+            cover |= m
+    if required & ~cover or cover.bit_count() < target:
+        return []
+    pairs, body_set = [], None
     # (decided, used = the body vertices that `chosen` touches, chosen,
-    # e(B, chosen))
-    stack = [(0, 0, (), 0)]
+    # e(B, chosen), the seed rank; only later seeds may join)
+    stack = [(0, 0, (), 0, -1)] if body & around else seeds
     while stack:
-        decided, used, chosen, weight = stack.pop()
+        decided, used, chosen, weight, seed = stack.pop()
         if weight == target:
-            if not required & ~used and _zero_algebraic(n, adj, (used,)):
-                pairs.append(ZeroAlgebraicPair(frozenset(chosen), body,
+            if not required & ~used and _zero_algebraic(n, shape, (used,)):
+                body_set = body_set or frozenset(idx.verts[p] for p in local)
+                pairs.append(ZeroAlgebraicPair(frozenset(chosen), body_set,
                                                "minimally_algebraic"))
             continue
-        # each open vertex takes at most one base edge, a required one
-        # exactly one
-        open_ = full & ~decided
+        # an open vertex takes at most one base edge, a required one exactly
+        open_ = cover & ~decided
         if weight + open_.bit_count() < target \
                 or weight + (open_ & required).bit_count() > target:
             continue
         low = open_ & -open_
         if not low & required:
-            stack.append((decided | low, used, chosen, weight))
-        for a, m, near in by_low.get(low.bit_length() - 1, ()):
-            if not m & decided and weight + m.bit_count() <= target:
+            stack.append((decided | low, used, chosen, weight, seed))
+        for a, m, near, rank in by_low.get(low, ()):
+            if not m & decided and rank > seed \
+                    and weight + m.bit_count() <= target:
                 stack.append((decided | near, used | m, chosen + (a,),
-                              weight + m.bit_count()))
+                              weight + m.bit_count(), seed))
     return pairs
 
 
@@ -228,67 +227,52 @@ def _zero_algebraic(n, adj, levels):
 
     Min-cut over the body (`_cut_network` with F = B and no peel): the
     cut of X <= B costs 2 delta(X/A) plus a constant, so X = {} and X = B
-    are both cuts of equal cost.  After a maximum flow, the minimum cuts
-    are exactly the source sides closed under residual arcs (Picard and
-    Queyranne, Math. Prog. Study 13, 1980).  If the residual network on B
-    is strongly connected, no proper nonempty X is closed, so the minimum
-    is reached at {} and B only, and every proper sub-body has positive
-    relative delta.  Conversely, if B is 0-algebraic, the minimum is 0,
-    so {} and B are minimum cuts: every source and sink arc is saturated,
-    and any X <= B closed under the residual arcs inside B is a minimum
-    cut, hence {} or B.  A negative minimum thus always shows up as a
-    broken strong connectivity.
+    cost the same.  After a maximum flow, the minimum cuts are exactly the
+    source sides closed under residual arcs (Picard and Queyranne, Math.
+    Prog. Study 13, 1980).  If the residual network on B is strongly
+    connected, no proper nonempty X is closed, so every proper sub-body
+    has positive relative delta.  Conversely, if B is 0-algebraic, {} and
+    B are minimum cuts, every source and sink arc is saturated, and any
+    X <= B closed under the residual arcs inside B is a minimum cut,
+    hence {} or B.
     """
-    k = len(adj)
-    net, _ = _cut_network(n, [(sum(level >> i & 1 for level in levels),
-                               [j for j in range(k) if m >> j & 1])
-                              for i, m in enumerate(adj)])
+    net, _ = _cut_network(n, len(adj),
+                          ((i, sum(level >> i & 1 for level in levels), m)
+                           for i, m in enumerate(adj)))
     net.max_flow(0, 1)
-    return net.strongly_connected(2)
+    # strongly connected: body node 2 reaches every body node, and back
+    return all(len(net.reach(2, back, 2)) == len(adj) for back in (0, 1))
 
 
-def _candidate_bodies(g, ground, cap, dist):
-    """Yield (B, delta(B)/(n-2)) for each connected B inside `ground` with
-    2 <= |B| <= cap that meets the touch set and passes the tests
-    `_pairs_for_body` relies on: (n-2) | delta(B) > 0, and #required <=
-    delta(B)/(n-2) <= supply(B) with every required vertex having an
-    outside neighbour.  A body
-    vertex needs internal degree >= 2 for n = 3 and >= 1 otherwise, since
-    (n-2) e(v, rest + A) >= n, and the required ones, at exactly that
-    degree, must take a base edge; supply(B) counts the vertices with a
-    neighbour outside B, each of which takes at most one base edge (the
-    sub-body {v} has positive relative delta).
+def _candidate_bodies(idx, n, near, cap):
+    """Yield (B, delta(B)/(n-2)) for each connected B inside the ground
+    near[-1] with 2 <= |B| <= cap that meets the touch set near[0] and
+    passes the tests `_pairs_for_body` relies on: (n-2) | delta(B) > 0,
+    and #required <= delta(B)/(n-2) <= supply(B) with every required
+    vertex having an outside neighbour.  A body vertex needs internal
+    degree >= 2 for n = 3 and >= 1 otherwise, since (n-2) e(v, rest + A)
+    >= n, and the required ones, at exactly that degree, must take a base
+    edge; supply(B) counts the vertices with a neighbour outside B, each
+    of which takes at most one base edge.
 
-    The search runs over bitmasks and reaches B through connected subsets
-    of B.  A branch dies as soon as some chosen vertex cannot reach its
-    internal degree from chosen plus undecided neighbours, or by weight.
-    For connected S inside B, delta(S / (B - S) + A) is delta(B/A) = 0
-    minus delta((B - S)/A) > 0 unless S = B, so (n-1)|S| <= (n-2)(e(S) +
+    The search reaches B through connected subsets of B.  A branch dies
+    as soon as some chosen vertex cannot reach its internal degree from
+    chosen plus undecided neighbours, or by weight.  For connected S
+    inside B, delta(S / (B - S) + A) is delta(B/A) = 0 minus
+    delta((B - S)/A) > 0 unless S = B, so (n-1)|S| <= (n-2)(e(S) +
     e(S, B - S + A)) <= (n-2)(sum_S deg(v) - e(S)), degrees taken in the
     whole graph.  With e(S) >= |S| - 1: sum_S w(v) >= -(n-2) for
     w(v) = (n-2) deg(v) - (2n-3), strictly unless S = B.  A branch below
-    -(n-2) thus holds no body, and one at -(n-2) is not extended.  (For
-    n = 4: a connected piece of a body has at most 2 + sum (2 deg(v) - 5)
-    over its vertices of degree >= 3 vertices of degree 2.)  For n = 3
-    the ground peel leaves degree >= 3 only, so the cut never fires.
-    `dist` holds the BFS distance inside the ground graph from each ground
-    vertex to the touch set (the vertices at distance 0); only subsets
-    meeting it are produced, and branches that cannot reach it within the
-    size cap are cut.  Bodies are yielded as the search finds them, so
+    -(n-2) thus holds no body, and one at -(n-2) is not extended.  For
+    n = 3 the ground peel leaves degree >= 3 only, so this never fires.
+    near[k] masks the ground vertices within ground distance k of the
+    touch set, so branches that cannot reach it within the cap are cut.
+    Bodies are masks over the graph's index `idx`, yielded as found, so
     memory follows the search depth, not the number of bodies.
     """
-    n = g.n
-    need = 2 if n == 3 else 1
-    floor = -(n - 2)
-    verts = sorted(ground)
-    pos = {v: i for i, v in enumerate(verts)}
-    adj = [_mask(pos, g.neighbors(v)) for v in verts]
-    deg = [len(g.neighbors(v)) for v in verts]
+    need, floor = 2 if n == 3 else 1, -(n - 2)
+    adj, deg, ground = idx.adj, idx.deg, near[-1]
     weight = [(n - 2) * d - (2 * n - 3) for d in deg]
-    full = (1 << len(verts)) - 1
-
-    # near[k]: the ground vertices within distance k of the touch set
-    near = [_mask(pos, [v for v in verts if dist[v] <= k]) for k in range(cap)]
 
     def target(current, size):
         # delta(B)/(n-2) if B passes the tests above, else 0
@@ -308,8 +292,8 @@ def _candidate_bodies(g, ground, cap, dist):
             return dlt // (n - 2)
         return 0
 
-    for r in range(len(verts)):
-        gt_root = full & ~((1 << (r + 1)) - 1)
+    for r in _bits(ground):
+        gt_root = ground & ~((1 << (r + 1)) - 1)
         # depth first over the connected subsets with least vertex r.  The
         # children of a subset take the vertices u of its extension `ext`
         # in turn; each one adds u, its new neighbours to `ext`, and the
@@ -319,8 +303,7 @@ def _candidate_bodies(g, ground, cap, dist):
             current, size, wsum, ext, dead = stack.pop()
             found = size >= 2 and current & near[0] and target(current, size)
             if found:
-                yield frozenset(v for i, v in enumerate(verts)
-                                if current >> i & 1), found
+                yield current, found
             if size >= cap or wsum == floor:
                 continue
             # room left for reaching the touch set after one more vertex

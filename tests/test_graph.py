@@ -3,6 +3,9 @@ import random
 
 import pytest
 
+import ngons
+from ngons import graph as graph_module
+from ngons.io import format_graph
 from ngons import (BipartiteGraph, GraphError, bfs_distances, distance,
                    diameter, girth, enumerate_cycles, ordered_cycles,
                    simple_paths, connected_components, is_connected,
@@ -20,6 +23,47 @@ def test_construction_validation():
         BipartiteGraph(3, {0: 0, 1: 0}, [(0, 1)])  # same part
     with pytest.raises(GraphError):
         BipartiteGraph(3, {0: 0}, [(0, 0)])  # loop
+
+
+def test_bitset_index_built_once_and_invisible(monkeypatch):
+    """Every min-cut and pair search on one graph shares one bitset
+    index, built on first use; building it changes neither ==, hash nor
+    the text format, and the index agrees with the adjacency."""
+    built = 0
+    real = graph_module._Index.__init__
+
+    def counting(self, g):
+        nonlocal built
+        built += 1
+        real(self, g)
+
+    monkeypatch.setattr(graph_module._Index, "__init__", counting)
+    g = ngons.make_cl_witness(3, 2)
+    twin = ngons.make_cl_witness(3, 2)
+    before = (hash(g), format_graph(g))
+    a = frozenset(sorted(g.vertices)[:3])
+    ngons.d_min(g, a)
+    ngons.closure(g, a)
+    ngons.is_strong(g, a)
+    ngons.acl_relative(g, a)
+    ngons.enumerate_zero_min_pairs(g)
+    assert ngons.in_class(g)[0]
+    assert built == 1
+    index = g._index
+    assert index is g._index and built == 1
+    assert (hash(g), format_graph(g)) == before
+    assert g == twin and hash(g) == hash(twin) and "_index" not in vars(twin)
+    assert index.verts == tuple(sorted(g.vertices))
+    def members(m):
+        return frozenset(v for i, v in enumerate(index.verts) if m >> i & 1)
+
+    for v in g.vertices:
+        assert members(index.adj[index.pos[v]]) == g.neighbors(v)
+        assert index.deg[index.pos[v]] == g.degree(v)
+    assert members(index.below[3]) == {v for v in g.vertices
+                                       if g.degree(v) < 3}
+    assert members(index.full) == g.vertices
+    assert members(index.mask(a)) == a
 
 
 def test_edge_normalisation_and_counting():

@@ -2,6 +2,7 @@ import gc
 import random
 
 import pytest
+import ngons.predimension
 from hypothesis import given, settings, strategies as st
 
 from ngons import (acl_relative, closure, d_min, d_rel, delta, delta_rel,
@@ -112,20 +113,28 @@ def _brute_min_superset(g, a, ground):
     return value, oracle.unmask(smallest), oracle
 
 
-@pytest.mark.parametrize("n", [5, 6])
+def _complete_bipartite(n, p, q):
+    return BipartiteGraph(n, {v: int(v >= p) for v in range(p + q)},
+                          [(u, v) for u in range(p) for v in range(p, p + q)])
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
 def test_cut_network_against_mask_oracle(n):
     """The vertex-only network weighs edges by n-2 and halves the cut, so
-    it is checked at odd and even n-2, on the empty base, inside a ground
-    set (`within`, is_strong(g, a, b)) and in the whole graph: value and
-    smallest minimiser against brute force.  Dense graphs give negative
-    delta over the empty base; sparse ones give ties whose smallest
-    minimiser leaves edges cut, which a wrong edge weight breaks."""
+    it is checked at odd and even n-2, and at every peel threshold
+    ceil(n/(n-2)) (3 at n = 3, 2 above), on the empty base, inside a
+    ground set (`within`, is_strong(g, a, b)) and in the whole graph:
+    value and smallest minimiser against brute force.  Dense graphs, and
+    K_{4,5} and K_{5,5} at the end, give negative delta over the empty
+    base; sparse ones give ties whose smallest minimiser leaves edges
+    cut, which a wrong edge weight breaks."""
     rng = random.Random(100 + n)
     moved = {"empty": 0, "within": 0, "whole": 0}
-    for i in range(24):
-        g = (sparse_graph(rng, n, rng.randrange(8, 13), closed=True) if i % 2
-             else random_bipartite(rng, n, rng.randrange(8, 12),
-                                   rng.uniform(0.4, 0.8)))
+    graphs = [sparse_graph(rng, n, rng.randrange(8, 13), closed=True) if i % 2
+              else random_bipartite(rng, n, rng.randrange(8, 12),
+                                    rng.uniform(0.4, 0.8)) for i in range(24)]
+    graphs += [_complete_bipartite(n, 4, 5), _complete_bipartite(n, 5, 5)]
+    for g in graphs:
         verts = sorted(g.vertices)
         for _ in range(8):
             ground = frozenset(rng.sample(verts, rng.randrange(1, len(verts) + 1)))
@@ -144,6 +153,49 @@ def test_cut_network_against_mask_oracle(n):
                     if not ok:
                         _assert_inclusion_minimal_violator(oracle, a, witness)
     assert all(moved.values()), moved
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_acl_is_the_largest_minimiser(n, monkeypatch):
+    """acl_relative(A) is the union of all minimisers of delta over the
+    supersets of A, by brute force, and costs at most one max flow (none
+    when the peel leaves no hull).  Dense inputs
+    (K_{4,5}) have negative-delta minimisers; sparse ones have ties, where
+    the largest minimiser is larger than the smallest."""
+    rng = random.Random(300 + n)
+    graphs = [sparse_graph(rng, n, rng.randrange(8, 13), closed=True) if i % 2
+              else random_bipartite(rng, n, rng.randrange(6, 12),
+                                    rng.uniform(0.2, 0.7)) for i in range(16)]
+    graphs.append(_complete_bipartite(n, 4, 5))
+    flows = 0
+    real = ngons.predimension._Network.max_flow
+
+    def counting(self, *args):
+        nonlocal flows
+        flows += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(ngons.predimension._Network, "max_flow", counting)
+    larger = solved = 0
+    for g in graphs:
+        oracle = MaskOracle(g)
+        verts = sorted(g.vertices)
+        for _ in range(8):
+            a = frozenset(rng.sample(verts, rng.randrange(0, len(verts))))
+            sets = list(oracle.supersets(oracle.mask(a)))
+            value = min(oracle.delta[s] for s in sets)
+            union = 0
+            for s in sets:
+                if oracle.delta[s] == value:
+                    union |= s
+            flows = 0
+            got = acl_relative(g, a)
+            assert flows <= 1
+            solved += flows
+            assert got == oracle.unmask(union)
+            assert all(d_min(g, a | {x}) == value for x in got)
+            larger += got != closure(g, a)
+    assert larger > 0 and solved > 50
 
 
 def _assert_inclusion_minimal_violator(oracle, a, witness):

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import tracemalloc
@@ -235,8 +236,12 @@ def test_lemma_body_over_subbase(small_graphs):
 
 
 def test_body_search_streams(monkeypatch):
-    """The enumeration never holds all candidate bodies at once: its peak
-    traced memory stays below what the bodies alone would take."""
+    """The enumeration never holds all candidate bodies at once: with the
+    base search stubbed out, the peak traced memory of the body search
+    stays below what the yielded bodies alone would take.  The full
+    collection first empties the free lists, so that holding the bodies
+    would show up as fresh allocations."""
+    assert len(enumerate_zero_min_pairs(make_cl_witness(4, 2), 8)) == 60
     held = 0
     real = ngons.zeroalg._candidate_bodies
 
@@ -247,13 +252,17 @@ def test_body_search_streams(monkeypatch):
             yield item
 
     monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", sizing)
+    monkeypatch.setattr(ngons.zeroalg, "_pairs_for_body", lambda *args: [])
+    g = make_cl_witness(4, 2)
+    g._index
+    gc.collect()
     tracemalloc.start()
     try:
-        pairs = enumerate_zero_min_pairs(make_cl_witness(4, 2), 8)
+        enumerate_zero_min_pairs(g, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(pairs) == 60
+    assert held > 0
     assert peak < held
 
 
@@ -349,12 +358,15 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
             yield body, target
 
     monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", record)
-    bodies = pairs = 0
+    bodies = pairs = seeded = 0
     per_n = Counter()
     for g, cap in graphs:
         seen.clear()
         enumerate_zero_min_pairs(g, cap)
-        for body, target in seen:
+        index = g._index
+        for mask, target in seen:
+            body = frozenset(v for i, v in enumerate(index.verts)
+                             if mask >> i & 1)
             boundary = sorted(set().union(*(g.neighbors(v) for v in body))
                               - body)
             if len(boundary) > 14:
@@ -364,12 +376,41 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
                       for a in combinations(boundary, k)
                       if sum(into[v] for v in a) == target
                       and is_zero_minimally_algebraic(g, a, body)}
-            got = [p.base for p in ngons.zeroalg._pairs_for_body(g, body,
-                                                                 target)]
+            got = [p.base for p in ngons.zeroalg._pairs_for_body(
+                g, mask, target, index.full)]
             assert len(got) == len(set(got))
             assert set(got) == expect
+            assert all(p.body == body for p in ngons.zeroalg._pairs_for_body(
+                g, mask, target, index.full))
+            # a body that misses `around` gets the bases that meet it
+            around = frozenset(boundary[::3])
+            got = [p.base for p in ngons.zeroalg._pairs_for_body(
+                g, mask, target, index.mask(around))]
+            assert len(got) == len(set(got))
+            assert set(got) == {a for a in expect if a & around}
             bodies += 1
-            pairs += len(got)
-            per_n[g.n] += len(got)
+            pairs += len(expect)
+            seeded += len(got)
+            per_n[g.n] += len(expect)
     assert sorted(per_n) == [3, 4, 5, 6] and min(per_n.values()) > 10, per_n
-    assert bodies > 1000 and pairs > 100
+    assert bodies > 1000 and pairs > 100 and seeded > 50
+
+
+@pytest.mark.parametrize("n, seed, steps", [(3, 1, 20), (3, 2, 20), (3, 4, 20),
+                                            (4, 4, 2), (4, 5, 2), (4, 5, 3)])
+def test_enumeration_around_the_last_step(n, seed, steps):
+    """With `around` set to the vertices that the last growth step added,
+    the enumeration equals the full list filtered by them, as in the
+    membership check of that step, including pairs whose body misses
+    them."""
+    seed_graph = make_cycle(n, 2 * n + 2)
+    kw = {} if n == 3 else {"templates": ("pendant_path", "path_completion",
+                                           "cycle_attach")}
+    before, _ = grow(seed_graph, steps - 1, seed, **kw)
+    after, log = grow(seed_graph, steps, seed, **kw)
+    new = after.vertices - before.vertices
+    assert log[-1].accepted and new
+    full = enumerate_zero_min_pairs(after)
+    got = enumerate_zero_min_pairs(after, around=new)
+    assert got == [p for p in full if (p.base | p.body) & new]
+    assert any(not p.body & new for p in got)

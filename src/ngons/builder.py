@@ -101,20 +101,12 @@ def _secluded(g, v, allowed=()):
 def _sites_completion(g, rng, length):
     """Low-degree vertex pairs far enough apart that closing them with a
     path of the given length cannot create a cycle shorter than 2n."""
-    want_same_part = (length % 2 == 0)
-    pairs = []
-    for u in sorted(g.vertices):
-        if not _secluded(g, u):
-            continue
+    quiet, pairs = [v for v in sorted(g.vertices) if _secluded(g, v)], []
+    for u in quiet:
         dist = bfs_distances(g, u)
-        for v in sorted(g.vertices):
-            if v <= u or not _secluded(g, v):
-                continue
-            if (g.part(u) == g.part(v)) != want_same_part:
-                continue
-            d = dist.get(v, INFINITY)
-            if d + length >= 2 * g.n:
-                pairs.append((u, v))
+        pairs += [(u, v) for v in quiet if v > u
+                  and (g.part(u) == g.part(v)) == (length % 2 == 0)
+                  and dist.get(v, INFINITY) + length >= 2 * g.n]
     return _pick_pair(rng, pairs)
 
 
@@ -130,7 +122,6 @@ def _sites_witness_base(g, rng, witness):
     dist = {}
     for _ in range(50):
         chosen = []
-        ok = True
         for p in parts:
             pool = []
             for v in by_part[p]:
@@ -141,10 +132,9 @@ def _sites_witness_base(g, rng, witness):
                 if all(dist[v].get(u, INFINITY) >= 3 for u in chosen):
                     pool.append(v)
             if not pool:
-                ok = False
                 break
             chosen.append(pool[rng.randrange(len(pool))])
-        if ok:
+        else:
             return dict(zip(base, chosen))
     return None
 

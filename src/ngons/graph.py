@@ -6,11 +6,10 @@ copies, configuration isomorphism and automorphisms (`_matches`).
 Vertices are opaque integers carrying a part label in {0, 1}.  All graphs
 are simple and every edge joins part 0 to part 1.  No operation mutates a
 graph; it only gains its bitset index (`_index`), built on first use for
-the min-cuts and the pair search and left out of == and hash.
+the min-cuts, the cycle walk and the pair search, and left out of == and hash.
 """
 
 import math
-from functools import cached_property
 
 INFINITY = math.inf
 
@@ -65,10 +64,14 @@ class BipartiteGraph:
             if not members <= self.vertices:
                 raise GraphError("subset %r mentions unknown vertices" % (name,))
             self.subsets[name] = members
+        # set here: a new attribute later on slows every attribute read
+        self._idx = None
 
-    @cached_property
+    @property
     def _index(self):
-        return _Index(self)
+        if self._idx is None:
+            self._idx = _Index(self)
+        return self._idx
 
     def part(self, v):
         try:
@@ -274,36 +277,44 @@ def enumerate_cycles(g, length, through=None):
     once as a vertex tuple starting at its smallest vertex and oriented so
     the second vertex is smaller than the last.  With `through` (a vertex
     set), only those meeting it: the full list filtered by `set(c) & S`.
-
-    Each cycle is found from one root v, its smallest vertex (with
-    `through`: its smallest vertex in `through`), walking only vertices
-    greater than v or outside `through`.  A branch is cut once the BFS
-    distance from its tip back to v over those vertices exceeds the
-    edges left to close the cycle.
-    """
+    The sorted, single-length view of `_cycles`."""
     if length % 2 != 0 or length < 4:
         raise GraphError("cycle length must be even and >= 4, got %r" % (length,))
-    roots = g.vertices if through is None else g.check_subset(through)
-    out = []
-    for root in sorted(roots):
-        dist = _ball(g, (root,), length // 2,
-                     lambda w: w > root or w not in roots)
-        stack = [((root,), frozenset((root,)))]
+    return sorted(_cycles(g, (length,), through))
+
+
+def _cycles(g, lengths, through=None):
+    """Yield each simple cycle whose length is in `lengths` (even, >= 4)
+    once, canonical as in `enumerate_cycles`, in no fixed order.
+
+    One walk on the index for all lengths.  Each cycle is found from one
+    root r, its smallest vertex (with `through`: its smallest one in
+    `through`), walking only vertices greater than r or outside
+    `through`.  A branch is cut once the BFS distance from its tip back
+    to r over those vertices exceeds the edges left to close the longest
+    cycle.  Positions keep the vertex order, so the walk compares them."""
+    idx = g._index
+    adj, top, close = idx.adj, max(lengths), frozenset(lengths)
+    roots = idx.full if through is None else idx.mask(g.check_subset(through))
+    for r in _bits(roots):
+        keep = idx.full & ~(roots & ((2 << r) - 1))
+        ball = [rim := 1 << r]  # ball[k]: within distance min(k, top/2) of r
+        for k in range(top):
+            rim = _union(adj, rim) & keep & ~ball[-1] if k < top // 2 else 0
+            ball.append(ball[-1] | rim)
+        stack = [((r,), 1 << r)]
         while stack:
             path, seen = stack.pop()
-            if len(path) == length:
-                # the distance cut left path[-1] adjacent to the root;
-                # rotate and orient the cycle canonically
-                if path[1] < path[-1]:
-                    i = path.index(min(path))
-                    cyc = path[i:] + path[:i]
-                    out.append(cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1])
-                continue
-            left = length - len(path)
-            for w in g.neighbors(path[-1]):
-                if w in dist and dist[w] <= left and w not in seen:
-                    stack.append((path + (w,), seen | {w}))
-    return sorted(out)
+            p, tip = len(path), path[-1]
+            if p in close and adj[tip] >> r & 1 and path[1] < tip:
+                i = path.index(min(path))
+                cyc = tuple(map(idx.verts.__getitem__, path[i:] + path[:i]))
+                yield cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
+            m = adj[tip] & ball[top - p] & ~seen if p < top else 0
+            while m:
+                low = m & -m
+                m ^= low
+                stack.append((path + (low.bit_length() - 1,), seen | low))
 
 
 def ordered_cycles(g, length, start_part=None):
@@ -312,14 +323,10 @@ def ordered_cycles(g, length, start_part=None):
     Every rotation and both orientations of each cycle are reported; with
     start_part given, only those whose starting vertex lies in that part.
     """
-    out = []
-    for cyc in enumerate_cycles(g, length):
-        for direction in (cyc, (cyc[0],) + tuple(reversed(cyc[1:]))):
-            for shift in range(length):
-                rolled = direction[shift:] + direction[:shift]
-                if start_part is None or g.part(rolled[0]) == start_part:
-                    out.append(rolled)
-    return sorted(set(out))
+    return sorted({rolled for cyc in enumerate_cycles(g, length)
+                   for turn in (cyc, cyc[:1] + cyc[:0:-1])
+                   for rolled in (turn[k:] + turn[:k] for k in range(length))
+                   if start_part is None or g.part(rolled[0]) == start_part})
 
 
 def simple_paths(g, length, start=None):

@@ -18,7 +18,7 @@ tested, and transitivity on ordered cycles is counted.
 from collections import Counter
 from math import perm, prod
 
-from .graph import (GraphError, enumerate_cycles, is_generalized_ngon, simple_paths,
+from .graph import (GraphError, is_generalized_ngon, simple_paths, _cycles,
                     _extend_match, _matches)
 
 
@@ -320,27 +320,30 @@ def check_remark_2_2(g, grp):
     acts transitively on (D_1(x_1) - {x_0, x_2}) x (D_1(x_2) - {x_1, x_3}).
     Returns (L == R, L, R).
 
-    Transitivity is counted from one vertex x per G-orbit O.  Only the
-    type-preserving part G_0 moves ordered cycles starting in part 0, and
-    its orbits there are the G-orbits met with part 0.  The number c(x)
-    of cycles through x is G-invariant, and 2c(x) ordered ones start at x.
-    So they form one orbit iff one O meeting part 0 carries cycles and
-    |G| / |G_c| = 2 |O| c(x) for a cycle c ([G:G_0] |O in part 0| = |O|).
+    Transitivity is counted from one vertex x per G-orbit O, whose cycles
+    of both lengths one walk lists.  Only the type-preserving part G_0
+    moves ordered cycles starting in part 0, and its orbits there are the
+    G-orbits met with part 0.  The number c(x) of cycles through x is
+    G-invariant, and 2c(x) ordered ones start at x.  So they form one
+    orbit iff one O meeting part 0 carries cycles and |G| / |G_c| =
+    2 |O| c(x) for a cycle c ([G:G_0] |O in part 0| = |O|).
     """
-    orbits = _require(g, grp)
+    orbits, lengths, carriers = _require(g, grp), (2 * g.n + 2, 2 * g.n), {}
+    for x, orbit in orbits.items():
+        if not all(map(g.part, orbit)):  # the orbit meets part 0
+            for c in _cycles(g, lengths, (x,)):  # counted, the least kept
+                found = carriers.setdefault(len(c), {})
+                size, count, least = found.get(x, (len(orbit), 0, c))
+                found[x] = size, count + 1, min(least, c)
     sides = []
-    for length in (2 * g.n + 2, 2 * g.n):
-        # the orbits that meet part 0 and carry cycles, up to the second
-        carriers = ((len(orbit), found) for x, orbit in orbits.items()
-                    if not all(map(g.part, orbit))
-                    and (found := enumerate_cycles(g, length, through=(x,))))
-        (size, cycles), second = next(carriers, (0, ())), next(carriers, None)
-        if cycles:  # a cycle, rotated to start in part 0
-            cyc = cycles[0][g.part(cycles[0][0]):] + cycles[0][:g.part(cycles[0][0])]
-        sides.append(not cycles or second is None and grp.order
-                     == 2 * size * len(cycles) * grp.stabilizer(cyc).order)
+    for length in lengths:
+        (size, count, c), *second = carriers.get(length, {}).values() or [(0, 0, ())]
+        if count:  # the least cycle, rotated to start in part 0
+            cyc = c[g.part(c[0]):] + c[:g.part(c[0])]
+        sides.append(not count or not second and grp.order
+                     == 2 * size * count * grp.stabilizer(cyc).order)
     left, right = sides
-    if right and cycles:
+    if right and count:
         # the 2n-cycles (the last loop) form one orbit: one stabilizer suffices
         pairs = {(a, b)
                  for a in g.neighbors(cyc[1]) - {cyc[0], cyc[2]}

@@ -7,10 +7,10 @@ A finite bipartite graph belongs to the class when
 3. the number of copies of each 0-minimally algebraic body over its base
    stays within the mu-bound.
 
-Conditions 2 and 3 quantify over unbounded families; the checker explores
-cycles up to a configurable horizon and bodies up to a configurable size
-cap, so a verdict holds only within those limits.  The reports do not
-record them; `ngons kmu` prints them.
+Conditions 2 and 3 quantify over unbounded families; the checker walks
+cycles up to a configurable horizon, in one walk with condition 1, and
+bodies up to a configurable size cap, so a verdict holds only within
+those limits.  The reports do not record them; `ngons kmu` prints them.
 
 Copies, copy equivalence, configuration isomorphism and the path test
 behind mu = 1 all run on one backtracking matcher, `graph._matches`,
@@ -22,9 +22,9 @@ import json
 from dataclasses import dataclass
 from typing import Optional
 
-from .graph import GraphError, enumerate_cycles, _matches
+from .graph import GraphError, _bits, _cycles, _matches
 from . import io as gio
-from .predimension import delta, is_strong, _min_superset
+from .predimension import delta, is_strong, _hull_cut
 from .witnesses import make_path
 from .zeroalg import (default_body_cap, enumerate_zero_min_pairs,
                       _require_disjoint)
@@ -174,8 +174,9 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     any Y <= G, delta(Y) >= delta(Y and H) by submodularity), and every
     copy count that grew involves a new vertex.
 
-    Condition 2 solves each cycle C by one min-cut on C plus its peeled
-    hull (`_min_superset`).
+    Conditions 1 and 2 read the cycles from one walk (`graph._cycles`);
+    condition 2 runs a min-cut only where the weight bound of
+    `predimension._hull_cut` leaves d(C) possibly below 2n+2.
     """
     n = g.n
     if mu is None:
@@ -192,26 +193,21 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
             raise GraphError("member_base is not strongly embedded; "
                              "violator %s" % sorted(witness))
         new = g.vertices - member_base
-    reports = []
 
-    # Condition 1: no cycle of length 2m with m < n.
-    for length in range(4, 2 * n, 2):
-        for cyc in enumerate_cycles(g, length, through=new):
+    # Conditions 1 and 2 from one walk: no cycle of length 2m with m < n,
+    # and d(C) >= 2n+2 for each cycle C longer than 2n.
+    idx, floor, seen_minimisers, reports = g._index, 2 * n + 2, set(), []
+    for cyc in _cycles(g, [*range(4, 2 * n, 2), *range(floor, horizon + 1, 2)],
+                       through=new):
+        if len(cyc) < 2 * n:
             reports.append(ViolationReport("short_cycle", tuple(sorted(cyc)),
-                                           length, 2 * n))
-
-    # Condition 2: any set containing a cycle longer than 2n has
-    # delta >= 2n+2.  The minimum of delta over supersets of a cycle is a
-    # min-cut computation; cycles are enumerated up to the horizon.
-    seen_minimisers = set()
-    for length in range(2 * n + 2, horizon + 1, 2):
-        for cyc in enumerate_cycles(g, length, through=new):
-            value, minimiser = _min_superset(g, frozenset(cyc), g.vertices)
-            if value < 2 * n + 2 and minimiser not in seen_minimisers:
-                seen_minimisers.add(minimiser)
-                reports.append(ViolationReport("long_cycle_low_delta",
-                                               tuple(sorted(minimiser)),
-                                               value, 2 * n + 2))
+                                           len(cyc), 2 * n))
+            continue
+        value, x, _, _ = _hull_cut(g, cmask := idx.mask(cyc), idx.full, floor)
+        if value < floor and (w := cmask | x) not in seen_minimisers:
+            seen_minimisers.add(w)
+            reports.append(ViolationReport("long_cycle_low_delta", tuple(
+                idx.verts[p] for p in _bits(w)), value, floor))
 
     # Condition 3: copy counts of 0-minimally algebraic bodies stay within
     # mu.  Every copy of an enumerated body is itself 0-minimally algebraic

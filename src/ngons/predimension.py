@@ -94,25 +94,20 @@ class _Network:
     the sides of the cut and strong connectivity."""
 
     def __init__(self, size):
-        self.to = []
-        self.cap = []
-        self.adj = [[] for _ in range(size)]
+        self.to, self.cap, self.adj = [], [], [[] for _ in range(size)]
 
     def add_edge(self, u, v, capacity, reverse=0):
         self.adj[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(capacity)
-        self.adj[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(reverse)
+        self.adj[v].append(len(self.to) + 1)
+        self.to += (v, u)
+        self.cap += (capacity, reverse)
 
     def reach(self, start, back=0, first=0):
         """The nodes from `first` on that `start` reaches along residual
         arcs (against them when back=1), each mapped to the arc that
         reached it first (`start` to None)."""
         to, cap, adj = self.to, self.cap, self.adj
-        side = {start: None}
-        queue = [start]
+        side, queue = {start: None}, [start]
         for u in queue:
             for e in adj[u]:
                 v = to[e]
@@ -126,15 +121,12 @@ class _Network:
         """The flow value and the last `reach(source)`, which misses the
         sink: exactly the nodes reachable from the source in the residual
         network, the source side of the smallest minimum cut."""
-        to, cap = self.to, self.cap
-        total = 0
+        to, cap, total = self.to, self.cap, 0
         while sink in (side := self.reach(source)):
-            path = []
-            v = sink
+            path, v = [], sink
             while v != source:
-                e = side[v]
-                path.append(e)
-                v = to[e ^ 1]
+                path.append(side[v])
+                v = to[side[v] ^ 1]
             pushed = min(cap[e] for e in path)
             for e in path:
                 cap[e] -= pushed
@@ -143,40 +135,50 @@ class _Network:
         return total, side
 
 
-def _cut_network(n, size, rows):
-    """The vertex-only cut network of `_min_superset` on free vertices
-    0 .. size-1, given rows (i, e(i, A), mask of i's free neighbours):
-    node 0 is the source, node 1 the sink and node 2 + i free vertex i.
-    Returns the network and the offered total of -w(v) over w(v) < 0."""
-    net = _Network(2 + size)
-    offered = 0
-    for i, base_edges, free_nbrs in rows:
-        w = 2 * (n - 1) - 2 * (n - 2) * base_edges - (n - 2) * free_nbrs.bit_count()
-        for j in _bits(free_nbrs & ((1 << i) - 1)):
-            net.add_edge(2 + j, 2 + i, n - 2, n - 2)
+def _cut_network(n, weights, edges):
+    """The cut network of `_min_superset`: node 0 is the source, 1 the sink,
+    2 + i free vertex i, of weight w(i); `edges` lists joined free pairs."""
+    net = _Network(2 + len(weights))
+    for j, i in edges:
+        net.add_edge(2 + j, 2 + i, n - 2, n - 2)
+    for i, w in enumerate(weights):
         if w < 0:
             net.add_edge(0, 2 + i, -w)
-            offered -= w
         elif w > 0:
             net.add_edge(2 + i, 1, w)
-    return net, offered
+    return net
 
 
-def _hull_cut(g, a, ground, threshold):
-    """The max flow of `_min_superset` on ground - A peeled by `threshold`:
-    (min delta over A <= S <= ground, network, source side, hull vertex
-    of each free node)."""
-    idx = g._index
-    adj, amask = idx.adj, idx.mask(a)
-    gmask = idx.full if len(ground) == len(idx.verts) else idx.mask(ground)
-    free = _peel(idx, gmask & ~amask, amask, threshold)
-    if not free:
-        return delta(g, a), None, None, {}
-    net, offered = _cut_network(g.n, free.bit_length(), (
-        (i, (adj[i] & amask).bit_count(), adj[i] & free) for i in _bits(free)))
+def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None):
+    """The max flow of `_min_superset` for A <= S <= ground (masks) on
+    the hull F, ground - A peeled by `threshold` (default ceil(n/(n-2))):
+    (min delta, a mask of the smallest minimiser's vertices outside A,
+    network, F's positions; node 2 + k stands for F[k]).
+
+    The weights bound the minimum before any arc is built: by the identity
+    of `_min_superset`, whose edge term (n-2) e(X, F - X) is not negative,
+    2 delta(A + X) - 2 delta(A) >= sum_X w(v) >= -offered, the total of
+    -w(v) over w(v) < 0.  As delta is an integer, min delta >= delta(A) -
+    floor(offered / 2), which is delta(A) itself on an empty hull.  There,
+    and whenever the bound reaches `enough`, it is returned as the value,
+    with no vertex outside A and no network.
+    """
+    n, adj = g.n, g._index.adj
+    free = _peel(g._index, gmask & ~amask, amask, threshold or math.ceil(n / (n - 2)))
+    hull = _bits(free)
+    weights = [2 * (n - 1) - (n - 2) * (2 * (adj[p] & amask).bit_count()
+                                        + (adj[p] & free).bit_count()) for p in hull]
+    offered = -sum(w for w in weights if w < 0)
+    inner = sum((adj[p] & amask).bit_count() for p in _bits(amask))  # 2 e(A)
+    value = (n - 1) * amask.bit_count() - (n - 2) * inner // 2  # delta(A)
+    if not hull or value - offered // 2 >= enough:
+        return value - offered // 2, 0, None, hull
+    node = {p: k for k, p in enumerate(hull)}
+    net = _cut_network(n, weights, ((node[q], k) for k, p in enumerate(hull)
+                                    for q in _bits(adj[p] & free & ((1 << p) - 1))))
     cut, side = net.max_flow(0, 1)
-    return (delta(g, a) - (offered - cut) // 2, net, side,
-            {2 + i: idx.verts[i] for i in _bits(free)})
+    return (value - (offered - cut) // 2,
+            sum(1 << p for k, p in enumerate(hull) if 2 + k in side), net, hull)
 
 
 def _min_superset(g, a, ground):
@@ -203,9 +205,10 @@ def _min_superset(g, a, ground):
     from the source in the residual network of a maximum flow form the
     smallest minimum cut, so the smallest minimiser.
     """
-    a = frozenset(a)
-    value, _, side, hull = _hull_cut(g, a, ground, math.ceil(g.n / (g.n - 2)))
-    return value, a.union([v for node, v in hull.items() if node in side])
+    idx = g._index
+    value, x, _, _ = _hull_cut(g, idx.mask(a), idx.full if len(ground)
+                               == len(idx.verts) else idx.mask(ground))
+    return value, frozenset(a).union(map(idx.verts.__getitem__, _bits(x)))
 
 
 def d_min(g, a, within=None):
@@ -245,8 +248,8 @@ def acl_relative(g, a):
     ceil((n-1)/(n-2)) edges into W and survives that peel; W - A is then
     the free nodes that cannot reach the sink after the max flow.
     """
-    a = g.check_subset(a)
-    _, net, _, hull = _hull_cut(g, a, g.vertices,
-                                math.ceil((g.n - 1) / (g.n - 2)))
-    to_sink = hull and net.reach(1, back=1)
-    return a.union([v for node, v in hull.items() if node not in to_sink])
+    a, idx = g.check_subset(a), g._index
+    _, _, net, hull = _hull_cut(g, idx.mask(a), idx.full,
+                                threshold=math.ceil((g.n - 1) / (g.n - 2)))
+    to_sink = net.reach(1, back=1) if net else ()
+    return a.union(idx.verts[p] for k, p in enumerate(hull) if 2 + k not in to_sink)

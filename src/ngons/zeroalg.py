@@ -236,9 +236,10 @@ def _zero_algebraic(n, adj, levels):
     X <= B closed under the residual arcs inside B is a minimum cut,
     hence {} or B.
     """
-    net, _ = _cut_network(n, len(adj),
-                          ((i, sum(level >> i & 1 for level in levels), m)
-                           for i, m in enumerate(adj)))
+    net = _cut_network(n, [2 * (n - 1) - (n - 2) * (
+        2 * sum(level >> i & 1 for level in levels) + m.bit_count())
+        for i, m in enumerate(adj)],
+        ((j, i) for i, m in enumerate(adj) for j in _bits(m & ((1 << i) - 1))))
     net.max_flow(0, 1)
     # strongly connected: body node 2 reaches every body node, and back
     return all(len(net.reach(2, back, 2)) == len(adj) for back in (0, 1))

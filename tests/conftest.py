@@ -170,6 +170,22 @@ def sparse_graph(rng, n, size, closed):
     return BipartiteGraph(n, parts, edges)
 
 
+def cycle_with_handles(rng, n, length, extra, chords):
+    """The cycle 0, 1, ..., length-1 with `chords` random chords, and
+    `extra` more vertices, each joined to one or two earlier vertices of
+    the other part: long cycles with chords, handles and pendants."""
+    parts = {v: v % 2 for v in range(length)}
+    edges = {(v, (v + 1) % length) for v in range(length)}
+    for _ in range(chords):
+        u = rng.randrange(0, length, 2)
+        edges.add((u, (u + rng.randrange(3, length - 2, 2)) % length))
+    for x in range(length, length + extra):
+        parts[x] = rng.randrange(2)
+        other = sorted(v for v in parts if parts[v] != parts[x])
+        edges.update((y, x) for y in rng.sample(other, rng.randint(1, 2)))
+    return BipartiteGraph(n, parts, edges)
+
+
 def pgl3(p):
     """PG(2,p) with PGL(3,p) acting on it, built from generators without
     the automorphism search: the six elementary transvections I + E_ij

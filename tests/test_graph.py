@@ -5,7 +5,9 @@ import pytest
 
 import ngons
 from ngons import graph as graph_module
+from ngons.graph import _cycles
 from ngons.io import format_graph
+from conftest import cycle_with_handles, random_bipartite
 from ngons import (BipartiteGraph, GraphError, bfs_distances, distance,
                    diameter, girth, enumerate_cycles, ordered_cycles,
                    simple_paths, connected_components, is_connected,
@@ -52,7 +54,7 @@ def test_bitset_index_built_once_and_invisible(monkeypatch):
     index = g._index
     assert index is g._index and built == 1
     assert (hash(g), format_graph(g)) == before
-    assert g == twin and hash(g) == hash(twin) and "_index" not in vars(twin)
+    assert g == twin and hash(g) == hash(twin) and twin._idx is None
     assert index.verts == tuple(sorted(g.vertices))
     def members(m):
         return frozenset(v for i, v in enumerate(index.verts) if m >> i & 1)
@@ -227,6 +229,37 @@ def test_enumerate_cycles_through_matches_filtered(grow_outputs):
                 if want:
                     hits.add(g.n)
     assert hits == {3, 4}
+
+
+def test_cycle_walk_matches_closed_paths_by_length():
+    """One `_cycles` walk over every length 4..2n+6, with and without
+    `through`, against closed simple paths taken from their smallest
+    vertex in one orientation, compared length by length at n = 3 and 4
+    on chorded long cycles with handles and on random graphs."""
+    rng = random.Random(20261019)
+    found = set()
+    for n in (3, 4):
+        lengths = range(4, 2 * n + 7, 2)
+        graphs = [random_bipartite(rng, n, 11, 0.3) for _ in range(3)] + [
+            cycle_with_handles(rng, n, length, 3, chords)
+            for length in lengths[-3:] for chords in (0, 2)]
+        for g in graphs:
+            verts = sorted(g.vertices)
+            for through in (None, set(rng.sample(verts, 2)), set(verts[-3:])):
+                walked = {}
+                for cyc in _cycles(g, lengths, through):
+                    walked.setdefault(len(cyc), []).append(cyc)
+                for length in lengths:
+                    want = sorted(p for p in simple_paths(g, length - 1)
+                                  if g.has_edge(p[0], p[-1]) and p[0] == min(p)
+                                  and p[1] < p[-1]
+                                  and (through is None or set(p) & through))
+                    assert sorted(walked.pop(length, ())) == want
+                    if want:
+                        found.add((n, length))
+                assert not walked
+    assert found == {(n, length) for n in (3, 4)
+                     for length in range(4, 2 * n + 7, 2)}
 
 
 def test_ordered_cycles(fano):

@@ -5,12 +5,13 @@ from itertools import combinations, permutations
 import pytest
 
 import ngons.kmu
-from conftest import random_bipartite
+from conftest import MaskOracle, cycle_with_handles, random_bipartite
 from ngons import (BipartiteGraph, GraphError, MuFunction, TEMPLATES,
-                   count_copies, default_mu, delta, enumerate_zero_min_pairs,
+                   closure, count_copies, default_mu, delta, enumerate_zero_min_pairs,
                    find_copies, free_amalgam, girth, grow, in_class,
                    is_connected, make_cl_witness, make_cycle, make_path,
-                   pairs_isomorphic, copies_equivalent)
+                   pairs_isomorphic, copies_equivalent, enumerate_cycles)
+from ngons.predimension import _hull_cut
 
 
 def double_path(n):
@@ -297,6 +298,54 @@ def test_long_cycle_low_delta_reported(fano):
     assert low
     assert low[0].value == 7 and low[0].bound == 8
     assert set(low[0].witness) == fano.vertices
+
+
+def test_condition2_matches_brute_force():
+    """Condition 2 against the mask oracle, in full mode and with
+    `member_base`: every long cycle C through a new vertex whose d(C) is
+    below 2n+2 reports the smallest minimiser of delta over supersets of
+    C, once per minimiser, with value d(C).  The corpus (n = 3 and 4)
+    reaches chorded cycles among the violators, d(C) = 2n+1 and 2n+2, and
+    the three routes of the cut: an empty hull, a cycle the cut bound
+    clears, and a max flow that finds a violation; `member_base`, the
+    closure of half the vertices, leaves out some violators."""
+    routes, values, chorded, filtered = set(), set(), 0, 0
+    for n in (3, 4):
+        rng, bar = random.Random(20261019 + n), 2 * n + 2
+        for _ in range(30):
+            length = rng.choice(range(bar, 2 * n + 7, 2))
+            g = cycle_with_handles(rng, n, length, rng.randint(1, 15 - length),
+                                   rng.choice((0, 0, 1, 2)))
+            oracle, idx = MaskOracle(g), g._index
+            cycles = [c for k in range(bar, 2 * n + 7, 2)
+                      for c in enumerate_cycles(g, k)]
+            smallest = {}
+            for c in cycles:
+                amask = oracle.mask(c)
+                d = oracle.d_min(c)
+                smallest[c] = d, min((s for s in oracle.supersets(amask)
+                                      if oracle.delta[s] == d), key=int.bit_count)
+                values.add(d - bar)
+                chorded += d < bar and g.edge_count(c) > len(c)
+                value, _, net, hull = _hull_cut(g, idx.mask(c), idx.full, bar)
+                routes.add("empty hull" if not hull else "cleared" if net is None
+                           else "violation" if value < bar else "flow")
+            base = closure(g, rng.sample(sorted(g.vertices), len(g) // 2))
+            assert oracle.is_strong(base)
+            wants = []
+            for member_base in (None, base):
+                new = g.vertices - (member_base or set())
+                want = sorted({(tuple(sorted(oracle.unmask(w))), d)
+                               for c, (d, w) in smallest.items()
+                               if d < bar and new & set(c)})
+                got = [(r.witness, r.value) for r in in_class(
+                    g, max_body=2, member_base=member_base)[1]
+                    if r.condition == "long_cycle_low_delta"]
+                assert got == want
+                wants.append(want)
+            filtered += wants[0] != wants[1]
+    assert {"empty hull", "cleared", "violation"} <= routes
+    assert {-1, 0} <= values and chorded and filtered
 
 
 def test_violation_witnesses_recheck():

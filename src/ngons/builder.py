@@ -6,17 +6,19 @@ adding no other cross edges.  `grow` repeatedly draws candidate
 extensions from a template catalogue (pendant paths, path completions,
 long-cycle attachments, cycle-with-spokes witnesses), keeps a candidate
 only if the amalgam still passes the class membership check, which also
-verifies that the previous graph is still strongly embedded.  Identical
-seeds give identical outputs.
+verifies that the previous graph is still strongly embedded.  Sites are
+found on masks over the graph's bitset index (`graph._Index`): secluded
+vertices (`_secluded`) and their balls.  Identical seeds give identical
+outputs.
 """
 
 import random
 from dataclasses import dataclass
 
-from .graph import BipartiteGraph, GraphError, bfs_distances, INFINITY
+from .graph import BipartiteGraph, GraphError, _balls, _bits, _union
 from .predimension import is_strong
 from .kmu import in_class, default_mu
-from .witnesses import make_path, make_cycle, make_cl_witness
+from .witnesses import make_cycle, make_cl_witness
 
 
 class AmalgamError(GraphError):
@@ -77,63 +79,55 @@ def free_amalgam(m, e, gluing):
 
 
 def _pick_pair(rng, items):
-    if not items:
-        return None
-    return items[rng.randrange(len(items))]
+    return items[rng.randrange(len(items))] if items else None
 
 
-def _quiet(g, v):
-    # sites of low degree keep the growth from piling structure onto a
-    # few hub vertices, which would make later membership checks explode
-    return len(g.neighbors(v)) <= 2
-
-
-def _secluded(g, v, allowed=()):
-    """A quiet vertex all of whose neighbours are quiet too.  Gluing
-    cycle-creating templates only at secluded sites leaves a buffer of
-    plain path vertices around every dense region, so the regions stay
-    separated and the membership checks stay local."""
-    if not _quiet(g, v):
-        return False
-    return all(_quiet(g, w) for w in g.neighbors(v) if w not in allowed)
+def _secluded(idx):
+    """The mask of the quiet vertices (degree <= 2) with only quiet
+    neighbours: quiet & ~N(loud).  Low-degree sites keep the growth from
+    piling structure onto a few hubs; cycle-creating templates glued only
+    at secluded sites leave a buffer of plain path vertices around every
+    dense region, so the regions stay apart and membership checks local."""
+    quiet = idx.below[3]
+    return quiet & ~_union(idx.adj, idx.full & ~quiet)
 
 
 def _sites_completion(g, rng, length):
-    """Low-degree vertex pairs far enough apart that closing them with a
-    path of the given length cannot create a cycle shorter than 2n."""
-    quiet, pairs = [v for v in sorted(g.vertices) if _secluded(g, v)], []
-    for u in quiet:
-        dist = bfs_distances(g, u)
-        pairs += [(u, v) for v in quiet if v > u
-                  and (g.part(u) == g.part(v)) == (length % 2 == 0)
-                  and dist.get(v, INFINITY) + length >= 2 * g.n]
+    """Secluded vertex pairs far enough apart that closing them with a
+    path of the given length cannot create a cycle shorter than 2n: u's
+    partners are the secluded v > u of the right part outside u's ball of
+    radius 2n - length - 1."""
+    idx, pairs = g._index, []
+    secluded, part0 = _secluded(idx), idx.mask(g.part_vertices(0))
+    for u in _bits(secluded):
+        # u's part for an even length, the other one for an odd length
+        part = part0 if (part0 >> u & 1) == (length % 2 == 0) else ~part0
+        ball = _balls(idx.adj, 1 << u, 2 * g.n - length - 1)[-1]
+        far = secluded & part & ~ball & ~((2 << u) - 1)
+        pairs += [(idx.verts[u], idx.verts[v]) for v in _bits(far)]
     return _pick_pair(rng, pairs)
 
 
 def _sites_witness_base(g, rng, witness):
-    """Four low-degree, pairwise distant vertices of m matching the parts
-    of the witness base (the base is edgeless, so induced isomorphism just
-    means parts match and no edges between the images).  Keeping the
-    images at distance >= 3 rules out shared neighbours."""
-    base = sorted(witness.subsets["A0"])
-    parts = [witness.part(s) for s in base]
-    by_part = {p: [v for v in sorted(g.part_vertices(p)) if _secluded(g, v)]
-               for p in (0, 1)}
-    dist = {}
+    """Four secluded vertices of g, pairwise at distance >= 3 (no shared
+    neighbours), matching the parts of the witness base, which is
+    edgeless, so induced isomorphism just means parts match.  Each pool
+    leaves out the radius-2 balls of the vertices chosen before; it is
+    listed in id order, as index positions follow the sorted ids."""
+    idx, base, balls = g._index, sorted(witness.subsets["A0"]), {}
+    secluded, part0 = _secluded(idx), idx.mask(g.part_vertices(0))
+    pools = [secluded & (part0 if witness.part(s) == 0 else ~part0) for s in base]
     for _ in range(50):
-        chosen = []
-        for p in parts:
-            pool = []
-            for v in by_part[p]:
-                if v in chosen:
-                    continue
-                if v not in dist:
-                    dist[v] = bfs_distances(g, v)
-                if all(dist[v].get(u, INFINITY) >= 3 for u in chosen):
-                    pool.append(v)
+        chosen, blocked = [], 0
+        for mask in pools:
+            pool = _bits(mask & ~blocked)
             if not pool:
                 break
-            chosen.append(pool[rng.randrange(len(pool))])
+            u = pool[rng.randrange(len(pool))]
+            chosen.append(idx.verts[u])
+            if u not in balls:
+                balls[u] = _balls(idx.adj, 1 << u, 2)[-1]
+            blocked |= balls[u]
         else:
             return dict(zip(base, chosen))
     return None
@@ -150,33 +144,30 @@ def _candidate(g, rng, template):
     """Build (extension, gluing) for a template, or None if no site."""
     n = g.n
     if template == "pendant_path":
-        v = _pick_pair(rng, sorted(g.vertices))
+        v = _pick_pair(rng, g._index.verts)
         if v is None:
             return None
-        length = rng.choice(range(1, n + 1))
-        path = _aligned_path(n, length, g.part(v))
-        return path, {0: v}
+        return _aligned_path(n, rng.choice(range(1, n + 1)), g.part(v)), {0: v}
     if template == "path_completion":
         length = n - 1
         pair = _sites_completion(g, rng, length)
         if pair is None:
             return None
+        # the site search matched v's part to the path's far end
         u, v = pair
-        path = _aligned_path(n, length, g.part(u))
-        if path.part(length) != g.part(v):
-            return None
-        return path, {0: u, length: v}
+        return _aligned_path(n, length, g.part(u)), {0: u, length: v}
     if template == "cycle_attach":
         cyc = make_cycle(n, 2 * n + 2)
-        edges = [(a, b) for (a, b) in sorted(g.edges)
-                 if _secluded(g, a, allowed=(b,)) and _secluded(g, b, allowed=(a,))]
+        # an edge (a, b) with a, b and N(a) + N(b) quiet: both ends secluded
+        idx, secluded = g._index, _secluded(g._index)
+        edges = [(a, b) for a in _bits(secluded)
+                 for b in _bits(idx.adj[a] & secluded & ~((2 << a) - 1))]
         if edges and rng.random() < 0.75:
-            a, b = edges[rng.randrange(len(edges))]
+            a, b = map(idx.verts.__getitem__, edges[rng.randrange(len(edges))])
             if cyc.part(0) != g.part(a):
                 a, b = b, a
             return cyc, {0: a, 1: b}
-        pool = [v for v in sorted(g.vertices) if _secluded(g, v)]
-        v = _pick_pair(rng, pool)
+        v = _pick_pair(rng, [idx.verts[p] for p in _bits(secluded)])
         if v is None:
             return None
         anchor = 0 if cyc.part(0) == g.part(v) else 1
@@ -206,9 +197,7 @@ def grow(seed, steps, rng_seed, mu=None, templates=TEMPLATES):
     if not ok:
         raise AmalgamError("seed graph is not in the class: %s"
                            % "; ".join(r.format() for r in reports))
-    rng = random.Random(rng_seed)
-    g = seed
-    log = []
+    rng, g, log = random.Random(rng_seed), seed, []
     for k in range(steps):
         template = templates[rng.randrange(len(templates))]
         built = _candidate(g, rng, template)
@@ -216,10 +205,9 @@ def grow(seed, steps, rng_seed, mu=None, templates=TEMPLATES):
             log.append(StepRecord(k, template, False, "no_site",
                                   len(g.vertices), len(g.edges)))
             continue
-        ext, gluing = built
         try:
-            candidate = free_amalgam(g, ext, gluing)
-        except AmalgamError as exc:
+            candidate = free_amalgam(g, *built)
+        except AmalgamError:
             log.append(StepRecord(k, template, False,
                                   "amalgam_error", len(g.vertices), len(g.edges)))
             continue
@@ -231,12 +219,8 @@ def grow(seed, steps, rng_seed, mu=None, templates=TEMPLATES):
             raise AmalgamError(
                 "strong persistence failed at step %d: previous graph is no "
                 "longer strong (%s)" % (k, exc)) from exc
-        if not ok:
-            reason = "+".join(sorted({r.condition for r in reports}))
-            log.append(StepRecord(k, template, False, reason,
-                                  len(g.vertices), len(g.edges)))
-            continue
-        g = candidate
-        log.append(StepRecord(k, template, True, "",
-                              len(g.vertices), len(g.edges)))
+        if ok:
+            g = candidate
+        log.append(StepRecord(k, template, ok, "+".join(sorted(
+            {r.condition for r in reports})), len(g.vertices), len(g.edges)))
     return g, log

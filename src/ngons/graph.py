@@ -5,8 +5,9 @@ copies, configuration isomorphism and automorphisms (`_matches`).
 
 Vertices are opaque integers carrying a part label in {0, 1}.  All graphs
 are simple and every edge joins part 0 to part 1.  No operation mutates a
-graph; it only gains its bitset index (`_index`), built on first use for
-the min-cuts, the cycle walk and the pair search, and left out of == and hash.
+graph; it only gains its bitset index (`_index`, with the 2-core), built
+on first use for the min-cuts, the cycle walk (in the 2-core), the pair
+and site searches, and left out of == and hash.
 """
 
 import math
@@ -133,8 +134,8 @@ class BipartiteGraph:
 class _Index:
     """Sorted vertices, their positions, and per position the adjacency
     bitmask (bit j for a neighbour at position j) and the degree; below[t]
-    masks the vertices of degree below t (t <= 3).  A vertex set is a mask
-    over these positions."""
+    masks the vertices of degree below t (t <= 3), `core` the 2-core, built
+    on first use.  A vertex set is a mask over these positions."""
 
     def __init__(self, g):
         self.verts = tuple(sorted(g.vertices))
@@ -147,6 +148,13 @@ class _Index:
         self.deg = deg = [m.bit_count() for m in adj]
         self.below = [0] + [sum(1 << i for i, d in enumerate(deg) if d < t)
                             for t in (1, 2, 3)]
+        self._core = None
+
+    @property
+    def core(self):
+        if self._core is None:
+            self._core = _peel(self, self.full, 0, 2)
+        return self._core
 
     def mask(self, vertices):
         return sum(1 << self.pos[v] for v in vertices)
@@ -169,6 +177,36 @@ def _union(masks, m):
         out |= masks[(m & -m).bit_length() - 1]
         m &= m - 1
     return out
+
+
+def _balls(adj, start, radius, within=-1):
+    """[B_0, ..., B_radius]: B_k masks the vertices within distance k of
+    the mask `start` along paths whose later vertices lie in `within`."""
+    balls = [rim := start]
+    for _ in range(radius):
+        rim = _union(adj, rim) & within & ~balls[-1]
+        balls.append(balls[-1] | rim)
+    return balls
+
+
+def _peel(idx, candidates, anchor, threshold):
+    """The largest subset of the candidates (a mask over the graph's index
+    `idx`, disjoint from the anchor) in which every vertex has at least
+    `threshold` edges into it plus the anchor: a k-core that drops lower
+    degrees at once and then rechecks only neighbours of dropped ones."""
+    adj = idx.adj
+    alive = check = candidates & ~idx.below[threshold]
+    while check:
+        keep = alive | anchor
+        doomed = 0
+        while check:
+            low = check & -check
+            check ^= low
+            if (adj[low.bit_length() - 1] & keep).bit_count() < threshold:
+                doomed |= low
+        alive &= ~doomed
+        check = _union(adj, doomed) & alive
+    return alive
 
 
 def bfs_distances(g, source):
@@ -292,16 +330,17 @@ def _cycles(g, lengths, through=None):
     `through`), walking only vertices greater than r or outside
     `through`.  A branch is cut once the BFS distance from its tip back
     to r over those vertices exceeds the edges left to close the longest
-    cycle.  Positions keep the vertex order, so the walk compares them."""
+    cycle.  Positions keep the vertex order, so the walk compares them.
+    Each vertex of a cycle has two neighbours on it, so every cycle lies
+    in the 2-core (`_Index.core`): roots and walk stay there, no walk
+    enters a pendant tree, and a pendant path added last roots none."""
     idx = g._index
-    adj, top, close = idx.adj, max(lengths), frozenset(lengths)
-    roots = idx.full if through is None else idx.mask(g.check_subset(through))
+    adj, top, close, core = idx.adj, max(lengths), frozenset(lengths), idx.core
+    roots = core if through is None else idx.mask(g.check_subset(through)) & core
     for r in _bits(roots):
-        keep = idx.full & ~(roots & ((2 << r) - 1))
-        ball = [rim := 1 << r]  # ball[k]: within distance min(k, top/2) of r
-        for k in range(top):
-            rim = _union(adj, rim) & keep & ~ball[-1] if k < top // 2 else 0
-            ball.append(ball[-1] | rim)
+        keep = core & ~(roots & ((2 << r) - 1))
+        ball = _balls(adj, 1 << r, top // 2, keep)  # within min(k, top/2) of r
+        ball += ball[-1:] * (top - top // 2)
         stack = [((r,), 1 << r)]
         while stack:
             path, seen = stack.pop()

@@ -23,7 +23,7 @@ connectivity.  Brute force over subsets cross-checks all in the tests.
 
 import math
 
-from .graph import GraphError, _bits, _union
+from .graph import GraphError, _bits, _peel, _union
 
 
 def delta(g, a):
@@ -36,26 +36,6 @@ def delta_rel(g, a, b):
     """delta(A/B) = delta(A union B) - delta(B)."""
     a, b = g.check_subset(a), g.check_subset(b)
     return delta(g, a | b) - delta(g, b)
-
-
-def _peel(idx, candidates, anchor, threshold):
-    """The largest subset of the candidates (a mask over the graph's index
-    `idx`, disjoint from the anchor) in which every vertex has at least
-    `threshold` edges into it plus the anchor: a k-core that drops lower
-    degrees at once and then rechecks only neighbours of dropped ones."""
-    adj = idx.adj
-    alive = check = candidates & ~idx.below[threshold]
-    while check:
-        keep = alive | anchor
-        doomed = 0
-        while check:
-            low = check & -check
-            check ^= low
-            if (adj[low.bit_length() - 1] & keep).bit_count() < threshold:
-                doomed |= low
-        alive &= ~doomed
-        check = _union(adj, doomed) & alive
-    return alive
 
 
 def is_strong(g, a, b=None):

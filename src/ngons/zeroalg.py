@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 
-from .graph import GraphError, _bits, _union
-from .predimension import _cut_network, _peel, delta_rel
+from .graph import GraphError, _balls, _bits, _peel, _union
+from .predimension import _cut_network, delta_rel
 
 
 @dataclass(frozen=True)
@@ -105,32 +105,29 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
     With `around` (a vertex set, default: every vertex), only pairs whose
     base or body meets it are returned; the search is pruned accordingly.
     """
-    n = g.n
+    n, idx = g.n, g._index
     cap = default_body_cap(n) if max_body is None else max_body
     around = g.vertices if around is None else g.check_subset(around)
-    pairs = []
-    # delta(b/A) = 0 for a singleton body forces n = 3 and two base edges
+    adj, amask = idx.adj, idx.mask(around)
+    touch, verts, pairs = amask | _union(adj, amask), idx.verts, []
+    # delta(b/A) = 0 for a singleton body forces n = 3 and two base edges;
+    # b or a base vertex, a neighbour of b, meets `around` only if b lies
+    # in the touch set: `around` and its neighbours
     if n == 3 and cap >= 1:
-        for b in sorted(g.vertices):
-            for ends in combinations(sorted(g.neighbors(b)), 2):
-                pairs.append(ZeroAlgebraicPair(frozenset(ends), frozenset((b,)),
-                                               "minimally_algebraic"))
+        pairs += [ZeroAlgebraicPair(frozenset((verts[x], verts[y])),
+                                    frozenset((verts[b],)), "minimally_algebraic")
+                  for b in _bits(touch) for x, y in combinations(_bits(adj[b]), 2)]
     if cap >= 2:
         # In a body of size >= 2 every vertex v has (n-2) e(v, rest of body
         # + base) >= n with at most one edge into the base, so it needs
         # degree >= t = ceil(n/(n-2)) and internal degree >= t-1; peeling
         # by the latter cuts n = 3 graphs at every plain path.
-        t, idx = -(-n // (n - 2)), g._index
-        adj, amask = idx.adj, idx.mask(around)
+        t = -(-n // (n - 2))
         ground = _peel(idx, idx.full & ~idx.below[t], 0, t - 1)
-        # the body of a pair meeting `around` meets the touch set near[0]:
-        # `around` and its neighbours.  near[k] is the ground within ground
-        # distance k of it, so near[cap - 1] holds every such body
-        near = [(amask | _union(adj, amask)) & ground]
-        rim = near[0]
-        while len(near) < cap:
-            rim = _union(adj, rim) & ground & ~near[-1]
-            near.append(near[-1] | rim)
+        # the body of a pair meeting `around` meets the touch set near[0].
+        # near[k] is the ground within ground distance k of it, so
+        # near[cap - 1] holds every such body
+        near = _balls(adj, touch & ground, cap - 1, ground)
         for body, target in _candidate_bodies(idx, n, near, cap):
             pairs.extend(_pairs_for_body(g, body, target, amask))
     pairs = [p for p in pairs if (p.base | p.body) & around]

@@ -1,3 +1,4 @@
+import math
 import hashlib
 import random
 from collections import Counter
@@ -5,8 +6,9 @@ from collections import Counter
 import pytest
 
 import ngons.builder
-from ngons import (AmalgamError, BipartiteGraph, delta, free_amalgam, girth,
-                   grow, in_class, is_strong, make_cycle, make_path)
+from ngons import (AmalgamError, BipartiteGraph, bfs_distances, delta,
+                   free_amalgam, girth, grow, in_class, is_strong,
+                   make_cl_witness, make_cycle, make_path)
 
 
 def test_amalgam_of_two_paths_is_a_cycle():
@@ -173,3 +175,113 @@ def test_grow_80_steps_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "9796ce5611ecd9ab925826e19b9c49e996e5d01b7e46347e52e9736ab2431d81")
     assert in_class(g) == (True, [])
+
+
+# ------------------------------------------- site search, BFS references
+
+def _secluded_reference(g, v, allowed=()):
+    """A vertex of degree <= 2 whose neighbours outside `allowed` all
+    have degree <= 2 too, tested vertex by vertex."""
+    return g.degree(v) <= 2 and all(g.degree(w) <= 2 for w in g.neighbors(v)
+                                    if w not in allowed)
+
+
+def _completion_reference(g, rng, length):
+    """`_sites_completion` by one BFS per secluded vertex."""
+    quiet = [v for v in sorted(g.vertices) if _secluded_reference(g, v)]
+    pairs = []
+    for u in quiet:
+        dist = bfs_distances(g, u)
+        pairs += [(u, v) for v in quiet if v > u
+                  and (g.part(u) == g.part(v)) == (length % 2 == 0)
+                  and dist.get(v, math.inf) + length >= 2 * g.n]
+    return pairs[rng.randrange(len(pairs))] if pairs else None
+
+
+def _witness_base_reference(g, rng, witness):
+    """`_sites_witness_base` by BFS distances, pool by pool."""
+    base = sorted(witness.subsets["A0"])
+    by_part = {p: [v for v in sorted(g.part_vertices(p))
+                   if _secluded_reference(g, v)] for p in (0, 1)}
+    dist = {}
+    for _ in range(50):
+        chosen = []
+        for p in [witness.part(s) for s in base]:
+            pool = []
+            for v in by_part[p]:
+                if v in chosen:
+                    continue
+                if v not in dist:
+                    dist[v] = bfs_distances(g, v)
+                if all(dist[v].get(u, math.inf) >= 3 for u in chosen):
+                    pool.append(v)
+            if not pool:
+                break
+            chosen.append(pool[rng.randrange(len(pool))])
+        else:
+            return dict(zip(base, chosen))
+    return None
+
+
+def _cycle_attach_reference(g, rng):
+    """The cycle_attach gluing of `_candidate`, with its edge filter
+    tested edge by edge."""
+    cyc = make_cycle(g.n, 2 * g.n + 2)
+    edges = [(a, b) for (a, b) in sorted(g.edges)
+             if _secluded_reference(g, a, allowed=(b,))
+             and _secluded_reference(g, b, allowed=(a,))]
+    if edges and rng.random() < 0.75:
+        a, b = edges[rng.randrange(len(edges))]
+        if cyc.part(0) != g.part(a):
+            a, b = b, a
+        return {0: a, 1: b}
+    pool = [v for v in sorted(g.vertices) if _secluded_reference(g, v)]
+    if not pool:
+        return None
+    v = pool[rng.randrange(len(pool))]
+    return {0 if cyc.part(0) == g.part(v) else 1: v}
+
+
+@pytest.fixture(scope="module")
+def site_graphs():
+    """Grown n = 3 and n = 4 graphs from 8 to 80 vertices."""
+    graphs = [grow(make_cycle(3, 8), steps, s)[0]
+              for s in range(1, 9) for steps in (3, 8, 16)]
+    graphs += [grow(make_cycle(4, 10), steps, s, templates=(
+        "pendant_path", "path_completion", "cycle_attach"))[0]
+        for s in (1, 2, 3) for steps in (1, 2)]
+    return graphs
+
+
+def test_site_search_matches_bfs_reference(site_graphs):
+    """The site searches on index masks return the same sites as the BFS
+    versions and leave the rng in the same state, on grown graphs over
+    many rng states: the secluded mask, the completion pair, both cl
+    witness bases and the cycle_attach gluing."""
+    reached = Counter()
+    for g in site_graphs:
+        idx = g._index
+        assert [idx.verts[p] for p in range(len(idx.verts))
+                if ngons.builder._secluded(idx) >> p & 1] == [
+            v for v in sorted(g.vertices) if _secluded_reference(g, v)]
+        witnesses = [make_cl_witness(g.n, l) for l in (2, 3)]
+        for state in range(20):
+            calls = [(ngons.builder._sites_completion, _completion_reference,
+                      (g.n - 1,))] + [
+                (ngons.builder._sites_witness_base, _witness_base_reference, (w,))
+                for w in witnesses] + [
+                (lambda g, rng: (ngons.builder._candidate(g, rng, "cycle_attach")
+                                 or (None, None))[1], _cycle_attach_reference, ())]
+            for new, reference, args in calls:
+                rng_new, rng_ref = random.Random(state), random.Random(state)
+                got = new(g, rng_new, *args)
+                assert got == reference(g, rng_ref, *args)
+                assert rng_new.getstate() == rng_ref.getstate()
+                reached[reference.__name__, got is not None] += 1
+    # witness searches that fail all 50 attempts and ones that succeed,
+    # and completions with and without a pair
+    assert {key for key in reached
+            if key[0] != "_cycle_attach_reference"} == {
+        (name, found) for name in ("_completion_reference",
+                                   "_witness_base_reference")
+        for found in (False, True)}, reached

@@ -231,11 +231,51 @@ def test_enumerate_cycles_through_matches_filtered(grow_outputs):
     assert hits == {3, 4}
 
 
+def with_pendant_trees(rng, g, extra):
+    """g with `extra` more vertices, each joined to one earlier vertex of
+    the other part: trees hung at random vertices, off the 2-core."""
+    parts = {v: g.part(v) for v in g.vertices}
+    edges = set(g.edges)
+    for x in range(max(parts) + 1, max(parts) + 1 + extra):
+        y = rng.choice(sorted(parts))
+        parts[x] = 1 - parts[y]
+        edges.add((y, x))
+    return BipartiteGraph(g.n, parts, edges)
+
+
+def two_core_brute_force(g):
+    """Delete vertices with at most one remaining neighbour until none is
+    left."""
+    alive = set(g.vertices)
+    while doomed := {v for v in alive if len(g.neighbors(v) & alive) <= 1}:
+        alive -= doomed
+    return alive
+
+
+def test_two_core_matches_brute_force(small_graphs, grow_outputs):
+    """The index's 2-core, on which the cycle walk runs, equals repeated
+    deletion of vertices of degree <= 1, with and without pendant trees."""
+    rng = random.Random(20261020)
+    graphs = small_graphs + [g for g, _ in grow_outputs.values()]
+    graphs += [with_pendant_trees(rng, g, 6) for g in graphs]
+    sizes = set()
+    for g in graphs:
+        index = g._index
+        core = {index.verts[p] for p in range(len(index.verts))
+                if index.core >> p & 1}
+        assert core == two_core_brute_force(g)
+        sizes.add((len(core) == 0, len(core) == len(g.vertices)))
+    # empty cores, whole-graph cores and proper ones
+    assert sizes == {(True, False), (False, True), (False, False)}
+
+
 def test_cycle_walk_matches_closed_paths_by_length():
     """One `_cycles` walk over every length 4..2n+6, with and without
     `through`, against closed simple paths taken from their smallest
     vertex in one orientation, compared length by length at n = 3 and 4
-    on chorded long cycles with handles and on random graphs."""
+    on chorded long cycles with handles and on random graphs, each also
+    with pendant trees hung on it.  A `through` set off the 2-core, the
+    tree vertices among them, meets no cycle."""
     rng = random.Random(20261019)
     found = set()
     for n in (3, 4):
@@ -243,21 +283,26 @@ def test_cycle_walk_matches_closed_paths_by_length():
         graphs = [random_bipartite(rng, n, 11, 0.3) for _ in range(3)] + [
             cycle_with_handles(rng, n, length, 3, chords)
             for length in lengths[-3:] for chords in (0, 2)]
-        for g in graphs:
-            verts = sorted(g.vertices)
-            for through in (None, set(rng.sample(verts, 2)), set(verts[-3:])):
-                walked = {}
-                for cyc in _cycles(g, lengths, through):
-                    walked.setdefault(len(cyc), []).append(cyc)
-                for length in lengths:
-                    want = sorted(p for p in simple_paths(g, length - 1)
-                                  if g.has_edge(p[0], p[-1]) and p[0] == min(p)
-                                  and p[1] < p[-1]
-                                  and (through is None or set(p) & through))
-                    assert sorted(walked.pop(length, ())) == want
-                    if want:
-                        found.add((n, length))
-                assert not walked
+        for plain in graphs:
+            verts = sorted(plain.vertices)
+            for g in (plain, with_pendant_trees(rng, plain, 5)):
+                off = g.vertices - two_core_brute_force(g)
+                assert off or g is plain
+                assert not list(_cycles(g, lengths, off))
+                for through in (None, set(rng.sample(verts, 2)),
+                                set(verts[-3:]), off | set(verts[:1])):
+                    walked = {}
+                    for cyc in _cycles(g, lengths, through):
+                        walked.setdefault(len(cyc), []).append(cyc)
+                    for length in lengths:
+                        want = sorted(p for p in simple_paths(g, length - 1)
+                                      if g.has_edge(p[0], p[-1])
+                                      and p[0] == min(p) and p[1] < p[-1]
+                                      and (through is None or set(p) & through))
+                        assert sorted(walked.pop(length, ())) == want
+                        if want:
+                            found.add((n, length))
+                    assert not walked
     assert found == {(n, length) for n in (3, 4)
                      for length in range(4, 2 * n + 7, 2)}
 

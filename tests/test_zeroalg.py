@@ -201,6 +201,39 @@ def test_enumeration_around_restriction(small_graphs):
             sorted((p.base, p.body) for p in full)
 
 
+def test_singletons_around_a_leaf_or_a_base_vertex(grow_outputs):
+    """At n = 3 every vertex b with two neighbours x, y gives the
+    singleton pair ({x, y}, {b}).  With `around` a pendant leaf next to a
+    vertex of degree >= 3, or one base vertex of a singleton pair, the
+    enumeration equals the full list filtered by it, including singleton
+    pairs kept only through their base."""
+    def leafy(g):
+        # a leaf on every third vertex of degree >= 2
+        hubs = [v for v in sorted(g.vertices) if g.degree(v) >= 2][::3]
+        parts = {v: g.part(v) for v in g.vertices}
+        first = max(parts) + 1
+        parts.update({first + i: 1 - g.part(h) for i, h in enumerate(hubs)})
+        return BipartiteGraph(3, parts, set(g.edges) | {
+            (h, first + i) for i, h in enumerate(hubs)})
+
+    graphs = [g for g, _ in grow_outputs.values()]
+    graphs += [leafy(make_cl_witness(3, l)) for l in (2, 3)]
+    through_base = 0
+    for g in graphs:
+        full = enumerate_zero_min_pairs(g)
+        leaves = [v for v in sorted(g.vertices) if g.degree(v) == 1
+                  and g.degree(min(g.neighbors(v))) >= 3]
+        singles = [p for p in full if len(p.body) == 1]
+        assert leaves and singles
+        for around in [{v} for v in leaves[:4]] + [
+                {min(p.base)} for p in singles[::7]]:
+            got = enumerate_zero_min_pairs(g, around=around)
+            assert got == [p for p in full if (p.base | p.body) & around]
+            through_base += sum(1 for p in got if len(p.body) == 1
+                                and not p.body & around)
+    assert through_base
+
+
 def test_path_has_exactly_one_pair():
     for n in (3, 4, 5):
         g = make_path(n, n - 1)

@@ -11,6 +11,8 @@ Conditions 2 and 3 quantify over unbounded families; the checker walks
 cycles up to a configurable horizon, in one walk with condition 1, and
 bodies up to a configurable size cap, so a verdict holds only within
 those limits.  The reports do not record them; `ngons kmu` prints them.
+Condition 3 reads the pairs as masks (`zeroalg._zero_min_pairs`) and
+builds vertex sets only for a base with several bodies or no new vertex.
 
 Copies, copy equivalence, configuration isomorphism and the path test
 behind mu = 1 all run on one backtracking matcher, `graph._matches`,
@@ -26,8 +28,7 @@ from .graph import GraphError, _bits, _cycles, _matches
 from . import io as gio
 from .predimension import delta, is_strong, _hull_cut
 from .witnesses import make_path
-from .zeroalg import (default_body_cap, enumerate_zero_min_pairs,
-                      _require_disjoint)
+from .zeroalg import default_body_cap, _require_disjoint, _zero_min_pairs
 
 
 @dataclass(frozen=True)
@@ -176,27 +177,28 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
 
     Conditions 1 and 2 read the cycles from one walk (`graph._cycles`);
     condition 2 runs a min-cut only where the weight bound of
-    `predimension._hull_cut` leaves d(C) possibly below 2n+2.
+    `predimension._hull_cut` leaves d(C) possibly below 2n+2; condition 3
+    skips a base that meets the new vertices and carries one body.
     """
-    n = g.n
-    if mu is None:
-        mu = default_mu(n)
-    elif mu.n != n:
+    n, mu = g.n, default_mu(g.n) if mu is None else mu
+    if mu.n != n:
         raise GraphError("mu-function built for n=%d, graph has n=%d" % (mu.n, n))
     horizon = default_horizon(n) if horizon is None else horizon
     cap = default_body_cap(n) if max_body is None else max_body
-    new = g.vertices
+    idx, new, nmask = g._index, g.vertices, g._index.full
     if member_base is not None:
-        member_base = g.check_subset(member_base)
-        ok, witness = is_strong(g, member_base)
-        if not ok:
-            raise GraphError("member_base is not strongly embedded; "
-                             "violator %s" % sorted(witness))
-        new = g.vertices - member_base
+        nmask = idx.mask(new := g.vertices - g.check_subset(member_base))
+        # delta(member_base) = delta(g) - delta(new / member_base); summing
+        # 2 deg(v) - e(v, new) over the new v counts each edge at one twice
+        twice = sum(2 * idx.deg[p] - (idx.adj[p] & nmask).bit_count() for p in _bits(nmask))
+        old = (n - 1) * (len(g) - len(new)) - (n - 2) * (len(g.edges) - twice // 2)
+        if _hull_cut(g, idx.full & ~nmask, idx.full, old)[0] < old:
+            raise GraphError("member_base is not strongly embedded; violator %s"
+                             % sorted(is_strong(g, member_base)[1]))
 
     # Conditions 1 and 2 from one walk: no cycle of length 2m with m < n,
     # and d(C) >= 2n+2 for each cycle C longer than 2n.
-    idx, floor, seen_minimisers, reports = g._index, 2 * n + 2, set(), []
+    floor, seen_minimisers, reports = 2 * n + 2, set(), []
     for cyc in _cycles(g, [*range(4, 2 * n, 2), *range(floor, horizon + 1, 2)],
                        through=new):
         if len(cyc) < 2 * n:
@@ -213,16 +215,16 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     # mu.  Every copy of an enumerated body is itself 0-minimally algebraic
     # over the same base and no larger, so when every body over a base was
     # enumerated (a base meeting the new vertices) a class of copies over
-    # the (pointwise fixed) base is counted by its size.  Over an old base
-    # the copies lying entirely in the old part were not enumerated, so
-    # find_copies recounts the class.
-    by_base = {}
-    for pair in enumerate_zero_min_pairs(g, cap, around=new):
-        by_base.setdefault(pair.base, []).append(pair.body)
-    for base in sorted(by_base, key=sorted):
-        complete = base & new
-        classes = []
-        for body in sorted(by_base[base], key=sorted):
+    # the (pointwise fixed) base is counted by its size: a lone body is one
+    # copy, within every mu.  Over an old base the copies lying entirely
+    # in the old part were not enumerated, so find_copies recounts them.
+    by_base, verts = {}, idx.verts.__getitem__
+    for base, body in _zero_min_pairs(g, cap, nmask):
+        by_base.setdefault(base, []).append(body)
+    for bits, bodies in sorted((_bits(base), bodies) for base, bodies in by_base.items()
+                               if len(bodies) > 1 or not base & nmask):
+        base, classes = frozenset(map(verts, bits)), []
+        for body in (frozenset(map(verts, b)) for b in sorted(map(_bits, bodies))):
             key = (len(body), g.edge_count(body))
             for ckey, cls in classes:
                 if ckey == key and copies_equivalent(g, base, cls[0], body):
@@ -231,14 +233,12 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
             else:
                 classes.append((key, [body]))
         for _, cls in classes:
-            copies = cls if complete else find_copies(g, base, cls[0])
+            copies = cls if base & new else find_copies(g, base, cls[0])
             if len(copies) < 2:
                 continue  # every mu value is at least 1
-            bound = mu(g, base, cls[0])
-            if len(copies) > bound:
-                witness = tuple(sorted(base)) + tuple(sorted(frozenset().union(*copies)))
-                reports.append(ViolationReport("mu_exceeded", witness,
-                                               len(copies), bound))
+            if len(copies) > (bound := mu(g, base, cls[0])):
+                reports.append(ViolationReport("mu_exceeded", tuple(sorted(base)) + tuple(
+                    sorted(frozenset().union(*copies))), len(copies), bound))
 
     reports.sort(key=lambda r: (r.condition, r.witness))
     return not reports, reports

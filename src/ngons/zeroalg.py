@@ -9,12 +9,13 @@ Both the pair test and the enumeration decide positivity by one max flow
 per base on a network with a node per body vertex, memoised per body
 shape and per-vertex base-edge counts (`_zero_algebraic`): the body is
 0-algebraic exactly when the residual network on it is strongly
-connected.  The enumeration runs on masks over the graph's bitset index
-and builds vertex sets only for the pairs it returns; its body search is
-cut by a vertex-weight bound that every connected piece of a body meets,
-and only bodies whose base-edge count the boundary can supply reach the
-base search, one walk per body (`_pairs_for_body`), which for n >= 4
-keeps the touched body vertices at body distance n - 2 or more.
+connected.  The enumeration, `_zero_min_pairs`, yields each pair as two
+masks over the graph's bitset index; `enumerate_zero_min_pairs` is its
+sorted view in vertex sets.  Its body search is cut by a vertex-weight
+bound that every connected piece of a body meets, and only bodies whose
+base-edge count the boundary can supply reach the base search, one walk
+per body (`_pairs_for_body`), which for n >= 4 keeps the touched body
+vertices at body distance n - 2 or more.
 """
 
 from dataclasses import dataclass
@@ -96,27 +97,32 @@ def default_body_cap(n):
 
 
 def enumerate_zero_min_pairs(g, max_body=None, around=None):
-    """All pairs (A, B) with B 0-minimally algebraic over A and
-    |B| <= max_body (default: large enough for the standard witnesses).
+    """All pairs (A, B) with B 0-minimally algebraic over A and |B| <=
+    max_body (default: large enough for the standard witnesses), sorted
+    by body, then base: the sorted view of `_zero_min_pairs`.  With
+    `around` (a vertex set, default: every vertex), only pairs whose base
+    or body meets it are returned; the search is pruned accordingly."""
+    idx, cap = g._index, default_body_cap(g.n) if max_body is None else max_body
+    amask = idx.full if around is None else idx.mask(g.check_subset(around))
+    verts = idx.verts.__getitem__
+    return [ZeroAlgebraicPair(frozenset(map(verts, a)), frozenset(map(verts, b)),
+                              "minimally_algebraic") for b, a in sorted(
+        (_bits(b), _bits(a)) for a, b in _zero_min_pairs(g, cap, amask))]
 
-    Only connected bodies are searched: a disconnected body has a
-    component with nonpositive relative delta, contradicting minimality.
 
-    With `around` (a vertex set, default: every vertex), only pairs whose
-    base or body meets it are returned; the search is pruned accordingly.
-    """
-    n, idx = g.n, g._index
-    cap = default_body_cap(n) if max_body is None else max_body
-    around = g.vertices if around is None else g.check_subset(around)
-    adj, amask = idx.adj, idx.mask(around)
-    touch, verts, pairs = amask | _union(adj, amask), idx.verts, []
+def _zero_min_pairs(g, cap, amask):
+    """Yield once each pair (A, B) with B 0-minimally algebraic over A,
+    |B| <= cap and A or B meeting `amask`, as masks over the graph's index
+    in no fixed order.  B is connected: delta(B/A) = 0 sums over its parts."""
+    n, idx, adj = g.n, g._index, g._index.adj
+    touch = amask | _union(adj, amask)
     # delta(b/A) = 0 for a singleton body forces n = 3 and two base edges;
-    # b or a base vertex, a neighbour of b, meets `around` only if b lies
-    # in the touch set: `around` and its neighbours
+    # b or a base vertex, a neighbour of b, meets `amask` only if b lies
+    # in the touch set: `amask` and its neighbours
     if n == 3 and cap >= 1:
-        pairs += [ZeroAlgebraicPair(frozenset((verts[x], verts[y])),
-                                    frozenset((verts[b],)), "minimally_algebraic")
-                  for b in _bits(touch) for x, y in combinations(_bits(adj[b]), 2)]
+        yield from ((1 << x | 1 << y, 1 << b) for b in _bits(touch)
+                    for x, y in combinations(_bits(adj[b]), 2)
+                    if (1 << x | 1 << y | 1 << b) & amask)
     if cap >= 2:
         # In a body of size >= 2 every vertex v has (n-2) e(v, rest of body
         # + base) >= n with at most one edge into the base, so it needs
@@ -124,20 +130,18 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
         # by the latter cuts n = 3 graphs at every plain path.
         t = -(-n // (n - 2))
         ground = _peel(idx, idx.full & ~idx.below[t], 0, t - 1)
-        # the body of a pair meeting `around` meets the touch set near[0].
+        # the body of a pair meeting `amask` meets the touch set near[0].
         # near[k] is the ground within ground distance k of it, so
         # near[cap - 1] holds every such body
         near = _balls(adj, touch & ground, cap - 1, ground)
         for body, target in _candidate_bodies(idx, n, near, cap):
-            pairs.extend(_pairs_for_body(g, body, target, amask))
-    pairs = [p for p in pairs if (p.base | p.body) & around]
-    return sorted(pairs, key=lambda p: (sorted(p.body), sorted(p.base)))
+            yield from ((base, body) for base in _pairs_for_body(g, body, target, amask))
 
 
 def _pairs_for_body(g, body, target, around):
-    """The pairs (A, B) with B 0-minimally algebraic over A and A or B
-    meeting `around` (a mask), for a body B (a mask over the graph's
-    index) that `_candidate_bodies` yielded with target = delta(B)/(n-2).
+    """Yield each base A (a mask over the graph's index) over which B is
+    0-minimally algebraic with A or B meeting the mask `around`, for a body
+    B (a mask) from `_candidate_bodies` with target = delta(B)/(n-2).
 
     Such an A lies in the boundary, has e(B, A) = target and sends at most
     one edge to each body vertex (the sub-body {v} has positive relative
@@ -183,22 +187,19 @@ def _pairs_for_body(g, body, target, around):
             rank = len(boundary)
             if around >> a & 1 and not body & around:
                 rank = len(seeds)
-                seeds.append((near, m, (idx.verts[a],), m.bit_count(), rank))
-            by_low.setdefault(m & -m, []).append((idx.verts[a], m, near, rank))
+                seeds.append((near, m, 1 << a, m.bit_count(), rank))
+            by_low.setdefault(m & -m, []).append((1 << a, m, near, rank))
             cover |= m
     if required & ~cover or cover.bit_count() < target:
-        return []
-    pairs, body_set = [], None
+        return
     # (decided, used = the body vertices that `chosen` touches, chosen,
     # e(B, chosen), the seed rank; only later seeds may join)
-    stack = [(0, 0, (), 0, -1)] if body & around else seeds
+    stack = [(0, 0, 0, 0, -1)] if body & around else seeds
     while stack:
         decided, used, chosen, weight, seed = stack.pop()
         if weight == target:
             if not required & ~used and _zero_algebraic(n, shape, (used,)):
-                body_set = body_set or frozenset(idx.verts[p] for p in local)
-                pairs.append(ZeroAlgebraicPair(frozenset(chosen), body_set,
-                                               "minimally_algebraic"))
+                yield chosen
             continue
         # an open vertex takes at most one base edge, a required one exactly
         open_ = cover & ~decided
@@ -211,9 +212,8 @@ def _pairs_for_body(g, body, target, around):
         for a, m, near, rank in by_low.get(low, ()):
             if not m & decided and rank > seed \
                     and weight + m.bit_count() <= target:
-                stack.append((decided | near, used | m, chosen + (a,),
+                stack.append((decided | near, used | m, chosen | a,
                               weight + m.bit_count(), seed))
-    return pairs
 
 
 @lru_cache(maxsize=4096)

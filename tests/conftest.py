@@ -186,6 +186,23 @@ def cycle_with_handles(rng, n, length, extra, chords):
     return BipartiteGraph(n, parts, edges)
 
 
+def double_path(n):
+    """Two internally disjoint paths of length n-1 between the same
+    endpoints a=0, b=1."""
+    verts = {0: 0, 1: (n - 1) % 2}
+    edges = []
+    nid = 2
+    for _ in range(2):
+        prev = 0
+        for i in range(1, n - 1):
+            verts[nid] = i % 2
+            edges.append((prev, nid))
+            prev = nid
+            nid += 1
+        edges.append((prev, 1))
+    return BipartiteGraph(n, verts, edges)
+
+
 def pgl3(p):
     """PG(2,p) with PGL(3,p) acting on it, built from generators without
     the automorphism search: the six elementary transvections I + E_ij

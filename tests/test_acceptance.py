@@ -14,22 +14,7 @@ from ngons import (BipartiteGraph, automorphism_group, check_remark_2_2,
                    enumerate_zero_min_pairs, stabilizer_transitivity_degree,
                    fano_graph, gq22_graph)
 from ngons.cli import main
-from conftest import MaskOracle, random_bipartite
-
-
-def double_path(n):
-    verts = {0: 0, 1: (n - 1) % 2}
-    edges = []
-    nid = 2
-    for _ in range(2):
-        prev = 0
-        for i in range(1, n - 1):
-            verts[nid] = i % 2
-            edges.append((prev, nid))
-            prev = nid
-            nid += 1
-        edges.append((prev, 1))
-    return BipartiteGraph(n, verts, edges)
+from conftest import MaskOracle, double_path, random_bipartite
 
 
 def test_criterion_1_delta_identities():

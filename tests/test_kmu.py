@@ -5,30 +5,13 @@ from itertools import combinations, permutations
 import pytest
 
 import ngons.kmu
-from conftest import MaskOracle, cycle_with_handles, random_bipartite
+from conftest import MaskOracle, cycle_with_handles, double_path, random_bipartite
 from ngons import (BipartiteGraph, GraphError, MuFunction, TEMPLATES,
                    closure, count_copies, default_mu, delta, enumerate_zero_min_pairs,
                    find_copies, free_amalgam, girth, grow, in_class,
                    is_connected, make_cl_witness, make_cycle, make_path,
                    pairs_isomorphic, copies_equivalent, enumerate_cycles)
 from ngons.predimension import _hull_cut
-
-
-def double_path(n):
-    """Two internally disjoint paths of length n-1 between the same
-    endpoints a=0, b=1."""
-    verts = {0: 0, 1: (n - 1) % 2}
-    edges = []
-    nid = 2
-    for _ in range(2):
-        prev = 0
-        for i in range(1, n - 1):
-            verts[nid] = i % 2
-            edges.append((prev, nid))
-            prev = nid
-            nid += 1
-        edges.append((prev, 1))
-    return BipartiteGraph(n, verts, edges)
 
 
 # ------------------------------------------------------------ mu function
@@ -388,14 +371,36 @@ def glue_path(g, a, b, length):
     return free_amalgam(g, make_path(g.n, length), {0: a, length: b})
 
 
-def incremental_corpus(monkeypatch, n, runs, max_body=None,
-                       templates=TEMPLATES):
-    """Check full against incremental `in_class` on grown members h with
-    paths of length n-1, n+1 and 2n-1 glued in once and twice at the same
-    ends, both with the body cap `max_body`.  `runs` holds (steps, rng,
-    sites per length) triples.  Returns the number of rejected
-    candidates, the conditions seen, and whether a find_copies recount
-    over an old base found several copies."""
+def glued_members(n, runs, templates=TEMPLATES):
+    """Yield (h, once, twice, length) for grown members h with a path of
+    length n-1, n+1 or 2n-1 glued in once and twice at the same ends.
+    `runs` holds (steps, rng, sites per length) triples."""
+    for steps, rng_seed, per_length in runs:
+        h, _ = grow(make_cycle(n, 2 * n + 2), steps, rng_seed,
+                    templates=templates)
+        verts = sorted(h.vertices)
+        for length in (n - 1, n + 1, 2 * n - 1):
+            sites = [(a, b) for a, b in combinations(verts, 2)
+                     if (h.part(a), h.part(b)) == (0, length % 2)
+                     and not h.has_edge(a, b)]
+            for a, b in sites[::len(sites) // per_length + 1]:
+                once = glue_path(h, a, b, length)
+                yield h, once, glue_path(once, a, b, length), length
+
+
+# (n, runs, body cap, templates); n = 4 caps bodies at 8 on both sides
+# to keep the corpus fast (the default n = 4 cap is 24)
+GLUE_N3 = (3, ((5, 1, 8), (6, 2, 8)), None, TEMPLATES)
+GLUE_N4 = (4, ((3, 1, 8), (2, 10, 4)), 8,
+           ("pendant_path", "path_completion", "cycle_attach"))
+
+
+def incremental_corpus(monkeypatch, n, runs, max_body, templates):
+    """Check full against incremental `in_class` on the `glued_members`
+    graphs with h as the member base, both with the body cap `max_body`.
+    Returns the number of rejected candidates, the conditions seen, and
+    whether a find_copies recount over an old base found several
+    copies."""
     recounts = []
     real = ngons.kmu.find_copies
 
@@ -408,28 +413,19 @@ def incremental_corpus(monkeypatch, n, runs, max_body=None,
     conditions = set()
     old_base_recount = False
     rejected = 0
-    for steps, rng_seed, per_length in runs:
-        h, _ = grow(make_cycle(n, 2 * n + 2), steps, rng_seed,
-                    templates=templates)
-        verts = sorted(h.vertices)
-        for length in (n - 1, n + 1, 2 * n - 1):
-            sites = [(a, b) for a, b in combinations(verts, 2)
-                     if (h.part(a), h.part(b)) == (0, length % 2)
-                     and not h.has_edge(a, b)]
-            for a, b in sites[::len(sites) // per_length + 1]:
-                once = glue_path(h, a, b, length)
-                for g in (once, glue_path(once, a, b, length)):
-                    full = in_class(g, max_body=max_body)
-                    recounts.clear()
-                    assert in_class(g, max_body=max_body,
-                                    member_base=h.vertices) == full
-                    rejected += not full[0]
-                    conds = {r.condition for r in full[1]}
-                    conditions |= conds
-                    if "mu_exceeded" in conds and any(
-                            base <= h.vertices and count > 1
-                            for base, count in recounts):
-                        old_base_recount = True
+    for h, once, twice, _ in glued_members(n, runs, templates):
+        for g in (once, twice):
+            full = in_class(g, max_body=max_body)
+            recounts.clear()
+            assert in_class(g, max_body=max_body,
+                            member_base=h.vertices) == full
+            rejected += not full[0]
+            conds = {r.condition for r in full[1]}
+            conditions |= conds
+            if "mu_exceeded" in conds and any(
+                    base <= h.vertices and count > 1
+                    for base, count in recounts):
+                old_base_recount = True
     return rejected, conditions, old_base_recount
 
 
@@ -440,19 +436,94 @@ def test_incremental_agrees_on_rejected_candidates(monkeypatch):
     """n = 3: the corpus reaches every condition and the find_copies
     recount over an old base."""
     rejected, conditions, old_base_recount = incremental_corpus(
-        monkeypatch, 3, ((5, 1, 8), (6, 2, 8)))
+        monkeypatch, *GLUE_N3)
     assert rejected and conditions == ALL_CONDITIONS
     assert old_base_recount
 
 
 def test_incremental_agrees_on_rejected_candidates_n4(monkeypatch):
-    """n = 4, with the body cap at 8 on both sides to keep the corpus
-    fast (the default n = 4 cap is 24)."""
+    """n = 4, with the body cap at 8."""
     rejected, conditions, old_base_recount = incremental_corpus(
-        monkeypatch, 4, ((3, 1, 8), (2, 10, 4)), max_body=8,
-        templates=("pendant_path", "path_completion", "cycle_attach"))
+        monkeypatch, *GLUE_N4)
     assert rejected >= 15 and conditions == ALL_CONDITIONS
     assert old_base_recount
+
+
+def pair_list_mu_reports(g, max_body, member_base, kinds):
+    """Condition 3 read off the sorted pair list: every pair around the
+    new vertices from `enumerate_zero_min_pairs` as vertex sets, grouped
+    by base, every base split into copy classes and counted, the copies
+    over an old base recounted by find_copies.  The mu_exceeded reports
+    as (condition, witness, value, bound), in `in_class` order.  Adds to
+    `kinds` the bases met: a new base with two or more copies, an old
+    base whose one body find_copies recounts to two or more, and a new
+    base with one body."""
+    mu, new = default_mu(g.n), g.vertices - (member_base or frozenset())
+    by_base, reports = {}, []
+    for pair in enumerate_zero_min_pairs(g, max_body, around=new):
+        by_base.setdefault(pair.base, []).append(pair.body)
+    for base in sorted(by_base, key=sorted):
+        classes = []
+        for body in sorted(by_base[base], key=sorted):
+            key = (len(body), g.edge_count(body))
+            for ckey, cls in classes:
+                if ckey == key and copies_equivalent(g, base, cls[0], body):
+                    cls.append(body)
+                    break
+            else:
+                classes.append((key, [body]))
+        if base & new and len(by_base[base]) == 1:
+            kinds.add("new base, one body")
+        for _, cls in classes:
+            copies = cls if base & new else find_copies(g, base, cls[0])
+            if len(copies) < 2:
+                continue
+            if base & new:
+                kinds.add("new base, copies")
+            elif len(by_base[base]) == 1:
+                kinds.add("old base, one body recounted")
+            bound = mu(g, base, cls[0])
+            if len(copies) > bound:
+                reports.append(("mu_exceeded", tuple(sorted(base)) + tuple(
+                    sorted(frozenset().union(*copies))), len(copies), bound))
+    reports.sort(key=lambda r: r[:2])
+    return reports
+
+
+def test_condition3_matches_pair_list_reference():
+    """Condition 3 reads the pair stream as masks and builds vertex sets
+    only for bases with two or more bodies and for old bases; its
+    mu_exceeded reports, in full and in `member_base` mode, equal those
+    of the whole pair list grouped by base.  The corpus: the glue-path
+    graphs of the incremental corpora (n = 3, and n = 4 with the body cap
+    at 8), where a second path of length n - 1 glued at the ends of the
+    first is also checked with the first in the member base; K_{2,3} and
+    the double paths, in full mode and over the closure of all vertices
+    but the last.  It reaches new bases with several copies, old bases
+    whose one enumerated body has a second copy, and new bases with one
+    body, which `in_class` skips."""
+    k23 = BipartiteGraph(3, {0: 0, 1: 0, 2: 1, 3: 1, 4: 1},
+                         [(a, b) for a in (0, 1) for b in (2, 3, 4)])
+    cases = []
+    for g in (k23, double_path(3), double_path(4)):
+        cases += [(g, None, None),
+                  (g, None, closure(g, sorted(g.vertices)[:-1]))]
+    for n, runs, cap, templates in (GLUE_N3, GLUE_N4):
+        for h, once, twice, length in glued_members(n, runs, templates):
+            for g in (once, twice):
+                cases += [(g, cap, None), (g, cap, h.vertices)]
+            if length == n - 1:
+                cases.append((twice, cap, once.vertices))
+    kinds, reported = set(), 0
+    for g, cap, member_base in cases:
+        got = [(r.condition, r.witness, r.value, r.bound)
+               for r in in_class(g, max_body=cap, member_base=member_base)[1]
+               if r.condition == "mu_exceeded"]
+        assert got == pair_list_mu_reports(g, cap, member_base, kinds)
+        reported += len(got)
+    assert kinds == {"new base, copies", "old base, one body recounted",
+                     "new base, one body"}
+    assert reported > 100
 
 
 def test_matcher_leaves_no_reference_cycle():

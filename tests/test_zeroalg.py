@@ -367,14 +367,23 @@ def test_memo_shared_by_relabelled_bodies():
         assert is_zero_minimally_algebraic(g, p.base, p.body)
 
 
+def _walk_bases(g, body, target, around):
+    """The base masks of the `_pairs_for_body` walk, as vertex sets."""
+    verts = g._index.verts
+    return [frozenset(verts[i] for i in range(len(verts)) if base >> i & 1)
+            for base in ngons.zeroalg._pairs_for_body(g, body, target, around)]
+
+
 def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
     """For every candidate body with at most 14 boundary vertices, on cl
     witnesses with and without b, on cl(5, 2) and cl(6, 2) at small caps
     (where the radius n - 3 that a touched body vertex blocks exceeds 1)
     and on grown n = 3 and n = 4 graphs, the base search yields exactly
     the A inside the boundary with e(B, A) = delta(B)/(n-2) over which B
-    is 0-minimally algebraic.  Every boundary vertex sends an edge into B,
-    so such an A has at most that many vertices."""
+    is 0-minimally algebraic (its base masks read as vertex sets).  Every
+    boundary vertex sends an edge into B, so such an A has at most that
+    many vertices.  The enumeration lists each base of the walk with its
+    own body."""
     graphs = [(make_cl_witness(n, l, with_b=b), None)
               for n, l in ((3, 2), (3, 3), (4, 2)) for b in (False, True)]
     graphs += [(make_cl_witness(5, 2), 10), (make_cl_witness(6, 2), 8)]
@@ -395,8 +404,12 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
     per_n = Counter()
     for g, cap in graphs:
         seen.clear()
-        enumerate_zero_min_pairs(g, cap)
         index = g._index
+        listed = {(index.mask(p.base), index.mask(p.body))
+                  for p in enumerate_zero_min_pairs(g, cap) if len(p.body) > 1}
+        # the pair stream gives each base of the walk its own body
+        assert listed == {(a, mask) for mask, target in seen for a in
+                          ngons.zeroalg._pairs_for_body(g, mask, target, index.full)}
         for mask, target in seen:
             body = frozenset(v for i, v in enumerate(index.verts)
                              if mask >> i & 1)
@@ -409,16 +422,12 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
                       for a in combinations(boundary, k)
                       if sum(into[v] for v in a) == target
                       and is_zero_minimally_algebraic(g, a, body)}
-            got = [p.base for p in ngons.zeroalg._pairs_for_body(
-                g, mask, target, index.full)]
+            got = _walk_bases(g, mask, target, index.full)
             assert len(got) == len(set(got))
             assert set(got) == expect
-            assert all(p.body == body for p in ngons.zeroalg._pairs_for_body(
-                g, mask, target, index.full))
             # a body that misses `around` gets the bases that meet it
             around = frozenset(boundary[::3])
-            got = [p.base for p in ngons.zeroalg._pairs_for_body(
-                g, mask, target, index.mask(around))]
+            got = _walk_bases(g, mask, target, index.mask(around))
             assert len(got) == len(set(got))
             assert set(got) == {a for a in expect if a & around}
             bodies += 1

@@ -7,20 +7,22 @@ happens exactly when every base vertex sends an edge into the body.
 
 Both the pair test and the enumeration decide positivity by one max flow
 per base on a network with a node per body vertex, memoised per body
-shape and per-vertex base-edge counts (`_zero_algebraic`): the body is
-0-algebraic exactly when the residual network on it is strongly
-connected.  The enumeration, `_zero_min_pairs`, yields each pair as two
-masks over the graph's bitset index; `enumerate_zero_min_pairs` is its
-sorted view in vertex sets.  Its body search is cut by a vertex-weight
-bound that every connected piece of a body meets, and only bodies whose
-base-edge count the boundary can supply reach the base search, one walk
-per body (`_pairs_for_body`), which for n >= 4 keeps the touched body
-vertices at body distance n - 2 or more.
+shape and the body vertices that take a base edge (`_zero_algebraic`):
+the body is 0-algebraic exactly when the residual network on it is
+strongly connected.  A body vertex with two base edges, which only the
+pair test meets, decides it without a flow.  The enumeration,
+`_zero_min_pairs`, yields each pair as two masks over the graph's bitset
+index; `enumerate_zero_min_pairs` is its sorted view in vertex sets.
+Its body search is cut by a vertex-weight bound that every connected
+piece of a body meets, and only bodies whose base-edge count the
+boundary can supply reach the base search, one walk per body
+(`_pairs_for_body`), which for n >= 4 keeps the touched body vertices at
+body distance n - 2 or more.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 
 from .graph import GraphError, _balls, _bits, _peel, _union
 from .predimension import _cut_network, delta_rel
@@ -57,11 +59,14 @@ def _touched_base(g, base, body):
     if not body or delta_rel(g, body, base) != 0:
         return None
     touched = frozenset(a for a in base if g.neighbors(a) & body)
-    _, adj = _shape(g._index.adj, g._index.mask(body))
     counts = [len(g.neighbors(v) & base) for v in sorted(body)]
-    levels = tuple(sum(1 << i for i, c in enumerate(counts) if c > j)
-                   for j in range(max(counts)))
-    return touched if _zero_algebraic(g.n, adj, levels) else None
+    # a vertex v with two base edges has delta({v}/A) <= 3 - n <= 0, so
+    # the body is 0-algebraic only if it is {v}
+    if max(counts) > 1:
+        return touched if len(body) == 1 else None
+    _, adj = _shape(g._index.adj, g._index.mask(body))
+    used = sum(1 << i for i, c in enumerate(counts) if c)
+    return touched if _zero_algebraic(g.n, adj, used) else None
 
 
 def is_zero_algebraic(g, base, body):
@@ -115,14 +120,13 @@ def _zero_min_pairs(g, cap, amask):
     |B| <= cap and A or B meeting `amask`, as masks over the graph's index
     in no fixed order.  B is connected: delta(B/A) = 0 sums over its parts."""
     n, idx, adj = g.n, g._index, g._index.adj
-    touch = amask | _union(adj, amask)
+    touch, pairs = amask | _union(adj, amask), []
     # delta(b/A) = 0 for a singleton body forces n = 3 and two base edges;
     # b or a base vertex, a neighbour of b, meets `amask` only if b lies
     # in the touch set: `amask` and its neighbours
     if n == 3 and cap >= 1:
-        yield from ((1 << x | 1 << y, 1 << b) for b in _bits(touch)
-                    for x, y in combinations(_bits(adj[b]), 2)
-                    if (1 << x | 1 << y | 1 << b) & amask)
+        pairs.append((1 << x | 1 << y, 1 << b) for b in _bits(touch)
+                     for x, y in combinations(_bits(adj[b]), 2))
     if cap >= 2:
         # In a body of size >= 2 every vertex v has (n-2) e(v, rest of body
         # + base) >= n with at most one edge into the base, so it needs
@@ -134,14 +138,17 @@ def _zero_min_pairs(g, cap, amask):
         # near[k] is the ground within ground distance k of it, so
         # near[cap - 1] holds every such body
         near = _balls(adj, touch & ground, cap - 1, ground)
-        for body, target in _candidate_bodies(idx, n, near, cap):
-            yield from ((base, body) for base in _pairs_for_body(g, body, target, amask))
+        pairs.append((base, body) for body, target in _candidate_bodies(idx, n, near, cap)
+                     for base in _pairs_for_body(g, body, target))
+    for base, body in chain.from_iterable(pairs):
+        if (base | body) & amask:
+            yield base, body
 
 
-def _pairs_for_body(g, body, target, around):
+def _pairs_for_body(g, body, target):
     """Yield each base A (a mask over the graph's index) over which B is
-    0-minimally algebraic with A or B meeting the mask `around`, for a body
-    B (a mask) from `_candidate_bodies` with target = delta(B)/(n-2).
+    0-minimally algebraic, for a body B (a mask) from `_candidate_bodies`
+    with target = delta(B)/(n-2).
 
     Such an A lies in the boundary, has e(B, A) = target and sends at most
     one edge to each body vertex (the sub-body {v} has positive relative
@@ -154,9 +161,7 @@ def _pairs_for_body(g, body, target, around):
     body neighbour is v and whose body neighbourhood avoids every decided
     vertex takes v and decides that neighbourhood, or, if v is not
     required, v gets no base edge.  By disjointness at most one vertex of
-    A covers v, so each A is reached once.  If B misses `around`, A must
-    meet it: each admissible boundary vertex in `around` seeds a walk
-    with it taken that leaves the earlier seeds out.
+    A covers v, so each A is reached once.
 
     For n >= 4 and |B| > n - 2, taking v also decides the body vertices
     within body distance n - 3 of the new neighbourhood, and is refused
@@ -177,28 +182,22 @@ def _pairs_for_body(g, body, target, around):
     ball = [1 << i for i in range(len(shape))]  # the body within radius of i
     for _ in range(radius):
         ball = [_union(ball, m | 1 << i) for i, m in enumerate(shape)]
-    by_low, seeds, cover = {}, [], 0
-    boundary = _bits(_union(adj, body) & ~body)
-    for a in boundary:
+    by_low, cover = {}, 0
+    for a in _bits(_union(adj, body) & ~body):
         m = _union(local, adj[a] & body)
         near = _union(ball, m) if radius else m
         if m.bit_count() <= target and not near & ~m & required:
-            # rank: the seed number of a seed, else above every seed
-            rank = len(boundary)
-            if around >> a & 1 and not body & around:
-                rank = len(seeds)
-                seeds.append((near, m, 1 << a, m.bit_count(), rank))
-            by_low.setdefault(m & -m, []).append((1 << a, m, near, rank))
+            by_low.setdefault(m & -m, []).append((1 << a, m, near))
             cover |= m
     if required & ~cover or cover.bit_count() < target:
         return
     # (decided, used = the body vertices that `chosen` touches, chosen,
-    # e(B, chosen), the seed rank; only later seeds may join)
-    stack = [(0, 0, 0, 0, -1)] if body & around else seeds
+    # e(B, chosen))
+    stack = [(0, 0, 0, 0)]
     while stack:
-        decided, used, chosen, weight, seed = stack.pop()
+        decided, used, chosen, weight = stack.pop()
         if weight == target:
-            if not required & ~used and _zero_algebraic(n, shape, (used,)):
+            if not required & ~used and _zero_algebraic(n, shape, used):
                 yield chosen
             continue
         # an open vertex takes at most one base edge, a required one exactly
@@ -208,19 +207,18 @@ def _pairs_for_body(g, body, target, around):
             continue
         low = open_ & -open_
         if not low & required:
-            stack.append((decided | low, used, chosen, weight, seed))
-        for a, m, near, rank in by_low.get(low, ()):
-            if not m & decided and rank > seed \
-                    and weight + m.bit_count() <= target:
+            stack.append((decided | low, used, chosen, weight))
+        for a, m, near in by_low.get(low, ()):
+            if not m & decided and weight + m.bit_count() <= target:
                 stack.append((decided | near, used | m, chosen | a,
-                              weight + m.bit_count(), seed))
+                              weight + m.bit_count()))
 
 
 @lru_cache(maxsize=4096)
-def _zero_algebraic(n, adj, levels):
+def _zero_algebraic(n, adj, used):
     """Is the body with internal adjacency `adj` 0-algebraic over a base A
-    that sends e(v, A) = #{c : v in levels[c]} edges to each body vertex
-    v, given delta(B/A) = 0?
+    that sends one edge to each body vertex in the mask `used` and none to
+    the others, given delta(B/A) = 0?
 
     Min-cut over the body (`_cut_network` with F = B and no peel): the
     cut of X <= B costs 2 delta(X/A) plus a constant, so X = {} and X = B
@@ -234,7 +232,7 @@ def _zero_algebraic(n, adj, levels):
     hence {} or B.
     """
     net = _cut_network(n, [2 * (n - 1) - (n - 2) * (
-        2 * sum(level >> i & 1 for level in levels) + m.bit_count())
+        2 * (used >> i & 1) + m.bit_count())
         for i, m in enumerate(adj)],
         ((j, i) for i, m in enumerate(adj) for j in _bits(m & ((1 << i) - 1))))
     net.max_flow(0, 1)

@@ -49,12 +49,13 @@ def test_remark_path_interior_iff(n, m):
 def test_zero_algebraic_matches_mask_oracle(small_graphs):
     """is_zero_algebraic agrees with brute force on every body over
     random bases, for n = 3, 4, 5.  Among the bodies with delta(B/A) = 0
-    occur positives, singletons, disconnected bodies and bodies with a
-    vertex of two base edges, so each case of the reduction is reached."""
+    occur positives, singletons (n = 3), disconnected bodies and, at
+    n = 3 and at n = 4, bodies with a vertex of two base edges, which are
+    decided before any flow, so each case of the reduction is reached."""
     rng = random.Random(20261018)
     graphs = list(small_graphs) + [random_bipartite(rng, 5, 9, 0.35)
                                    for _ in range(3)]
-    seen = {"positive": 0, "singleton": 0, "disconnected": 0, "two_edges": 0}
+    seen = Counter()
     for g in graphs:
         oracle = MaskOracle(g)
         verts = sorted(g.vertices)
@@ -73,11 +74,13 @@ def test_zero_algebraic_matches_mask_oracle(small_graphs):
                 if oracle.delta_rel(bmask, amask) != 0:
                     continue
                 seen["positive"] += got
-                seen["singleton"] += len(body) == 1
+                seen["singleton", g.n] += len(body) == 1
                 seen["disconnected"] += not is_connected(g, body)
-                seen["two_edges"] += len(body) > 1 and any(
+                seen["two_edges", g.n] += len(body) > 1 and any(
                     len(g.neighbors(v) & base) > 1 for v in body)
-    assert all(seen.values()), seen
+    assert seen["positive"] and seen["disconnected"], seen
+    assert seen["singleton", 3], seen
+    assert seen["two_edges", 3] and seen["two_edges", 4], seen
 
 
 def test_vertex_with_two_base_edges_fails():
@@ -367,11 +370,11 @@ def test_memo_shared_by_relabelled_bodies():
         assert is_zero_minimally_algebraic(g, p.base, p.body)
 
 
-def _walk_bases(g, body, target, around):
-    """The base masks of the `_pairs_for_body` walk, as vertex sets."""
+def _as_sets(g, bases):
+    """Base masks over the graph's index, as vertex sets."""
     verts = g._index.verts
     return [frozenset(verts[i] for i in range(len(verts)) if base >> i & 1)
-            for base in ngons.zeroalg._pairs_for_body(g, body, target, around)]
+            for base in bases]
 
 
 def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
@@ -383,7 +386,8 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
     is 0-minimally algebraic (its base masks read as vertex sets).  Every
     boundary vertex sends an edge into B, so such an A has at most that
     many vertices.  The enumeration lists each base of the walk with its
-    own body."""
+    own body, and the pair search around a set that the body misses,
+    run on that body alone, keeps exactly its bases that meet the set."""
     graphs = [(make_cl_witness(n, l, with_b=b), None)
               for n, l in ((3, 2), (3, 3), (4, 2)) for b in (False, True)]
     graphs += [(make_cl_witness(5, 2), 10), (make_cl_witness(6, 2), 8)]
@@ -392,9 +396,12 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
                      templates=("pendant_path", "path_completion",
                                 "cycle_attach"))[0], None) for s in range(1, 7)]
     real = ngons.zeroalg._candidate_bodies
-    seen = []
+    seen, only = [], []
 
     def record(*args):
+        if only:  # the body search yields that one body alone
+            yield from only
+            return
         for body, target in real(*args):
             seen.append((body, target))
             yield body, target
@@ -409,7 +416,7 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
                   for p in enumerate_zero_min_pairs(g, cap) if len(p.body) > 1}
         # the pair stream gives each base of the walk its own body
         assert listed == {(a, mask) for mask, target in seen for a in
-                          ngons.zeroalg._pairs_for_body(g, mask, target, index.full)}
+                          ngons.zeroalg._pairs_for_body(g, mask, target)}
         for mask, target in seen:
             body = frozenset(v for i, v in enumerate(index.verts)
                              if mask >> i & 1)
@@ -422,12 +429,15 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
                       for a in combinations(boundary, k)
                       if sum(into[v] for v in a) == target
                       and is_zero_minimally_algebraic(g, a, body)}
-            got = _walk_bases(g, mask, target, index.full)
+            got = _as_sets(g, ngons.zeroalg._pairs_for_body(g, mask, target))
             assert len(got) == len(set(got))
             assert set(got) == expect
             # a body that misses `around` gets the bases that meet it
             around = frozenset(boundary[::3])
-            got = _walk_bases(g, mask, target, index.mask(around))
+            only[:] = [(mask, target)]
+            got = _as_sets(g, [a for a, b in ngons.zeroalg._zero_min_pairs(
+                g, cap or default_body_cap(g.n), index.mask(around)) if b == mask])
+            only.clear()
             assert len(got) == len(set(got))
             assert set(got) == {a for a in expect if a & around}
             bodies += 1

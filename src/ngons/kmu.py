@@ -192,7 +192,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
         # 2 deg(v) - e(v, new) over the new v counts each edge at one twice
         twice = sum(2 * idx.deg[p] - (idx.adj[p] & nmask).bit_count() for p in _bits(nmask))
         old = (n - 1) * (len(g) - len(new)) - (n - 2) * (len(g.edges) - twice // 2)
-        if _hull_cut(g, idx.full & ~nmask, idx.full, old)[0] < old:
+        if _hull_cut(g, idx.full & ~nmask, idx.full, old, delta_a=old)[0] < old:
             raise GraphError("member_base is not strongly embedded; violator %s"
                              % sorted(is_strong(g, member_base)[1]))
 

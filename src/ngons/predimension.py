@@ -129,11 +129,12 @@ def _cut_network(n, weights, edges):
     return net
 
 
-def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None):
+def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None, delta_a=None):
     """The max flow of `_min_superset` for A <= S <= ground (masks) on
     the hull F, ground - A peeled by `threshold` (default ceil(n/(n-2))):
     (min delta, a mask of the smallest minimiser's vertices outside A,
-    network, F's positions; node 2 + k stands for F[k]).
+    network, F's positions; node 2 + k stands for F[k]).  A caller that
+    knows delta(A) passes it as `delta_a`; else it is summed over A.
 
     The weights bound the minimum before any arc is built: by the identity
     of `_min_superset`, whose edge term (n-2) e(X, F - X) is not negative,
@@ -149,8 +150,8 @@ def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None):
     weights = [2 * (n - 1) - (n - 2) * (2 * (adj[p] & amask).bit_count()
                                         + (adj[p] & free).bit_count()) for p in hull]
     offered = -sum(w for w in weights if w < 0)
-    inner = sum((adj[p] & amask).bit_count() for p in _bits(amask))  # 2 e(A)
-    value = (n - 1) * amask.bit_count() - (n - 2) * inner // 2  # delta(A)
+    value = delta_a if delta_a is not None else (n - 1) * amask.bit_count() - (
+        n - 2) * sum((adj[p] & amask).bit_count() for p in _bits(amask)) // 2
     if not hull or value - offered // 2 >= enough:
         return value - offered // 2, 0, None, hull
     node = {p: k for k, p in enumerate(hull)}

@@ -9,15 +9,10 @@ Both the pair test and the enumeration decide positivity by one max flow
 per base on a network with a node per body vertex, memoised per body
 shape and the body vertices that take a base edge (`_zero_algebraic`):
 the body is 0-algebraic exactly when the residual network on it is
-strongly connected.  A body vertex with two base edges, which only the
-pair test meets, decides it without a flow.  The enumeration,
-`_zero_min_pairs`, yields each pair as two masks over the graph's bitset
-index; `enumerate_zero_min_pairs` is its sorted view in vertex sets.
-Its body search is cut by a vertex-weight bound that every connected
-piece of a body meets, and only bodies whose base-edge count the
-boundary can supply reach the base search, one walk per body
-(`_pairs_for_body`), which for n >= 4 keeps the touched body vertices at
-body distance n - 2 or more.
+strongly connected.  The enumeration, `_zero_min_pairs`, yields each pair
+as two masks over the graph's bitset index, from a body search that keeps
+its counts as it walks and one base walk per body;
+`enumerate_zero_min_pairs` is its sorted view in vertex sets.
 """
 
 from dataclasses import dataclass
@@ -116,9 +111,9 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
 
 
 def _zero_min_pairs(g, cap, amask):
-    """Yield once each pair (A, B) with B 0-minimally algebraic over A,
-    |B| <= cap and A or B meeting `amask`, as masks over the graph's index
-    in no fixed order.  B is connected: delta(B/A) = 0 sums over its parts."""
+    """Each pair (A, B) once with B 0-minimally algebraic over A, |B| <=
+    cap and A or B meeting `amask`, as masks over the graph's index in no
+    fixed order.  B is connected: delta(B/A) = 0 sums over its parts."""
     n, idx, adj = g.n, g._index, g._index.adj
     touch, pairs = amask | _union(adj, amask), []
     # delta(b/A) = 0 for a singleton body forces n = 3 and two base edges;
@@ -126,7 +121,8 @@ def _zero_min_pairs(g, cap, amask):
     # in the touch set: `amask` and its neighbours
     if n == 3 and cap >= 1:
         pairs.append((1 << x | 1 << y, 1 << b) for b in _bits(touch)
-                     for x, y in combinations(_bits(adj[b]), 2))
+                     for x, y in combinations(_bits(adj[b]), 2)
+                     if (1 << x | 1 << y | 1 << b) & amask)
     if cap >= 2:
         # In a body of size >= 2 every vertex v has (n-2) e(v, rest of body
         # + base) >= n with at most one edge into the base, so it needs
@@ -139,16 +135,14 @@ def _zero_min_pairs(g, cap, amask):
         # near[cap - 1] holds every such body
         near = _balls(adj, touch & ground, cap - 1, ground)
         pairs.append((base, body) for body, target in _candidate_bodies(idx, n, near, cap)
-                     for base in _pairs_for_body(g, body, target))
-    for base, body in chain.from_iterable(pairs):
-        if (base | body) & amask:
-            yield base, body
+                     for base in _pairs_for_body(g, body, target, amask))
+    return chain.from_iterable(pairs)
 
 
-def _pairs_for_body(g, body, target):
+def _pairs_for_body(g, body, target, amask):
     """Yield each base A (a mask over the graph's index) over which B is
-    0-minimally algebraic, for a body B (a mask) from `_candidate_bodies`
-    with target = delta(B)/(n-2).
+    0-minimally algebraic and A or B meets the mask `amask`, for a body
+    B (a mask) from `_candidate_bodies`, target = delta(B)/(n-2).
 
     Such an A lies in the boundary, has e(B, A) = target and sends at most
     one edge to each body vertex (the sub-body {v} has positive relative
@@ -161,7 +155,11 @@ def _pairs_for_body(g, body, target):
     body neighbour is v and whose body neighbourhood avoids every decided
     vertex takes v and decides that neighbourhood, or, if v is not
     required, v gets no base edge.  By disjointness at most one vertex of
-    A covers v, so each A is reached once.
+    A covers v, so each A is reached once.  If B misses `amask`, a vertex
+    joins A only while its nonempty body neighbourhood is all undecided:
+    a branch whose chosen vertices miss `amask` reaches an A meeting it
+    only if an admissible boundary vertex in `amask` covers an undecided
+    body vertex, and is cut otherwise (at the root, the whole walk).
 
     For n >= 4 and |B| > n - 2, taking v also decides the body vertices
     within body distance n - 3 of the new neighbourhood, and is refused
@@ -174,36 +172,37 @@ def _pairs_for_body(g, body, target):
     vertices A touches (`_zero_algebraic`), and is memoised on those: a
     body shape met again in a later growth step costs one lookup per base.
     """
-    n, idx = g.n, g._index
-    adj, need = idx.adj, 2 if n == 3 else 1
+    n, adj, need = g.n, g._index.adj, 2 if g.n == 3 else 1
+    amask = -1 if body & amask else amask  # B meets it: every A is wanted
     local, shape = _shape(adj, body)
     required = sum(1 << i for i, m in enumerate(shape) if m.bit_count() == need)
     radius = n - 3 if len(shape) > n - 2 else 0
     ball = [1 << i for i in range(len(shape))]  # the body within radius of i
     for _ in range(radius):
         ball = [_union(ball, m | 1 << i) for i, m in enumerate(shape)]
-    by_low, cover = {}, 0
+    by_low, cover, acover = {}, 0, 0  # acover: covered from `amask`
     for a in _bits(_union(adj, body) & ~body):
         m = _union(local, adj[a] & body)
         near = _union(ball, m) if radius else m
         if m.bit_count() <= target and not near & ~m & required:
             by_low.setdefault(m & -m, []).append((1 << a, m, near))
             cover |= m
-    if required & ~cover or cover.bit_count() < target:
+            acover |= m if 1 << a & amask else 0
+    if required & ~cover or cover.bit_count() < target or not acover:
         return
-    # (decided, used = the body vertices that `chosen` touches, chosen,
-    # e(B, chosen))
+    # decided, used (the body vertices that `chosen` touches), chosen, e(B, chosen)
     stack = [(0, 0, 0, 0)]
     while stack:
         decided, used, chosen, weight = stack.pop()
         if weight == target:
-            if not required & ~used and _zero_algebraic(n, shape, used):
+            if chosen & amask and not required & ~used and _zero_algebraic(n, shape, used):
                 yield chosen
             continue
         # an open vertex takes at most one base edge, a required one exactly
         open_ = cover & ~decided
         if weight + open_.bit_count() < target \
-                or weight + (open_ & required).bit_count() > target:
+                or weight + (open_ & required).bit_count() > target \
+                or not (chosen & amask or open_ & acover):
             continue
         low = open_ & -open_
         if not low & required:
@@ -251,7 +250,7 @@ def _candidate_bodies(idx, n, near, cap):
     edge; supply(B) counts the vertices with a neighbour outside B, each
     of which takes at most one base edge.
 
-    The search reaches B through connected subsets of B.  A branch dies
+    The search reaches B through connected subsets S of B.  A branch dies
     as soon as some chosen vertex cannot reach its internal degree from
     chosen plus undecided neighbours, or by weight.  For connected S
     inside B, delta(S / (B - S) + A) is delta(B/A) = 0 minus
@@ -263,43 +262,35 @@ def _candidate_bodies(idx, n, near, cap):
     n = 3 the ground peel leaves degree >= 3 only, so this never fires.
     near[k] masks the ground vertices within ground distance k of the
     touch set, so branches that cannot reach it within the cap are cut.
-    Bodies are masks over the graph's index `idx`, yielded as found, so
-    memory follows the search depth, not the number of bodies.
+
+    A node pays for its last vertex u, not for |S|: it keeps delta(S) and
+    masks of the chosen vertices at internal degree >= 2 and >= 3 (>= 1
+    holds on all of S once |S| >= 2) and with no outside neighbour, which
+    change only at u and its chosen neighbours.  A child's feasible set
+    (chosen plus undecided) is its parent's minus the siblings killed
+    before it, so only u, and on killing u its chosen neighbours, can
+    fall short; the root is checked before its walk.  Bodies are masks
+    over `idx`, yielded as found, so memory follows the search depth.
     """
     need, floor = 2 if n == 3 else 1, -(n - 2)
     adj, deg, ground = idx.adj, idx.deg, near[-1]
     weight = [(n - 2) * d - (2 * n - 3) for d in deg]
-
-    def target(current, size):
-        # delta(B)/(n-2) if B passes the tests above, else 0
-        twice_edges = supply = required = 0
-        m = current
-        while m:
-            i = (m & -m).bit_length() - 1
-            m &= m - 1
-            inner = (adj[i] & current).bit_count()
-            if inner < need or inner == need == deg[i]:
-                return 0
-            supply += inner < deg[i]
-            required += inner == need
-            twice_edges += inner
-        dlt = (n - 1) * size - (n - 2) * (twice_edges // 2)
-        if dlt > 0 and dlt % (n - 2) == 0 and required <= dlt // (n - 2) <= supply:
-            return dlt // (n - 2)
-        return 0
-
     for r in _bits(ground):
         gt_root = ground & ~((1 << (r + 1)) - 1)
-        # depth first over the connected subsets with least vertex r.  The
-        # children of a subset take the vertices u of its extension `ext`
-        # in turn; each one adds u, its new neighbours to `ext`, and the
-        # earlier u's to `dead`.
-        stack = [(1 << r, 1, weight[r], adj[r] & gt_root, 0)]
+        if (adj[r] & gt_root).bit_count() < need:
+            continue
+        # depth first over the connected subsets with least vertex r; the
+        # children take the u of `ext` in turn, the earlier u's dead
+        stack = [(1 << r, 1, weight[r], adj[r] & gt_root, 0, n - 1, 0, 0, 0)]
         while stack:
-            current, size, wsum, ext, dead = stack.pop()
-            found = size >= 2 and current & near[0] and target(current, size)
-            if found:
-                yield current, found
+            current, size, wsum, ext, dead, dlt, two, three, closed = stack.pop()
+            if size >= 2 and current & near[0]:
+                required = two & ~three if n == 3 else current & ~two
+                target, rest = divmod(dlt, n - 2)
+                if (n > 3 or two == current) and not required & closed \
+                        and dlt > 0 and not rest \
+                        and required.bit_count() <= target <= size - closed.bit_count():
+                    yield current, target
             if size >= cap or wsum == floor:
                 continue
             # room left for reaching the touch set after one more vertex
@@ -308,18 +299,25 @@ def _candidate_bodies(idx, n, near, cap):
                 low = ext & -ext
                 ext ^= low
                 u = low.bit_length() - 1
+                feasible, inner = current | (gt_root & ~dead), adj[u] & current
                 cur2 = current | low
-                bad = wsum + weight[u] < floor
-                feasible = cur2 | (gt_root & ~dead)
-                m = cur2
-                while m and not bad:
-                    i = (m & -m).bit_length() - 1
-                    m &= m - 1
-                    bad = (adj[i] & feasible).bit_count() < need
+                bad = wsum + weight[u] < floor or (adj[u] & feasible).bit_count() < need
                 if not bad and not cur2 & near[0]:
                     bad = not room or not feasible & ~cur2 & near[room - 1]
                 if not bad:
+                    k, closed2, m = inner.bit_count(), closed, inner | low
+                    while m:
+                        b = m & -m
+                        m ^= b
+                        closed2 |= 0 if adj[b.bit_length() - 1] & ~cur2 else b
                     stack.append((cur2, size + 1, wsum + weight[u],
-                                  ext | (adj[u] & gt_root & ~cur2 & ~dead),
-                                  dead))
-                dead |= low
+                                  ext | (adj[u] & gt_root & ~cur2 & ~dead), dead,
+                                  dlt + (n - 1) - (n - 2) * k,
+                                  two | (inner if size > 1 else 0) | (low if k > 1 else 0),
+                                  three | (two & inner) | (low if k > 2 else 0), closed2))
+                dead, feasible = dead | low, feasible & ~low
+                m = inner  # killing u may starve them, and all later siblings
+                while m and (adj[(m & -m).bit_length() - 1] & feasible).bit_count() >= need:
+                    m &= m - 1
+                if m:
+                    break

@@ -8,8 +8,9 @@ import ngons.kmu
 from conftest import MaskOracle, cycle_with_handles, double_path, random_bipartite
 from ngons import (BipartiteGraph, GraphError, MuFunction, TEMPLATES,
                    closure, count_copies, default_mu, delta, enumerate_zero_min_pairs,
-                   find_copies, free_amalgam, girth, grow, in_class,
-                   is_connected, make_cl_witness, make_cycle, make_path,
+                   find_copies, free_amalgam, girth, gq22_graph, grow, in_class,
+                   is_connected, is_strong, is_zero_minimally_algebraic,
+                   make_cl_witness, make_cycle, make_path,
                    pairs_isomorphic, copies_equivalent, enumerate_cycles)
 from ngons.predimension import _hull_cut
 
@@ -542,3 +543,43 @@ def test_matcher_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_degree_bound_needs_more_than_girth():
+    """A report of mu_exceeded does not need every base vertex to have
+    degree above mu: that bound would hold if the copies were pairwise
+    disjoint, and neither a report nor girth 2n makes them so.
+
+    At n = 3, sets X1..X4 of 1, 3, 3 and 3 vertices, each joined to its own
+    base vertex and completely to the next set round a 4-cycle, give 27
+    copies of a 4-cycle body over the base, all through the one vertex of
+    X1, whose base vertex has degree 1.  At n = 4, GQ(2,2) without one
+    vertex has girth 8, and two copies of one body over a base of
+    degrees 3, 2, 2, 3, 3 share a vertex."""
+    base = (100, 101, 102, 103)
+    xs = ((0,), (10, 11, 12), (20, 21, 22), (30, 31, 32))
+    parts = {a: (i + 1) % 2 for i, a in enumerate(base)}
+    parts.update({x: i % 2 for i, xi in enumerate(xs) for x in xi})
+    g = BipartiteGraph(3, parts, [(x, base[i]) for i, xi in enumerate(xs) for x in xi]
+                       + [(x, y) for i in range(4) for x in xs[i] for y in xs[i - 1]])
+    ok, reports = in_class(g)
+    assert not ok
+    assert "VIOLATION mu_exceeded 100,101,102,103,0,10,11,12,20,21,22,30,31,32 27 8" \
+        in [r.format() for r in reports]
+    copies = find_copies(g, base, {0, 10, 20, 30})
+    assert len(copies) == 27 and all(0 in c for c in copies)
+    assert g.degree(100) == 1
+
+    gq = gq22_graph()
+    h = BipartiteGraph(4, {v: gq.part(v) for v in gq.vertices if v != 19},
+                       [e for e in gq.edges if 19 not in e])
+    assert girth(h) == 8
+    base = {0, 1, 7, 10, 24}
+    body1, body2 = {2, 5, 14, 15, 18, 21, 22, 23}, {4, 5, 12, 17, 20, 27, 28, 29}
+    assert [h.degree(a) for a in sorted(base)] == [3, 2, 2, 3, 3]
+    assert is_zero_minimally_algebraic(h, base, body1)
+    assert is_zero_minimally_algebraic(h, base, body2)
+    assert copies_equivalent(h, base, body1, body2)
+    assert body1 & body2 == {5}
+    # the disjointness argument needs a base strong over the copies
+    assert not is_strong(h, base)[0]

@@ -416,7 +416,7 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
                   for p in enumerate_zero_min_pairs(g, cap) if len(p.body) > 1}
         # the pair stream gives each base of the walk its own body
         assert listed == {(a, mask) for mask, target in seen for a in
-                          ngons.zeroalg._pairs_for_body(g, mask, target)}
+                          ngons.zeroalg._pairs_for_body(g, mask, target, index.full)}
         for mask, target in seen:
             body = frozenset(v for i, v in enumerate(index.verts)
                              if mask >> i & 1)
@@ -429,7 +429,7 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
                       for a in combinations(boundary, k)
                       if sum(into[v] for v in a) == target
                       and is_zero_minimally_algebraic(g, a, body)}
-            got = _as_sets(g, ngons.zeroalg._pairs_for_body(g, mask, target))
+            got = _as_sets(g, ngons.zeroalg._pairs_for_body(g, mask, target, index.full))
             assert len(got) == len(set(got))
             assert set(got) == expect
             # a body that misses `around` gets the bases that meet it
@@ -466,3 +466,77 @@ def test_enumeration_around_the_last_step(n, seed, steps):
     got = enumerate_zero_min_pairs(after, around=new)
     assert got == [p for p in full if (p.base | p.body) & new]
     assert any(not p.body & new for p in got)
+
+
+@pytest.mark.parametrize("n, l, cap, count", [(5, 2, None, 65714), (3, 3, None, 58),
+                                              (4, 3, 10, 12724)])
+def test_body_search_yields_checked_bodies(monkeypatch, n, l, cap, count):
+    """Each (B, target) that the body search yields on a cl witness,
+    recomputed from scratch: B is connected with 2 <= |B| <= cap, each
+    body vertex has internal degree at least 2 (n = 3) or 1, target =
+    delta(B)/(n-2) > 0 exactly, the required vertices (at that degree)
+    have an outside neighbour, and #required <= target <= supply, the
+    number of body vertices with an outside neighbour.  No body comes
+    twice, and the number of bodies is pinned."""
+    real, seen = ngons.zeroalg._candidate_bodies, []
+
+    def record(*args):
+        for item in real(*args):
+            seen.append(item)
+            yield item
+
+    monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", record)
+    monkeypatch.setattr(ngons.zeroalg, "_pairs_for_body", lambda *args: [])
+    g = make_cl_witness(n, l)
+    cap = default_body_cap(n) if cap is None else cap
+    enumerate_zero_min_pairs(g, cap)
+    need, verts = 2 if n == 3 else 1, g._index.verts
+    for mask, target in seen:
+        body = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+        assert 2 <= len(body) <= cap and is_connected(g, body)
+        inner = {v: len(g.neighbors(v) & body) for v in body}
+        assert min(inner.values()) >= need
+        required = [v for v in body if inner[v] == need]
+        supply = sum(1 for v in body if g.degree(v) > inner[v])
+        assert all(g.degree(v) > need for v in required)
+        assert (n - 2) * target == delta(g, body) > 0
+        assert len(required) <= target <= supply
+    assert len({mask for mask, _ in seen}) == len(seen) == count
+
+
+def test_body_search_matches_brute_force_at_n3(monkeypatch):
+    """At n = 3, where the weight cut never fires, the body search over
+    every vertex yields exactly the connected sets that pass its tests,
+    found by brute force on dense random graphs, where many bodies fail
+    #required <= target, and on K_{4,5}, where delta(B) <= 0 for B = K_{4,4}
+    and K_{4,5}."""
+    real, seen = ngons.zeroalg._candidate_bodies, []
+
+    def record(*args):
+        for item in real(*args):
+            seen.append(item)
+            yield item
+
+    monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", record)
+    monkeypatch.setattr(ngons.zeroalg, "_pairs_for_body", lambda *args: [])
+    rng, yielded = random.Random(11), 0
+    k45 = BipartiteGraph(3, {i: int(i >= 4) for i in range(9)},
+                         [(a, b) for a in range(4) for b in range(4, 9)])
+    for g in [k45] + [random_bipartite(rng, 3, 12, 0.45) for _ in range(40)]:
+        oracle, expect = MaskOracle(g), set()
+        for body in oracle.connected_subsets(oracle.mask(g.vertices)):
+            inner = {v: len(g.neighbors(v) & body) for v in body}
+            required = [v for v in body if inner[v] == 2]
+            supply = sum(1 for v in body if g.degree(v) > inner[v])
+            if len(body) >= 2 and min(inner.values()) >= 2 and delta(g, body) > 0 \
+                    and all(g.degree(v) > 2 for v in required) \
+                    and len(required) <= delta(g, body) <= supply:
+                expect.add((body, delta(g, body)))
+        seen.clear()
+        enumerate_zero_min_pairs(g, len(g))
+        verts = g._index.verts
+        got = [(frozenset(v for i, v in enumerate(verts) if mask >> i & 1), target)
+               for mask, target in seen]
+        assert len(got) == len(set(got)) and set(got) == expect
+        yielded += len(got)
+    assert yielded > 300

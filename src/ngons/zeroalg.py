@@ -10,9 +10,8 @@ per base on a network with a node per body vertex, memoised per body
 shape and the body vertices that take a base edge (`_zero_algebraic`):
 the body is 0-algebraic exactly when the residual network on it is
 strongly connected.  The enumeration, `_zero_min_pairs`, yields each pair
-as two masks over the graph's bitset index, from a body search that keeps
-its counts as it walks and one base walk per body;
-`enumerate_zero_min_pairs` is its sorted view in vertex sets.
+as two masks over the graph's bitset index, from one body search and one
+base walk per body; `enumerate_zero_min_pairs` is its sorted view.
 """
 
 from dataclasses import dataclass
@@ -27,14 +26,12 @@ from .predimension import _cut_network, delta_rel
 class ZeroAlgebraicPair:
     base: frozenset
     body: frozenset
-    kind: str  # "algebraic" or "minimally_algebraic"
 
 
 def _require_disjoint(g, base, body):
     base, body = g.check_subset(base), g.check_subset(body)
     if base & body:
-        raise GraphError("base and body must be disjoint, share %s"
-                         % sorted(base & body))
+        raise GraphError("base and body must be disjoint, share %s" % sorted(base & body))
     return base, body
 
 
@@ -47,9 +44,8 @@ def _shape(adj, body):
 
 
 def _touched_base(g, base, body):
-    """The base vertices with an edge into `body`, over which the body is
-    then 0-minimally algebraic, if it is 0-algebraic over `base`; else None.
-    """
+    """If the body is 0-algebraic over `base`, the base vertices with an
+    edge into it, over which it is 0-minimally algebraic; else None."""
     base, body = _require_disjoint(g, base, body)
     if not body or delta_rel(g, body, base) != 0:
         return None
@@ -105,9 +101,9 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
     idx, cap = g._index, default_body_cap(g.n) if max_body is None else max_body
     amask = idx.full if around is None else idx.mask(g.check_subset(around))
     verts = idx.verts.__getitem__
-    return [ZeroAlgebraicPair(frozenset(map(verts, a)), frozenset(map(verts, b)),
-                              "minimally_algebraic") for b, a in sorted(
-        (_bits(b), _bits(a)) for a, b in _zero_min_pairs(g, cap, amask))]
+    return [ZeroAlgebraicPair(frozenset(map(verts, a)), frozenset(map(verts, b)))
+            for b, a in sorted((_bits(b), _bits(a))
+                               for a, b in _zero_min_pairs(g, cap, amask))]
 
 
 def _zero_min_pairs(g, cap, amask):
@@ -117,8 +113,7 @@ def _zero_min_pairs(g, cap, amask):
     n, idx, adj = g.n, g._index, g._index.adj
     touch, pairs = amask | _union(adj, amask), []
     # delta(b/A) = 0 for a singleton body forces n = 3 and two base edges;
-    # b or a base vertex, a neighbour of b, meets `amask` only if b lies
-    # in the touch set: `amask` and its neighbours
+    # b or a neighbour of b meets `amask` only if b is in the touch set
     if n == 3 and cap >= 1:
         pairs.append((1 << x | 1 << y, 1 << b) for b in _bits(touch)
                      for x, y in combinations(_bits(adj[b]), 2)
@@ -130,9 +125,8 @@ def _zero_min_pairs(g, cap, amask):
         # by the latter cuts n = 3 graphs at every plain path.
         t = -(-n // (n - 2))
         ground = _peel(idx, idx.full & ~idx.below[t], 0, t - 1)
-        # the body of a pair meeting `amask` meets the touch set near[0].
-        # near[k] is the ground within ground distance k of it, so
-        # near[cap - 1] holds every such body
+        # a body of a pair meeting `amask` meets the touch set near[0]; near[k]
+        # is the ground within distance k of it, so near[cap - 1] holds each
         near = _balls(adj, touch & ground, cap - 1, ground)
         pairs.append((base, body) for body, target in _candidate_bodies(idx, n, near, cap)
                      for base in _pairs_for_body(g, body, target, amask))
@@ -243,12 +237,15 @@ def _candidate_bodies(idx, n, near, cap):
     """Yield (B, delta(B)/(n-2)) for each connected B inside the ground
     near[-1] with 2 <= |B| <= cap that meets the touch set near[0] and
     passes the tests `_pairs_for_body` relies on: (n-2) | delta(B) > 0,
-    and #required <= delta(B)/(n-2) <= supply(B) with every required
-    vertex having an outside neighbour.  A body vertex needs internal
-    degree >= 2 for n = 3 and >= 1 otherwise, since (n-2) e(v, rest + A)
-    >= n, and the required ones, at exactly that degree, must take a base
-    edge; supply(B) counts the vertices with a neighbour outside B, each
-    of which takes at most one base edge.
+    #required <= delta(B)/(n-2) <= #supply, required inside supply.  A
+    body vertex needs internal degree >= 2 for n = 3 and >= 1 otherwise,
+    since (n-2) e(v, rest + A) >= n; the required ones, at exactly that
+    degree, take a base edge.  The supply is the body vertices with an
+    outside neighbour (each takes at most one base edge), less, for n >= 4
+    and |B| > n - 2, those next to a required w: a boundary vertex a has
+    its body neighbours m in one part, so w, next to some v in m, lies in
+    a's ball of radius n - 3 but not in m, and `_pairs_for_body` refuses
+    a.  Its cover lies in this supply, so a body dropped here has no base.
 
     The search reaches B through connected subsets S of B.  A branch dies
     as soon as some chosen vertex cannot reach its internal degree from
@@ -290,7 +287,10 @@ def _candidate_bodies(idx, n, near, cap):
                 if (n > 3 or two == current) and not required & closed \
                         and dlt > 0 and not rest \
                         and required.bit_count() <= target <= size - closed.bit_count():
-                    yield current, target
+                    no_supply = closed | (_union(adj, required) & current
+                                          if n > 3 and size > n - 2 else 0)
+                    if not required & no_supply and target <= size - no_supply.bit_count():
+                        yield current, target
             if size >= cap or wsum == floor:
                 continue
             # room left for reaching the touch set after one more vertex

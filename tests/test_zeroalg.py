@@ -1,4 +1,5 @@
 import gc
+import inspect
 import random
 import sys
 import tracemalloc
@@ -276,7 +277,8 @@ def test_body_search_streams(monkeypatch):
     base search stubbed out, the peak traced memory of the body search
     stays below what the yielded bodies alone would take.  The full
     collection first empties the free lists, so that holding the bodies
-    would show up as fresh allocations."""
+    would show up as fresh allocations.  cl(4, 3) at cap 8 yields about
+    1,200 bodies, enough to stand well above the search's own peak."""
     assert len(enumerate_zero_min_pairs(make_cl_witness(4, 2), 8)) == 60
     held = 0
     real = ngons.zeroalg._candidate_bodies
@@ -289,7 +291,7 @@ def test_body_search_streams(monkeypatch):
 
     monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", sizing)
     monkeypatch.setattr(ngons.zeroalg, "_pairs_for_body", lambda *args: [])
-    g = make_cl_witness(4, 2)
+    g = make_cl_witness(4, 3)
     g._index
     gc.collect()
     tracemalloc.start()
@@ -361,8 +363,8 @@ def test_memo_shared_by_relabelled_bodies():
     both = enumerate_zero_min_pairs(g, 8)
     assert memo.cache_info().misses == misses
     moved = [ngons.ZeroAlgebraicPair(frozenset(v + shift for v in p.base),
-                                     frozenset(v + shift for v in p.body),
-                                     p.kind) for p in first]
+                                     frozenset(v + shift for v in p.body))
+             for p in first]
     assert len(first) == 60
     assert sorted(both, key=lambda p: (sorted(p.body), sorted(p.base))) == \
         sorted(first + moved, key=lambda p: (sorted(p.body), sorted(p.base)))
@@ -468,16 +470,27 @@ def test_enumeration_around_the_last_step(n, seed, steps):
     assert any(not p.body & new for p in got)
 
 
-@pytest.mark.parametrize("n, l, cap, count", [(5, 2, None, 65714), (3, 3, None, 58),
-                                              (4, 3, 10, 12724)])
+def _supply(g, body, required):
+    """The body vertices that can take a base edge: those with an outside
+    neighbour, less, for n >= 4 and |B| > n - 2, the neighbours of the
+    required vertices."""
+    supply = {v for v in body if g.neighbors(v) - body}
+    if g.n > 3 and len(body) > g.n - 2:
+        supply -= {v for w in required for v in g.neighbors(w)}
+    return supply
+
+
+@pytest.mark.parametrize("n, l, cap, count", [(5, 2, None, 20920), (3, 3, None, 58),
+                                              (4, 3, 10, 4732)])
 def test_body_search_yields_checked_bodies(monkeypatch, n, l, cap, count):
     """Each (B, target) that the body search yields on a cl witness,
     recomputed from scratch: B is connected with 2 <= |B| <= cap, each
     body vertex has internal degree at least 2 (n = 3) or 1, target =
     delta(B)/(n-2) > 0 exactly, the required vertices (at that degree)
     have an outside neighbour, and #required <= target <= supply, the
-    number of body vertices with an outside neighbour.  No body comes
-    twice, and the number of bodies is pinned."""
+    number of body vertices with an outside neighbour and, for n >= 4 and
+    |B| > n - 2, no neighbour in B that is required.  No body comes twice,
+    and the number of bodies is pinned."""
     real, seen = ngons.zeroalg._candidate_bodies, []
 
     def record(*args):
@@ -496,12 +509,133 @@ def test_body_search_yields_checked_bodies(monkeypatch, n, l, cap, count):
         assert 2 <= len(body) <= cap and is_connected(g, body)
         inner = {v: len(g.neighbors(v) & body) for v in body}
         assert min(inner.values()) >= need
-        required = [v for v in body if inner[v] == need]
-        supply = sum(1 for v in body if g.degree(v) > inner[v])
-        assert all(g.degree(v) > need for v in required)
+        required = {v for v in body if inner[v] == need}
+        supply = _supply(g, body, required)
+        assert required <= supply
         assert (n - 2) * target == delta(g, body) > 0
-        assert len(required) <= target <= supply
+        assert len(required) <= target <= len(supply)
     assert len({mask for mask, _ in seen}) == len(seen) == count
+
+
+def _bodies_without_the_neighbour_rule(g, cap):
+    """For n >= 4, each connected B with 2 <= |B| <= cap that passes the
+    body tests without the rule that leaves the neighbours of required
+    vertices out of the supply, mapped to delta(B)/(n-2): (n-2) | delta(B)
+    > 0, and #required <= delta(B)/(n-2) <= #supply with every required
+    vertex (internal degree 1) in the supply (the vertices with an outside
+    neighbour).  Sets grow one neighbour at a time while their weights
+    (n-2) deg(v) - (2n-3) sum above -(n-2), which loses no body of a pair
+    (`test_body_weight_and_supply_bounds`)."""
+    n, out, seen = g.n, {}, set()
+    weight = {v: (n - 2) * g.degree(v) - (2 * n - 3) for v in g.vertices}
+    stack = [frozenset({v}) for v in g.vertices]
+    while stack:
+        body = stack.pop()
+        if body in seen:
+            continue
+        seen.add(body)
+        total = sum(weight[v] for v in body)
+        if len(body) >= 2 and total >= -(n - 2):
+            required = [v for v in body if len(g.neighbors(v) & body) == 1]
+            supply = {v for v in body if g.neighbors(v) - body}
+            target, rest = divmod(delta(g, body), n - 2)
+            if target > 0 and not rest and set(required) <= supply \
+                    and len(required) <= target <= len(supply):
+                out[body] = target
+        if total > -(n - 2) and len(body) < cap:
+            stack.extend(body | {w} for v in body for w in g.neighbors(v) - body)
+    return out
+
+
+def test_dropped_bodies_have_no_base(monkeypatch):
+    """At n >= 4 and |B| > n - 2 a body vertex next to a required vertex
+    supplies no base edge.  Every body that passes the tests without
+    that rule but that the body search does not yield has no base, by
+    brute force over the boundary subsets A with e(B, A) = target; the
+    search yields no body outside those tests.  Besides the bodies that
+    this rule drops, some fail the weight cut along the search's path.
+    The corpus is cl(4, 2), cl(4, 3), cl(5, 2) and cl(6, 2), the last
+    three at cap 8, and grown n = 4 graphs."""
+    real, seen = ngons.zeroalg._candidate_bodies, []
+
+    def record(*args):
+        for item in real(*args):
+            seen.append(item[0])
+            yield item
+
+    monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", record)
+    monkeypatch.setattr(ngons.zeroalg, "_pairs_for_body", lambda *args: [])
+    graphs = [(make_cl_witness(4, 2), 24)]
+    graphs += [(make_cl_witness(n, l), 8) for n, l in ((4, 3), (5, 2), (6, 2))]
+    graphs += [(grow(make_cycle(4, 10), 2, s,
+                     templates=("pendant_path", "path_completion",
+                                "cycle_attach"))[0], 24) for s in range(1, 7)]
+    dropped = ruled = 0
+    for g, cap in graphs:
+        seen.clear()
+        enumerate_zero_min_pairs(g, cap)
+        verts = g._index.verts
+        yielded = {frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
+                   for mask in seen}
+        bodies = _bodies_without_the_neighbour_rule(g, cap)
+        assert yielded <= bodies.keys()
+        for body, target in bodies.items():
+            if body in yielded:
+                continue
+            boundary = sorted(set().union(*(g.neighbors(v) for v in body)) - body)
+            into = {a: len(g.neighbors(a) & body) for a in boundary}
+            assert not any(sum(into[v] for v in a) == target
+                           and is_zero_minimally_algebraic(g, a, body)
+                           for k in range(1, target + 1)
+                           for a in combinations(boundary, k))
+            dropped += 1
+            required = {v for v in body if len(g.neighbors(v) & body) == 1}
+            supply = _supply(g, body, required)
+            ruled += not (required <= supply and target <= len(supply))
+    assert dropped >= ruled > 1500
+
+
+def _line_counts(run):
+    """Line events, while run() runs, on the stack pops of the body search
+    and of the base walk and on the first line of the base search, which
+    runs once per yielded body."""
+    marks = {}
+    for fn, text in ((ngons.zeroalg._candidate_bodies, "stack.pop()"),
+                     (ngons.zeroalg._pairs_for_body, "n, adj, need = "),
+                     (ngons.zeroalg._pairs_for_body, "stack.pop()")):
+        lines, first = inspect.getsourcelines(fn)
+        [at] = [first + i for i, line in enumerate(lines) if text in line]
+        marks[fn.__code__, at] = len(marks)
+    counts = [0] * len(marks)
+
+    def local(frame, event, arg):
+        if event == "line" and (frame.f_code, frame.f_lineno) in marks:
+            counts[marks[frame.f_code, frame.f_lineno]] += 1
+        return local
+
+    codes = {code for code, _ in marks}
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        run()
+    finally:
+        sys.settrace(old)
+    return counts
+
+
+@pytest.mark.parametrize("n, l, cap, counts", [(3, 2, None, [8, 1, 5]),
+                                               (3, 3, None, [2441, 49, 347]),
+                                               (4, 2, 8, [973, 10, 52])])
+def test_search_node_counts(n, l, cap, counts):
+    """The pair search, around the least A0 vertex of a cl witness, pops
+    a pinned number of body search nodes, yields a pinned number of
+    bodies and pops a pinned number of base walk nodes, so a lost prune
+    shows here and not only in run time: the sibling stop of the body
+    search (on both n = 3 inputs), the neighbour rule of its supply and
+    the base walk's cut on `amask` (on cl(4, 2))."""
+    g = make_cl_witness(n, l)
+    around = {min(g.subsets["A0"])}
+    assert _line_counts(lambda: enumerate_zero_min_pairs(g, cap, around)) == counts
 
 
 def test_body_search_matches_brute_force_at_n3(monkeypatch):

@@ -11,8 +11,8 @@ Conditions 2 and 3 quantify over unbounded families; the checker walks
 cycles up to a configurable horizon, in one walk with condition 1, and
 bodies up to a configurable size cap, so a verdict holds only within
 those limits.  The reports do not record them; `ngons kmu` prints them.
-Condition 3 reads the pairs as masks (`zeroalg._zero_min_pairs`) and
-builds vertex sets only for a base with several bodies or no new vertex.
+Condition 3 walks only bodies whose bases a copy or the old part can share,
+and builds vertex sets only for a base with several bodies or no new vertex.
 
 Copies, copy equivalence, configuration isomorphism and the path test
 behind mu = 1 all run on one backtracking matcher, `graph._matches`,
@@ -178,7 +178,8 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     Conditions 1 and 2 read the cycles from one walk (`graph._cycles`);
     condition 2 runs a min-cut only where the weight bound of
     `predimension._hull_cut` leaves d(C) possibly below 2n+2; condition 3
-    skips a base that meets the new vertices and carries one body.
+    walks only the bodies that `zeroalg._shared_bodies` keeps, and skips
+    a base that meets the new vertices and carries one body.
     """
     n, mu = g.n, default_mu(g.n) if mu is None else mu
     if mu.n != n:
@@ -212,14 +213,11 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
                 idx.verts[p] for p in _bits(w)), value, floor))
 
     # Condition 3: copy counts of 0-minimally algebraic bodies stay within
-    # mu.  Every copy of an enumerated body is itself 0-minimally algebraic
-    # over the same base and no larger, so when every body over a base was
-    # enumerated (a base meeting the new vertices) a class of copies over
-    # the (pointwise fixed) base is counted by its size: a lone body is one
-    # copy, within every mu.  Over an old base the copies lying entirely
-    # in the old part were not enumerated, so find_copies recounts them.
+    # mu.  A class over a base meeting the new vertices is streamed whole
+    # (`zeroalg._shared_bodies`) and counted by its size, a lone body within
+    # every mu; over an old base find_copies recounts, old-part copies too.
     by_base, verts = {}, idx.verts.__getitem__
-    for base, body in _zero_min_pairs(g, cap, nmask):
+    for base, body in _zero_min_pairs(g, cap, nmask, shared=True):
         by_base.setdefault(base, []).append(body)
     for bits, bodies in sorted((_bits(base), bodies) for base, bodies in by_base.items()
                                if len(bodies) > 1 or not base & nmask):

@@ -106,10 +106,11 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
                                for a, b in _zero_min_pairs(g, cap, amask))]
 
 
-def _zero_min_pairs(g, cap, amask):
+def _zero_min_pairs(g, cap, amask, shared=False):
     """Each pair (A, B) once with B 0-minimally algebraic over A, |B| <=
     cap and A or B meeting `amask`, as masks over the graph's index in no
-    fixed order.  B is connected: delta(B/A) = 0 sums over its parts."""
+    fixed order.  B is connected: delta(B/A) = 0 sums over its parts.
+    With `shared`, only the bodies that `_shared_bodies` keeps are walked."""
     n, idx, adj = g.n, g._index, g._index.adj
     touch, pairs = amask | _union(adj, amask), []
     # delta(b/A) = 0 for a singleton body forces n = 3 and two base edges;
@@ -128,9 +129,40 @@ def _zero_min_pairs(g, cap, amask):
         # a body of a pair meeting `amask` meets the touch set near[0]; near[k]
         # is the ground within distance k of it, so near[cap - 1] holds each
         near = _balls(adj, touch & ground, cap - 1, ground)
-        pairs.append((base, body) for body, target in _candidate_bodies(idx, n, near, cap)
+        bodies = _candidate_bodies(idx, n, near, cap)
+        bodies = _shared_bodies(adj, bodies, amask) if shared else bodies
+        pairs.append((base, body) for body, target, _ in bodies
                      for base in _pairs_for_body(g, body, target, amask))
     return chain.from_iterable(pairs)
+
+
+def _shared_bodies(adj, bodies, amask):
+    """The (B, target, required) from `_candidate_bodies` that may have a
+    base with a second copy of B or outside `amask`: (a) another B' with
+    the |B|, target and #required of B has, on its rim N(B') - B', an
+    outside neighbour of each required vertex of B, or (b) B meets `amask`
+    and each required vertex has an outside neighbour outside it.  A copy
+    B' over A is 0-minimally algebraic over A, so A is on its rim, and a
+    required vertex takes exactly one base edge, from A: each member of a
+    copy class passes (a), one over a base outside `amask` passes (b), and
+    a dropped body's bases meet `amask` and carry no second copy."""
+    groups, shift = {}, len(adj)  # B packed with its required mask: one int each
+    for body, target, required in bodies:
+        groups.setdefault((body.bit_count(), target, required.bit_count()), []).append(
+            required << shift | body)
+    for (_, target, _), group in groups.items():
+        holders = {}  # a rim position -> the group's bodies (bits) whose rim holds it
+        for i, (_, body) in enumerate(divmod(item, 1 << shift) for item in group):
+            for x in _bits(_union(adj, body) & ~body):
+                holders[x] = holders.get(x, 0) | 1 << i
+        for i, (required, body) in enumerate(divmod(item, 1 << shift) for item in group):
+            others, old = ((1 << len(group)) - 1) ^ 1 << i, body & amask
+            for v in _bits(required):  # v's outside neighbours are on B's rim: keys
+                outside = adj[v] & ~body
+                others &= _union(holders, outside)
+                old = old and outside & ~amask
+            if others or old:
+                yield body, target, required
 
 
 def _pairs_for_body(g, body, target, amask):
@@ -234,9 +266,9 @@ def _zero_algebraic(n, adj, used):
 
 
 def _candidate_bodies(idx, n, near, cap):
-    """Yield (B, delta(B)/(n-2)) for each connected B inside the ground
-    near[-1] with 2 <= |B| <= cap that meets the touch set near[0] and
-    passes the tests `_pairs_for_body` relies on: (n-2) | delta(B) > 0,
+    """Yield (B, delta(B)/(n-2), required) for each connected B inside the
+    ground near[-1] with 2 <= |B| <= cap that meets the touch set near[0]
+    and passes the tests `_pairs_for_body` relies on: (n-2) | delta(B) > 0,
     #required <= delta(B)/(n-2) <= #supply, required inside supply.  A
     body vertex needs internal degree >= 2 for n = 3 and >= 1 otherwise,
     since (n-2) e(v, rest + A) >= n; the required ones, at exactly that
@@ -266,8 +298,8 @@ def _candidate_bodies(idx, n, near, cap):
     change only at u and its chosen neighbours.  A child's feasible set
     (chosen plus undecided) is its parent's minus the siblings killed
     before it, so only u, and on killing u its chosen neighbours, can
-    fall short; the root is checked before its walk.  Bodies are masks
-    over `idx`, yielded as found, so memory follows the search depth.
+    fall short; the root is checked before its walk.  B and its required
+    vertices are masks over `idx`, yielded as found: memory follows depth.
     """
     need, floor = 2 if n == 3 else 1, -(n - 2)
     adj, deg, ground = idx.adj, idx.deg, near[-1]
@@ -290,7 +322,7 @@ def _candidate_bodies(idx, n, near, cap):
                     no_supply = closed | (_union(adj, required) & current
                                           if n > 3 and size > n - 2 else 0)
                     if not required & no_supply and target <= size - no_supply.bit_count():
-                        yield current, target
+                        yield current, target, required
             if size >= cap or wsum == floor:
                 continue
             # room left for reaching the touch set after one more vertex

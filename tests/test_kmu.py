@@ -450,6 +450,35 @@ def test_incremental_agrees_on_rejected_candidates_n4(monkeypatch):
     assert old_base_recount
 
 
+def twenty_seven_copies():
+    """At n = 3: sets X1..X4 of 1, 3, 3 and 3 vertices, each joined to its
+    own base vertex 100..103 and completely to the next set round a
+    4-cycle, which gives 27 copies of a 4-cycle body over the base."""
+    base = (100, 101, 102, 103)
+    xs = ((0,), (10, 11, 12), (20, 21, 22), (30, 31, 32))
+    parts = {a: (i + 1) % 2 for i, a in enumerate(base)}
+    parts.update({x: i % 2 for i, xi in enumerate(xs) for x in xi})
+    return BipartiteGraph(3, parts, [(x, base[i]) for i, xi in enumerate(xs) for x in xi]
+                          + [(x, y) for i in range(4) for x in xs[i] for y in xs[i - 1]])
+
+
+def gq22_without_19():
+    """GQ(2,2) less vertex 19: girth 8 at n = 4."""
+    gq = gq22_graph()
+    return BipartiteGraph(4, {v: gq.part(v) for v in gq.vertices if v != 19},
+                          [e for e in gq.edges if 19 not in e])
+
+
+def cl_copies(k):
+    """k copies of `make_cl_witness(3, 2)` amalgamated over A0: k copies
+    of C over A0, a non-path configuration with mu = 8."""
+    w = make_cl_witness(3, 2)
+    g = w
+    for _ in range(k - 1):
+        g = free_amalgam(g, w, {a: a for a in w.subsets["A0"]})
+    return g
+
+
 def pair_list_mu_reports(g, max_body, member_base, kinds):
     """Condition 3 read off the sorted pair list: every pair around the
     new vertices from `enumerate_zero_min_pairs` as vertex sets, grouped
@@ -457,8 +486,9 @@ def pair_list_mu_reports(g, max_body, member_base, kinds):
     over an old base recounted by find_copies.  The mu_exceeded reports
     as (condition, witness, value, bound), in `in_class` order.  Adds to
     `kinds` the bases met: a new base with two or more copies, an old
-    base whose one body find_copies recounts to two or more, and a new
-    base with one body."""
+    base whose one body find_copies recounts to two or more, a new base
+    with one body, and a class of two or more copies that is not a path
+    configuration (mu > 1)."""
     mu, new = default_mu(g.n), g.vertices - (member_base or frozenset())
     by_base, reports = {}, []
     for pair in enumerate_zero_min_pairs(g, max_body, around=new):
@@ -484,6 +514,8 @@ def pair_list_mu_reports(g, max_body, member_base, kinds):
             elif len(by_base[base]) == 1:
                 kinds.add("old base, one body recounted")
             bound = mu(g, base, cls[0])
+            if bound > 1:
+                kinds.add("non-path copies")
             if len(copies) > bound:
                 reports.append(("mu_exceeded", tuple(sorted(base)) + tuple(
                     sorted(frozenset().union(*copies))), len(copies), bound))
@@ -500,15 +532,19 @@ def test_condition3_matches_pair_list_reference():
     at 8), where a second path of length n - 1 glued at the ends of the
     first is also checked with the first in the member base; K_{2,3} and
     the double paths, in full mode and over the closure of all vertices
-    but the last.  It reaches new bases with several copies, old bases
-    whose one enumerated body has a second copy, and new bases with one
-    body, which `in_class` skips."""
+    but the last, as are the 27-copy graph, GQ(2,2) less a vertex (body
+    cap 8) and two and three copies of cl(3, 2) over A0.  It reaches new
+    bases with several copies, old bases whose one enumerated body has a
+    second copy, new bases with one body, which `in_class` skips, and
+    classes of two or more copies that are not path configurations."""
     k23 = BipartiteGraph(3, {0: 0, 1: 0, 2: 1, 3: 1, 4: 1},
                          [(a, b) for a in (0, 1) for b in (2, 3, 4)])
     cases = []
-    for g in (k23, double_path(3), double_path(4)):
-        cases += [(g, None, None),
-                  (g, None, closure(g, sorted(g.vertices)[:-1]))]
+    for g, cap in ((k23, None), (double_path(3), None), (double_path(4), None),
+                   (twenty_seven_copies(), None), (gq22_without_19(), 8),
+                   (cl_copies(2), None), (cl_copies(3), None)):
+        cases += [(g, cap, None),
+                  (g, cap, closure(g, sorted(g.vertices)[:-1]))]
     for n, runs, cap, templates in (GLUE_N3, GLUE_N4):
         for h, once, twice, length in glued_members(n, runs, templates):
             for g in (once, twice):
@@ -523,8 +559,95 @@ def test_condition3_matches_pair_list_reference():
         assert got == pair_list_mu_reports(g, cap, member_base, kinds)
         reported += len(got)
     assert kinds == {"new base, copies", "old base, one body recounted",
-                     "new base, one body"}
+                     "new base, one body", "non-path copies"}
     assert reported > 100
+
+
+def walked_bodies(monkeypatch, g, max_body=None, member_base=None):
+    """Run `in_class` and return the bodies that the pair search yields
+    and those whose bases it walks, as vertex sets."""
+    yielded, walked = [], []
+    real_bodies, real_bases = ngons.zeroalg._candidate_bodies, ngons.zeroalg._pairs_for_body
+
+    def record(*args):
+        for item in real_bodies(*args):
+            yielded.append(item[0])
+            yield item
+
+    def walk(g, body, *args):
+        walked.append(body)
+        return real_bases(g, body, *args)
+
+    monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", record)
+    monkeypatch.setattr(ngons.zeroalg, "_pairs_for_body", walk)
+    try:
+        in_class(g, max_body=max_body, member_base=member_base)
+    finally:
+        monkeypatch.undo()
+    verts = g._index.verts
+    return [[frozenset(v for i, v in enumerate(verts) if mask >> i & 1) for mask in masks]
+            for masks in (yielded, walked)]
+
+
+def test_condition3_skips_only_bodies_without_copies(monkeypatch):
+    """Every body whose bases condition 3 does not walk has only bases
+    that meet the new vertices and carry no second body copies_equivalent
+    to it, by the whole pair list around the new vertices.  The corpus:
+    each membership check of four n = 3 and four n = 4 growth runs, in
+    `member_base` mode as `grow` runs it and in full mode, the glue-path
+    graphs of both incremental corpora over their member, and the two
+    graphs of `test_degree_bound_needs_more_than_girth`."""
+    checks = []
+    real = ngons.builder.in_class
+
+    def spy(g, mu=None, member_base=None):
+        checks.append((g, None, member_base))
+        checks.append((g, None, None))
+        return real(g, mu, member_base=member_base)
+
+    monkeypatch.setattr(ngons.builder, "in_class", spy)
+    for s in range(1, 5):
+        grow(make_cycle(3, 8), 10, s)
+        grow(make_cycle(4, 10), 3, s, templates=GLUE_N4[3])
+    monkeypatch.undo()
+    for n, runs, cap, templates in (GLUE_N3, GLUE_N4):
+        for h, once, twice, _ in glued_members(n, runs, templates):
+            checks += [(once, cap, h.vertices), (twice, cap, h.vertices)]
+    checks += [(twenty_seven_copies(), None, None), (gq22_without_19(), 8, None)]
+    skipped = 0
+    for g, cap, member_base in checks:
+        new = g.vertices - (member_base or frozenset())
+        yielded, walked = walked_bodies(monkeypatch, g, cap, member_base)
+        assert set(walked) <= set(yielded)
+        over, bases = {}, {}
+        for p in enumerate_zero_min_pairs(g, cap, around=new):
+            over.setdefault(p.base, []).append(p.body)
+            bases.setdefault(p.body, []).append(p.base)
+        for body in set(yielded) - set(walked):
+            for base in bases.get(body, ()):
+                assert base & new
+                assert not any(copies_equivalent(g, base, body, other)
+                               for other in over[base] if other != body)
+            skipped += 1
+    assert skipped > 1000
+
+
+@pytest.mark.parametrize("cl, counts", [((3, 3), (58, 0)), ((4, 2), (61, 29)),
+                                        (None, (208, 13))],
+                         ids=["cl(3,3)", "cl(4,2)", "grow-step"])
+def test_condition3_walked_body_counts(monkeypatch, cl, counts):
+    """Condition 3 walks the bases of a pinned number of the bodies that
+    the body search yields, so losing the body filter shows here and not
+    only in run time: cl(3, 3) and cl(4, 2) in full mode, and the
+    cl-witness step of the n = 3 growth run with rng 3 (step 4, 24 to 36
+    vertices) over the graph before it."""
+    if cl:
+        g, member_base = make_cl_witness(*cl), None
+    else:
+        member_base = grow(make_cycle(3, 8), 4, 3)[0].vertices
+        g, log = grow(make_cycle(3, 8), 5, 3)
+        assert log[-1].format() == "STEP 4 cl_witness accepted 36 51"
+    assert tuple(map(len, walked_bodies(monkeypatch, g, None, member_base))) == counts
 
 
 def test_matcher_leaves_no_reference_cycle():
@@ -550,18 +673,12 @@ def test_degree_bound_needs_more_than_girth():
     degree above mu: that bound would hold if the copies were pairwise
     disjoint, and neither a report nor girth 2n makes them so.
 
-    At n = 3, sets X1..X4 of 1, 3, 3 and 3 vertices, each joined to its own
-    base vertex and completely to the next set round a 4-cycle, give 27
-    copies of a 4-cycle body over the base, all through the one vertex of
-    X1, whose base vertex has degree 1.  At n = 4, GQ(2,2) without one
-    vertex has girth 8, and two copies of one body over a base of
-    degrees 3, 2, 2, 3, 3 share a vertex."""
-    base = (100, 101, 102, 103)
-    xs = ((0,), (10, 11, 12), (20, 21, 22), (30, 31, 32))
-    parts = {a: (i + 1) % 2 for i, a in enumerate(base)}
-    parts.update({x: i % 2 for i, xi in enumerate(xs) for x in xi})
-    g = BipartiteGraph(3, parts, [(x, base[i]) for i, xi in enumerate(xs) for x in xi]
-                       + [(x, y) for i in range(4) for x in xs[i] for y in xs[i - 1]])
+    At n = 3, `twenty_seven_copies` gives 27 copies of a 4-cycle body over
+    the base, all through the one vertex of X1, whose base vertex has
+    degree 1.  At n = 4, GQ(2,2) without one vertex has girth 8, and two
+    copies of one body over a base of degrees 3, 2, 2, 3, 3 share a
+    vertex."""
+    g, base = twenty_seven_copies(), (100, 101, 102, 103)
     ok, reports = in_class(g)
     assert not ok
     assert "VIOLATION mu_exceeded 100,101,102,103,0,10,11,12,20,21,22,30,31,32 27 8" \
@@ -570,9 +687,7 @@ def test_degree_bound_needs_more_than_girth():
     assert len(copies) == 27 and all(0 in c for c in copies)
     assert g.degree(100) == 1
 
-    gq = gq22_graph()
-    h = BipartiteGraph(4, {v: gq.part(v) for v in gq.vertices if v != 19},
-                       [e for e in gq.edges if 19 not in e])
+    h = gq22_without_19()
     assert girth(h) == 8
     base = {0, 1, 7, 10, 24}
     body1, body2 = {2, 5, 14, 15, 18, 21, 22, 23}, {4, 5, 12, 17, 20, 27, 28, 29}

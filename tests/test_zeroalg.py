@@ -404,9 +404,9 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
         if only:  # the body search yields that one body alone
             yield from only
             return
-        for body, target in real(*args):
-            seen.append((body, target))
-            yield body, target
+        for item in real(*args):
+            seen.append(item)
+            yield item
 
     monkeypatch.setattr(ngons.zeroalg, "_candidate_bodies", record)
     bodies = pairs = seeded = 0
@@ -417,9 +417,9 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
         listed = {(index.mask(p.base), index.mask(p.body))
                   for p in enumerate_zero_min_pairs(g, cap) if len(p.body) > 1}
         # the pair stream gives each base of the walk its own body
-        assert listed == {(a, mask) for mask, target in seen for a in
+        assert listed == {(a, mask) for mask, target, _ in seen for a in
                           ngons.zeroalg._pairs_for_body(g, mask, target, index.full)}
-        for mask, target in seen:
+        for mask, target, required in seen:
             body = frozenset(v for i, v in enumerate(index.verts)
                              if mask >> i & 1)
             boundary = sorted(set().union(*(g.neighbors(v) for v in body))
@@ -436,7 +436,7 @@ def test_base_search_matches_brute_force(monkeypatch, grow_outputs):
             assert set(got) == expect
             # a body that misses `around` gets the bases that meet it
             around = frozenset(boundary[::3])
-            only[:] = [(mask, target)]
+            only[:] = [(mask, target, required)]
             got = _as_sets(g, [a for a, b in ngons.zeroalg._zero_min_pairs(
                 g, cap or default_body_cap(g.n), index.mask(around)) if b == mask])
             only.clear()
@@ -504,17 +504,18 @@ def test_body_search_yields_checked_bodies(monkeypatch, n, l, cap, count):
     cap = default_body_cap(n) if cap is None else cap
     enumerate_zero_min_pairs(g, cap)
     need, verts = 2 if n == 3 else 1, g._index.verts
-    for mask, target in seen:
+    for mask, target, rmask in seen:
         body = frozenset(v for i, v in enumerate(verts) if mask >> i & 1)
         assert 2 <= len(body) <= cap and is_connected(g, body)
         inner = {v: len(g.neighbors(v) & body) for v in body}
         assert min(inner.values()) >= need
         required = {v for v in body if inner[v] == need}
+        assert rmask == g._index.mask(required)
         supply = _supply(g, body, required)
         assert required <= supply
         assert (n - 2) * target == delta(g, body) > 0
         assert len(required) <= target <= len(supply)
-    assert len({mask for mask, _ in seen}) == len(seen) == count
+    assert len({mask for mask, _, _ in seen}) == len(seen) == count
 
 
 def _bodies_without_the_neighbour_rule(g, cap):
@@ -670,7 +671,7 @@ def test_body_search_matches_brute_force_at_n3(monkeypatch):
         enumerate_zero_min_pairs(g, len(g))
         verts = g._index.verts
         got = [(frozenset(v for i, v in enumerate(verts) if mask >> i & 1), target)
-               for mask, target in seen]
+               for mask, target, _ in seen]
         assert len(got) == len(set(got)) and set(got) == expect
         yielded += len(got)
     assert yielded > 300

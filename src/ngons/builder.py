@@ -145,9 +145,8 @@ def _candidate(g, rng, template):
     n = g.n
     if template == "pendant_path":
         v = _pick_pair(rng, g._index.verts)
-        if v is None:
-            return None
-        return _aligned_path(n, rng.choice(range(1, n + 1)), g.part(v)), {0: v}
+        return None if v is None else (
+            _aligned_path(n, rng.choice(range(1, n + 1)), g.part(v)), {0: v})
     if template == "path_completion":
         length = n - 1
         pair = _sites_completion(g, rng, length)
@@ -168,17 +167,11 @@ def _candidate(g, rng, template):
                 a, b = b, a
             return cyc, {0: a, 1: b}
         v = _pick_pair(rng, [idx.verts[p] for p in _bits(secluded)])
-        if v is None:
-            return None
-        anchor = 0 if cyc.part(0) == g.part(v) else 1
-        return cyc, {anchor: v}
+        return None if v is None else (cyc, {0 if cyc.part(0) == g.part(v) else 1: v})
     if template == "cl_witness":
-        l = rng.choice([2, 3])
-        wit = make_cl_witness(n, l)
+        wit = make_cl_witness(n, rng.choice([2, 3]))
         gluing = _sites_witness_base(g, rng, wit)
-        if gluing is None:
-            return None
-        return wit, gluing
+        return None if gluing is None else (wit, gluing)
     raise AmalgamError("unknown template %r" % (template,))
 
 

@@ -116,11 +116,9 @@ def _cmd_zeroalg(args):
         return 0
     if args.base is None or args.body is None:
         raise _InputError("zeroalg needs --base and --body, or --enumerate")
-    base = _subset(g, args.base)
-    body = _subset(g, args.body)
+    base, body = _subset(g, args.base), _subset(g, args.body)
     touched = _touched_base(g, base, body)
-    alg = touched is not None
-    minimal = touched == base
+    alg, minimal = touched is not None, touched == base
     _emit(args, "algebraic", "true" if alg else "false")
     _emit(args, "minimally_algebraic", "true" if minimal else "false")
     if alg and not minimal:
@@ -159,13 +157,12 @@ def _cmd_grow(args):
     mu = _load_mu(args.mu, g.n)
     result, log = grow(g, args.steps, args.seed, mu=mu)
     _write_graph(result, args.output)
-    if args.log is not None:
-        with open(args.log, "w") as fh:
-            for record in log:
-                fh.write(record.format() + "\n")
+    text = "".join(record.format() + "\n" for record in log)
+    if args.log is None:
+        sys.stderr.write(text)
     else:
-        for record in log:
-            print(record.format(), file=sys.stderr)
+        with open(args.log, "w") as fh:
+            fh.write(text)
     return 0
 
 

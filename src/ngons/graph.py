@@ -1,7 +1,7 @@
 """Finite bipartite graphs with a gonality parameter, plus the basic metric
-machinery: distances, girth, diameter, cycle enumeration, the
-generalized n-gon axioms, and the one backtracking matcher behind
-copies, configuration isomorphism and automorphisms (`_matches`).
+machinery: distances, girth, diameter, cycle enumeration by half-length
+paths, the generalized n-gon axioms, and the one backtracking matcher
+behind copies, configuration isomorphism and automorphisms (`_matches`).
 
 Vertices are opaque integers carrying a part label in {0, 1}.  All graphs
 are simple and every edge joins part 0 to part 1.  No operation mutates a
@@ -11,6 +11,7 @@ and site searches, and left out of == and hash.
 """
 
 import math
+from itertools import combinations
 
 INFINITY = math.inf
 
@@ -318,42 +319,51 @@ def enumerate_cycles(g, length, through=None):
     The sorted, single-length view of `_cycles`."""
     if length % 2 != 0 or length < 4:
         raise GraphError("cycle length must be even and >= 4, got %r" % (length,))
-    return sorted(_cycles(g, (length,), through))
+    return sorted(tuple(map(g._index.verts.__getitem__, _canonical(cyc)))
+                  for cyc, _ in _cycles(g, (length,), through))
+
+
+def _canonical(cycle):
+    """A `_cycles` cycle in `enumerate_cycles` order, on sorted positions."""
+    i = cycle.index(min(cycle))
+    cyc = cycle[i:] + cycle[:i]
+    return cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
 
 
 def _cycles(g, lengths, through=None):
     """Yield each simple cycle whose length is in `lengths` (even, >= 4)
-    once, canonical as in `enumerate_cycles`, in no fixed order.
+    once, as (its positions in cycle order, their mask), in no fixed order.
 
-    One walk on the index for all lengths.  Each cycle is found from one
-    root r, its smallest vertex (with `through`: its smallest one in
-    `through`), walking only vertices greater than r or outside
-    `through`.  A branch is cut once the BFS distance from its tip back
-    to r over those vertices exceeds the edges left to close the longest
-    cycle.  Positions keep the vertex order, so the walk compares them.
-    Each vertex of a cycle has two neighbours on it, so every cycle lies
-    in the 2-core (`_Index.core`): roots and walk stay there, no walk
-    enters a pendant tree, and a pendant path added last roots none."""
-    idx = g._index
-    adj, top, close, core = idx.adj, max(lengths), frozenset(lengths), idx.core
+    A cycle of length L has one root r, its smallest vertex (with
+    `through`: its smallest one in `through`), and one antipode v.  From r
+    the walk lists the simple paths of length L/2 over vertices above r or
+    outside `through`, by their end: two to one v whose masks meet only in
+    {r, v} close a cycle, and each cycle is exactly one such unordered pair
+    (its halves), so it comes out once.  Every cycle lies in the 2-core
+    (`_Index.core`), each of its vertices having two neighbours on it: no
+    walk leaves it, and a pendant path added last roots none."""
+    idx, halves = g._index, frozenset(length // 2 for length in lengths)
+    adj, core, top = idx.adj, idx.core, max(halves)
     roots = core if through is None else idx.mask(g.check_subset(through)) & core
     for r in _bits(roots):
         keep = core & ~(roots & ((2 << r) - 1))
-        ball = _balls(adj, 1 << r, top // 2, keep)  # within min(k, top/2) of r
-        ball += ball[-1:] * (top - top // 2)
-        stack = [((r,), 1 << r)]
+        ends, stack = {}, [((r,), 1 << r)]
         while stack:
             path, seen = stack.pop()
-            p, tip = len(path), path[-1]
-            if p in close and adj[tip] >> r & 1 and path[1] < tip:
-                i = path.index(min(path))
-                cyc = tuple(map(idx.verts.__getitem__, path[i:] + path[:i]))
-                yield cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
-            m = adj[tip] & ball[top - p] & ~seen if p < top else 0
+            p = len(path)  # the edges of a path one step longer
+            m, record, push = adj[path[-1]] & keep & ~seen, p in halves, p < top
             while m:
                 low = m & -m
                 m ^= low
-                stack.append((path + (low.bit_length() - 1,), seen | low))
+                step = path + (w := low.bit_length() - 1,), seen | low
+                if record:
+                    ends.setdefault((p, w), []).append(step)
+                if push:
+                    stack.append(step)
+        for (_, v), half in ends.items():
+            for (one, mask), (other, more) in combinations(half, 2):
+                if mask & more == 1 << r | 1 << v:
+                    yield one + other[-2:0:-1], mask | more
 
 
 def ordered_cycles(g, length, start_part=None):

@@ -16,10 +16,10 @@ tested, and transitivity on ordered cycles is counted.
 """
 
 from collections import Counter
-from math import perm, prod
+from math import inf, perm, prod
 
-from .graph import (GraphError, is_generalized_ngon, simple_paths, _cycles,
-                    _extend_match, _matches)
+from .graph import (GraphError, is_generalized_ngon, simple_paths, _canonical,
+                    _cycles, _extend_match, _matches)
 
 
 def _compose(p, q):
@@ -321,24 +321,27 @@ def check_remark_2_2(g, grp):
     Returns (L == R, L, R).
 
     Transitivity is counted from one vertex x per G-orbit O, whose cycles
-    of both lengths one walk lists.  Only the type-preserving part G_0
-    moves ordered cycles starting in part 0, and its orbits there are the
-    G-orbits met with part 0.  The number c(x) of cycles through x is
-    G-invariant, and 2c(x) ordered ones start at x.  So they form one
-    orbit iff one O meeting part 0 carries cycles and |G| / |G_c| =
-    2 |O| c(x) for a cycle c ([G:G_0] |O in part 0| = |O|).
+    of both lengths one walk counts, canonicalising only a cycle whose
+    least vertex is not above the least one's.  Only G_0, the
+    type-preserving part, moves ordered cycles starting in part 0, and its
+    orbits there are the G-orbits met with part 0.  The number c(x) of
+    cycles through x is G-invariant, and 2c(x) ordered ones start at x.
+    So they form one orbit iff one O meeting part 0 carries cycles and
+    |G| / |G_c| = 2 |O| c(x) for a cycle c ([G:G_0] |O in part 0| = |O|).
     """
     orbits, lengths, carriers = _require(g, grp), (2 * g.n + 2, 2 * g.n), {}
     for x, orbit in orbits.items():
         if not all(map(g.part, orbit)):  # the orbit meets part 0
-            for c in _cycles(g, lengths, (x,)):  # counted, the least kept
-                found = carriers.setdefault(len(c), {})
-                size, count, least = found.get(x, (len(orbit), 0, c))
-                found[x] = size, count + 1, min(least, c)
+            for c, mask in _cycles(g, lengths, (x,)):  # counted, the least kept
+                found = carriers.setdefault(len(c), {}).setdefault(x, [len(orbit), 0, (inf,)])
+                found[1] += 1
+                if (mask & -mask).bit_length() - 1 <= found[2][0]:
+                    found[2] = min(found[2], _canonical(c))
     sides = []
     for length in lengths:
         (size, count, c), *second = carriers.get(length, {}).values() or [(0, 0, ())]
-        if count:  # the least cycle, rotated to start in part 0
+        if count:  # the least cycle, as vertex ids rotated to start in part 0
+            c = tuple(map(g._index.verts.__getitem__, c))
             cyc = c[g.part(c[0]):] + c[:g.part(c[0])]
         sides.append(not count or not second and grp.order
                      == 2 * size * count * grp.stabilizer(cyc).order)

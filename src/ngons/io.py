@@ -20,10 +20,7 @@ class ParseError(ValueError):
 
 
 def parse_graph(text):
-    n = None
-    parts = {}
-    edges = set()
-    subsets = {}
+    n, parts, edges, subsets = None, {}, set(), {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

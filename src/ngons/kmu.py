@@ -7,10 +7,10 @@ A finite bipartite graph belongs to the class when
 3. the number of copies of each 0-minimally algebraic body over its base
    stays within the mu-bound.
 
-Conditions 2 and 3 quantify over unbounded families; the checker walks
-cycles up to a configurable horizon, in one walk with condition 1, and
-bodies up to a configurable size cap, so a verdict holds only within
-those limits.  The reports do not record them; `ngons kmu` prints them.
+Conditions 2 and 3 quantify over unbounded families; the checker joins
+half-length paths into cycles up to a configurable horizon (condition 1
+too) and walks bodies up to a configurable size cap: a verdict holds
+only within those limits, which `ngons kmu` prints and reports omit.
 Condition 3 walks only bodies whose bases a copy or the old part can share,
 and builds vertex sets only for a base with several bodies or no new vertex.
 
@@ -175,11 +175,11 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     any Y <= G, delta(Y) >= delta(Y and H) by submodularity), and every
     copy count that grew involves a new vertex.
 
-    Conditions 1 and 2 read the cycles from one walk (`graph._cycles`);
-    condition 2 runs a min-cut only where the weight bound of
-    `predimension._hull_cut` leaves d(C) possibly below 2n+2; condition 3
-    walks only the bodies that `zeroalg._shared_bodies` keeps, and skips
-    a base that meets the new vertices and carries one body.
+    Conditions 1 and 2 read each cycle's mask off one walk of half-length
+    paths (`graph._cycles`); condition 2 runs a min-cut only where the
+    weight bound of `predimension._hull_cut` leaves d(C) possibly below
+    2n+2; condition 3 walks only the bodies that `zeroalg._shared_bodies`
+    keeps, and skips a base that meets the new vertices with one body.
     """
     n, mu = g.n, default_mu(g.n) if mu is None else mu
     if mu.n != n:
@@ -200,13 +200,13 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     # Conditions 1 and 2 from one walk: no cycle of length 2m with m < n,
     # and d(C) >= 2n+2 for each cycle C longer than 2n.
     floor, seen_minimisers, reports = 2 * n + 2, set(), []
-    for cyc in _cycles(g, [*range(4, 2 * n, 2), *range(floor, horizon + 1, 2)],
-                       through=new):
+    for cyc, cmask in _cycles(g, [*range(4, 2 * n, 2), *range(floor, horizon + 1, 2)],
+                              through=new):
         if len(cyc) < 2 * n:
-            reports.append(ViolationReport("short_cycle", tuple(sorted(cyc)),
-                                           len(cyc), 2 * n))
+            reports.append(ViolationReport("short_cycle", tuple(
+                idx.verts[p] for p in _bits(cmask)), len(cyc), 2 * n))
             continue
-        value, x, _, _ = _hull_cut(g, cmask := idx.mask(cyc), idx.full, floor)
+        value, x, _, _ = _hull_cut(g, cmask, idx.full, floor)
         if value < floor and (w := cmask | x) not in seen_minimisers:
             seen_minimisers.add(w)
             reports.append(ViolationReport("long_cycle_low_delta", tuple(

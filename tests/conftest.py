@@ -3,7 +3,9 @@
 The oracles work over bitmasks with a precomputed delta table, so they
 share no code with the implementations they check."""
 
+import inspect
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -232,6 +234,32 @@ def pgl3(p):
         perm.update({k + i: k + image(cof, v) for i, v in enumerate(reps)})
         gens.append(perm)
     return projective_plane(p), PermGroup(range(2 * k), gens)
+
+
+def line_counts(run, *marks):
+    """Line events while run() runs, one count per (function, text) mark:
+    the line of the function's source that holds the text, which must be
+    unique there."""
+    at = {}
+    for fn, text in marks:
+        lines, first = inspect.getsourcelines(fn)
+        [line] = [first + i for i, source in enumerate(lines) if text in source]
+        at[fn.__code__, line] = len(at)
+    counts = [0] * len(at)
+
+    def local(frame, event, arg):
+        if event == "line" and (frame.f_code, frame.f_lineno) in at:
+            counts[at[frame.f_code, frame.f_lineno]] += 1
+        return local
+
+    codes = {code for code, _ in at}
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
+    try:
+        run()
+    finally:
+        sys.settrace(old)
+    return counts
 
 
 # ---------------------------------------------------------------- fixtures

@@ -5,7 +5,7 @@ import pytest
 
 import ngons
 from ngons import graph as graph_module
-from ngons.graph import _cycles
+from ngons.graph import _canonical, _cycles
 from ngons.io import format_graph
 from conftest import cycle_with_handles, random_bipartite
 from ngons import (BipartiteGraph, GraphError, bfs_distances, distance,
@@ -273,8 +273,10 @@ def test_cycle_walk_matches_closed_paths_by_length():
     """One `_cycles` walk over every length 4..2n+6, with and without
     `through`, against closed simple paths taken from their smallest
     vertex in one orientation, compared length by length at n = 3 and 4
-    on chorded long cycles with handles and on random graphs, each also
-    with pendant trees hung on it.  A `through` set off the 2-core, the
+    on chorded long cycles with handles, on random graphs and on K_{3,3}
+    and K_{4,4}, where one vertex set carries several cycles of one
+    length, each also with pendant trees hung on it.  Each yielded mask
+    is the vertex set of its cycle.  A `through` set off the 2-core, the
     tree vertices among them, meets no cycle."""
     rng = random.Random(20261019)
     found = set()
@@ -282,7 +284,10 @@ def test_cycle_walk_matches_closed_paths_by_length():
         lengths = range(4, 2 * n + 7, 2)
         graphs = [random_bipartite(rng, n, 11, 0.3) for _ in range(3)] + [
             cycle_with_handles(rng, n, length, 3, chords)
-            for length in lengths[-3:] for chords in (0, 2)]
+            for length in lengths[-3:] for chords in (0, 2)] + [
+            BipartiteGraph(n, {v: int(v >= k) for v in range(2 * k)},
+                           [(a, b) for a in range(k) for b in range(k, 2 * k)])
+            for k in (3, 4)]
         for plain in graphs:
             verts = sorted(plain.vertices)
             for g in (plain, with_pendant_trees(rng, plain, 5)):
@@ -292,8 +297,10 @@ def test_cycle_walk_matches_closed_paths_by_length():
                 for through in (None, set(rng.sample(verts, 2)),
                                 set(verts[-3:]), off | set(verts[:1])):
                     walked = {}
-                    for cyc in _cycles(g, lengths, through):
-                        walked.setdefault(len(cyc), []).append(cyc)
+                    for cyc, mask in _cycles(g, lengths, through):
+                        assert mask == sum(1 << p for p in cyc)
+                        ids = tuple(g._index.verts[p] for p in _canonical(cyc))
+                        walked.setdefault(len(cyc), []).append(ids)
                     for length in lengths:
                         want = sorted(p for p in simple_paths(g, length - 1)
                                       if g.has_edge(p[0], p[-1])

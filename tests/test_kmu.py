@@ -4,14 +4,17 @@ from itertools import combinations, permutations
 
 import pytest
 
+import ngons.graph
 import ngons.kmu
-from conftest import MaskOracle, cycle_with_handles, double_path, random_bipartite
+from conftest import (MaskOracle, cycle_with_handles, double_path, line_counts,
+                      random_bipartite)
 from ngons import (BipartiteGraph, GraphError, MuFunction, TEMPLATES,
-                   closure, count_copies, default_mu, delta, enumerate_zero_min_pairs,
-                   find_copies, free_amalgam, girth, gq22_graph, grow, in_class,
-                   is_connected, is_strong, is_zero_minimally_algebraic,
-                   make_cl_witness, make_cycle, make_path,
-                   pairs_isomorphic, copies_equivalent, enumerate_cycles)
+                   closure, count_copies, default_horizon, default_mu, delta,
+                   enumerate_zero_min_pairs, find_copies, free_amalgam, girth,
+                   gq22_graph, grow, in_class, is_connected, is_strong,
+                   is_zero_minimally_algebraic, make_cl_witness, make_cycle,
+                   make_path, pairs_isomorphic, copies_equivalent, enumerate_cycles)
+from ngons.graph import _cycles
 from ngons.predimension import _hull_cut
 
 
@@ -648,6 +651,24 @@ def test_condition3_walked_body_counts(monkeypatch, cl, counts):
         g, log = grow(make_cycle(3, 8), 5, 3)
         assert log[-1].format() == "STEP 4 cl_witness accepted 36 51"
     assert tuple(map(len, walked_bodies(monkeypatch, g, None, member_base))) == counts
+
+
+@pytest.mark.parametrize("make, through, counts", [
+    (lambda: make_cl_witness(3, 3), None, [373, 226]),
+    (twenty_seven_copies, None, [3763, 17844]),
+    (gq22_graph, {0}, [190, 648])], ids=["cl(3,3)", "27 copies", "GQ(2,2) at 0"])
+def test_cycle_walk_counts(make, through, counts):
+    """The cycle walk of conditions 1 and 2, over the lengths `in_class`
+    asks for, pops a pinned number of half-length paths and yields a
+    pinned number of cycles, so a walk that grows whole cycles shows
+    here and not only in run time (that walk popped 2,697, 76,111 and
+    6,910 paths)."""
+    g = make()
+    lengths = [*range(4, 2 * g.n, 2), *range(2 * g.n + 2, default_horizon(g.n) + 1, 2)]
+    cycles = []
+    pops = line_counts(lambda: cycles.extend(_cycles(g, lengths, through)),
+                       (ngons.graph._cycles, "stack.pop()"))
+    assert pops + [len(cycles)] == counts
 
 
 def test_matcher_leaves_no_reference_cycle():

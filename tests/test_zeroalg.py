@@ -1,5 +1,4 @@
 import gc
-import inspect
 import random
 import sys
 import tracemalloc
@@ -15,7 +14,7 @@ from ngons import (BipartiteGraph, GraphError, default_body_cap,
                    is_zero_algebraic, is_zero_minimally_algebraic,
                    make_cl_witness, make_cycle, make_gamma, make_path,
                    minimal_base)
-from conftest import MaskOracle, random_bipartite, sparse_graph
+from conftest import MaskOracle, line_counts, random_bipartite, sparse_graph
 
 
 @pytest.fixture(scope="module")
@@ -600,28 +599,9 @@ def _line_counts(run):
     """Line events, while run() runs, on the stack pops of the body search
     and of the base walk and on the first line of the base search, which
     runs once per yielded body."""
-    marks = {}
-    for fn, text in ((ngons.zeroalg._candidate_bodies, "stack.pop()"),
-                     (ngons.zeroalg._pairs_for_body, "n, adj, need = "),
-                     (ngons.zeroalg._pairs_for_body, "stack.pop()")):
-        lines, first = inspect.getsourcelines(fn)
-        [at] = [first + i for i, line in enumerate(lines) if text in line]
-        marks[fn.__code__, at] = len(marks)
-    counts = [0] * len(marks)
-
-    def local(frame, event, arg):
-        if event == "line" and (frame.f_code, frame.f_lineno) in marks:
-            counts[marks[frame.f_code, frame.f_lineno]] += 1
-        return local
-
-    codes = {code for code, _ in marks}
-    old = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code in codes else None)
-    try:
-        run()
-    finally:
-        sys.settrace(old)
-    return counts
+    return line_counts(run, (ngons.zeroalg._candidate_bodies, "stack.pop()"),
+                       (ngons.zeroalg._pairs_for_body, "n, adj, need = "),
+                       (ngons.zeroalg._pairs_for_body, "stack.pop()"))
 
 
 @pytest.mark.parametrize("n, l, cap, counts", [(3, 2, None, [8, 1, 5]),

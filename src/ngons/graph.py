@@ -136,7 +136,12 @@ class _Index:
     """Sorted vertices, their positions, and per position the adjacency
     bitmask (bit j for a neighbour at position j) and the degree; below[t]
     masks the vertices of degree below t (t <= 3), `core` the 2-core, built
-    on first use.  A vertex set is a mask over these positions."""
+    on first use.  A vertex set is a mask over these positions.
+
+    The min-cuts over the whole graph keep their state here too (see
+    `predimension._near`): `cuts` counts them, `zero_floor` tells whether
+    no vertex set has negative delta (None until a second cut asks), and
+    `parts` is their component table."""
 
     def __init__(self, g):
         self.verts = tuple(sorted(g.vertices))
@@ -150,11 +155,12 @@ class _Index:
         self.below = [0] + [sum(1 << i for i, d in enumerate(deg) if d < t)
                             for t in (1, 2, 3)]
         self._core = None
+        self.cuts, self.zero_floor, self.parts = 0, None, None
 
     @property
     def core(self):
         if self._core is None:
-            self._core = _peel(self, self.full, 0, 2)
+            self._core = _peel(self, self.full, 0, 2, _union(self.adj, self.below[2]))
         return self._core
 
     def mask(self, vertices):
@@ -180,6 +186,21 @@ def _union(masks, m):
     return out
 
 
+def _components(adj, within):
+    """Per position, the mask of its connected component in the subgraph
+    induced on the mask `within` (0 outside it)."""
+    part, left = [0] * len(adj), within
+    while left:
+        comp = rim = left & -left
+        while rim:
+            rim = _union(adj, rim) & within & ~comp
+            comp |= rim
+        left &= ~comp
+        for p in _bits(comp):
+            part[p] = comp
+    return part
+
+
 def _balls(adj, start, radius, within=-1):
     """[B_0, ..., B_radius]: B_k masks the vertices within distance k of
     the mask `start` along paths whose later vertices lie in `within`."""
@@ -190,13 +211,17 @@ def _balls(adj, start, radius, within=-1):
     return balls
 
 
-def _peel(idx, candidates, anchor, threshold):
+def _peel(idx, candidates, anchor, threshold, first=-1):
     """The largest subset of the candidates (a mask over the graph's index
     `idx`, disjoint from the anchor) in which every vertex has at least
     `threshold` edges into it plus the anchor: a k-core that drops lower
-    degrees at once and then rechecks only neighbours of dropped ones."""
+    degrees at once and then rechecks only neighbours of dropped ones.
+    A caller may narrow the first check to `first`, which must hold each
+    candidate of degree >= threshold with a neighbour outside the anchor
+    and those candidates: the others keep their degree."""
     adj = idx.adj
-    alive = check = candidates & ~idx.below[threshold]
+    alive = candidates & ~idx.below[threshold]
+    check = alive & first
     while check:
         keep = alive | anchor
         doomed = 0
@@ -339,7 +364,9 @@ def _cycles(g, lengths, through=None):
     the walk lists the simple paths of length L/2 over vertices above r or
     outside `through`, by their end: two to one v whose masks meet only in
     {r, v} close a cycle, and each cycle is exactly one such unordered pair
-    (its halves), so it comes out once.  Every cycle lies in the 2-core
+    (its halves), so it comes out once.  Two halves that leave r by one
+    first step share it and close none, so only halves from different
+    first steps have their masks compared.  Every cycle lies in the 2-core
     (`_Index.core`), each of its vertices having two neighbours on it: no
     walk leaves it, and a pendant path added last roots none."""
     idx, halves = g._index, frozenset(length // 2 for length in lengths)
@@ -362,8 +389,10 @@ def _cycles(g, lengths, through=None):
                     stack.append(step)
         for (_, v), half in ends.items():
             for (one, mask), (other, more) in combinations(half, 2):
-                if mask & more == 1 << r | 1 << v:
-                    yield one + other[-2:0:-1], mask | more
+                # two ifs, so that a line count sees the mask tests alone
+                if one[1] != other[1]:
+                    if mask & more == 1 << r | 1 << v:
+                        yield one + other[-2:0:-1], mask | more
 
 
 def ordered_cycles(g, length, start_part=None):

@@ -180,6 +180,12 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     weight bound of `predimension._hull_cut` leaves d(C) possibly below
     2n+2; condition 3 walks only the bodies that `zeroalg._shared_bodies`
     keeps, and skips a base that meets the new vertices with one body.
+    The cut of a cycle C peels only the components of the vertices of
+    degree >= ceil(n/(n-2)) that C touches (`predimension._near`): where
+    no vertex set has negative delta, the smallest minimiser over C is C
+    plus pieces joined to C, as dropping a piece with no edge to the rest
+    lowers delta by that piece's delta.  A graph with a negative floor,
+    such as a K_{4,5} at n = 3 beside the cycle, is cut whole.
     """
     n, mu = g.n, default_mu(g.n) if mu is None else mu
     if mu.n != n:
@@ -206,7 +212,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
             reports.append(ViolationReport("short_cycle", tuple(
                 idx.verts[p] for p in _bits(cmask)), len(cyc), 2 * n))
             continue
-        value, x, _, _ = _hull_cut(g, cmask, idx.full, floor)
+        value, x, _, _ = _hull_cut(g, cmask, None, floor)
         if value < floor and (w := cmask | x) not in seen_minimisers:
             seen_minimisers.add(w)
             reports.append(ViolationReport("long_cycle_low_delta", tuple(

@@ -19,11 +19,22 @@ bitset index: ``_min_superset`` reads the smallest minimiser off it,
 residual network.  One breadth-first residual search (``_Network.reach``)
 finds the shortest augmenting paths, both sides of the cut and strong
 connectivity.  Brute force over subsets cross-checks all in the tests.
+
+The smallest minimiser stays next to its set.  When no vertex set of the
+graph has negative delta (its floor is zero), each piece of it outside
+A is joined to A, since dropping a piece with no edge to the rest lowers
+delta by that piece's delta, at least 0.  So the cuts over the whole
+graph -- ``d_min``, ``closure`` and ``is_strong`` with no ground given,
+and the cycle cuts of ``kmu.in_class`` -- peel only the components of
+the vertices of degree >= ceil(n/(n-2)) that hold a neighbour of A
+(``_near``), from a graph's second cut on.  A graph with a negative
+floor, such as PG(2,5), is peeled whole, as is the ground of
+``acl_relative``, whose largest minimiser need not stay near A.
 """
 
 import math
 
-from .graph import GraphError, _bits, _peel, _union
+from .graph import GraphError, _bits, _components, _peel, _union
 
 
 def delta(g, a):
@@ -56,7 +67,7 @@ def is_strong(g, a, b=None):
     if not a <= b:
         raise GraphError("is_strong requires A to be a subset of B")
     base = delta(g, a)
-    value, w = _min_superset(g, a, b)
+    value, w = _min_superset(g, a, b, base)
     if value >= base:
         return True, None
     for v in sorted(w - a):
@@ -135,6 +146,9 @@ def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None, delta_a=None):
     (min delta, a mask of the smallest minimiser's vertices outside A,
     network, F's positions; node 2 + k stands for F[k]).  A caller that
     knows delta(A) passes it as `delta_a`; else it is summed over A.
+    Ground None, with the default threshold, is the whole graph peeled
+    from the region of `_near` only: the value and the smallest minimiser
+    stay, the largest does not.
 
     The weights bound the minimum before any arc is built: by the identity
     of `_min_superset`, whose edge term (n-2) e(X, F - X) is not negative,
@@ -144,8 +158,11 @@ def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None, delta_a=None):
     and whenever the bound reaches `enough`, it is returned as the value,
     with no vertex outside A and no network.
     """
-    n, adj = g.n, g._index.adj
-    free = _peel(g._index, gmask & ~amask, amask, threshold or math.ceil(n / (n - 2)))
+    n, idx = g.n, g._index
+    adj, t = idx.adj, threshold or math.ceil(n / (n - 2))
+    if gmask is None:
+        gmask = _near(g, amask, t)
+    free = _peel(idx, gmask & ~amask, amask, t)
     hull = _bits(free)
     weights = [2 * (n - 1) - (n - 2) * (2 * (adj[p] & amask).bit_count()
                                         + (adj[p] & free).bit_count()) for p in hull]
@@ -162,15 +179,57 @@ def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None, delta_a=None):
             sum(1 << p for k, p in enumerate(hull) if 2 + k in side), net, hull)
 
 
-def _min_superset(g, a, ground):
-    """(min delta over A <= S <= ground, inclusion-smallest minimiser).
+def _near(g, amask, t):
+    """A mask of the whole graph that holds every vertex of the smallest
+    minimiser W of delta over supersets of A, t = ceil(n/(n-2)).
+
+    Zero floor: when no vertex set has negative delta, every component X
+    of W - A (in the subgraph W induces) has an edge to A.  Else X has no
+    edge to W - X, so delta(W - X) = delta(W) - delta(X) <= delta(W), and
+    W - X would be a smaller minimiser.  Each v in W - A has at least t
+    edges into W (see `_min_superset`), so X lies in one component of the
+    vertices of degree >= t, one holding a neighbour of A.  The region is
+    the union of those components, read off a table built once per graph:
+    22 vertices on average for the long cycles of an 800-step growth of
+    the 8-cycle (1,923 vertices), where a cut once peeled the whole graph.
+
+    A negative floor, as in PG(2,5) or any graph holding K_{4,5} at n = 3,
+    leaves the whole graph.  So does a graph's first cut: the floor costs
+    a cut over its t-core and the table a pass over its vertices, which
+    a graph cut once (the extension that `builder.free_amalgam` checks
+    with one `is_strong`, a fresh cycle's one query) would never repay.
+    """
+    idx = g._index
+    idx.cuts += 1
+    if idx.cuts < 2:
+        return idx.full
+    if idx.zero_floor is None:
+        idx.zero_floor = _hull_cut(g, 0, idx.full, 0, delta_a=0)[0] >= 0
+        if idx.zero_floor:
+            idx.parts = _components(idx.adj, idx.full & ~idx.below[t])
+    if not idx.zero_floor:
+        return idx.full
+    near, region = _union(idx.adj, amask) & ~idx.below[t], 0
+    while near:
+        comp = idx.parts[(near & -near).bit_length() - 1]
+        region |= comp
+        near &= ~comp
+    return region
+
+
+def _min_superset(g, a, ground, enough=math.inf):
+    """(min delta over A <= S <= ground, inclusion-smallest minimiser);
+    a value that the bound of `_hull_cut` puts at `enough` or above comes
+    with A alone.
 
     delta is submodular, so the minimisers are closed under union and
     intersection, and the smallest one, W, lies in all of them.  Dropping
     any v in W - A therefore raises delta: v has at least ceil(n/(n-2))
     edges into W and survives the peel of ground - A anchored at A.  The
     network is built on that peeled hull F only, which leaves the value
-    and the smallest minimiser unchanged.
+    and the smallest minimiser unchanged.  On the whole ground, and a
+    graph whose floor is zero, W - A also lies in the components next to
+    A that `_near` finds, and the peel starts from those.
 
     Vertex-only cut network (Picard and Queyranne, Networks 1982;
     Goldberg, UCB/CSD-84-171, 1984), `_cut_network`: for X <= F, with
@@ -187,8 +246,8 @@ def _min_superset(g, a, ground):
     smallest minimum cut, so the smallest minimiser.
     """
     idx = g._index
-    value, x, _, _ = _hull_cut(g, idx.mask(a), idx.full if len(ground)
-                               == len(idx.verts) else idx.mask(ground))
+    value, x, _, _ = _hull_cut(g, idx.mask(a), None if len(ground) == len(idx.verts)
+                               else idx.mask(ground), enough)
     return value, frozenset(a).union(map(idx.verts.__getitem__, _bits(x)))
 
 

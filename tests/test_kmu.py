@@ -9,7 +9,7 @@ import ngons.kmu
 from conftest import (MaskOracle, cycle_with_handles, double_path, line_counts,
                       random_bipartite)
 from ngons import (BipartiteGraph, GraphError, MuFunction, TEMPLATES,
-                   closure, count_copies, default_horizon, default_mu, delta,
+                   closure, count_copies, d_min, default_horizon, default_mu, delta,
                    enumerate_zero_min_pairs, find_copies, free_amalgam, girth,
                    gq22_graph, grow, in_class, is_connected, is_strong,
                    is_zero_minimally_algebraic, make_cl_witness, make_cycle,
@@ -335,6 +335,55 @@ def test_condition2_matches_brute_force():
     assert {-1, 0} <= values and chorded and filtered
 
 
+def cycle_and_complete(n, length, p, q, path):
+    """A `length`-cycle C (ids 100 on) and K_{p,q} (ids 0 on), disjoint or,
+    with `path` > 0, joined by a path through `path` new vertices of
+    degree 2 (ids 200 on), from vertex 100 to a vertex of K."""
+    parts = {v: int(v >= p) for v in range(p + q)}
+    parts.update({100 + i: i % 2 for i in range(length)})
+    edges = [(u, v) for u in range(p) for v in range(p, p + q)]
+    edges += [(100 + i, 100 + (i + 1) % length) for i in range(length)]
+    if path:
+        # path + 1 edges from part 0 at 100 to part (path + 1) % 2 in K
+        chain = [100, *range(200, 200 + path), 0 if path % 2 else p]
+        parts.update({200 + j: (j + 1) % 2 for j in range(path)})
+        edges += list(zip(chain, chain[1:]))
+    return BipartiteGraph(n, parts, edges)
+
+
+@pytest.mark.parametrize("n, length, p, q, path", [
+    (3, 8, 4, 5, 0), (3, 8, 4, 5, 2), (4, 10, 3, 4, 0), (4, 10, 3, 4, 3)],
+    ids=["C8+K45", "C8-path-K45", "C10+K34", "C10-path-K34"])
+def test_zero_floor_guard(n, length, p, q, path):
+    """K_{p,q} has negative delta (-2 for K_{4,5} at n = 3, -3 for K_{3,4}
+    at n = 4), so the smallest minimiser over a cycle C is C + K, with no
+    edge between them or joined only through a path whose vertices lower
+    no delta: a cut that kept to the vertices joined to C would miss K.
+    The graph's first cut runs over the whole graph; the later ones find
+    its floor negative and do too.  d(C), cl(C) and the report of
+    condition 2 agree with the mask oracle."""
+    g = cycle_and_complete(n, length, p, q, path)
+    cycle, complete = frozenset(range(100, 100 + length)), frozenset(range(p + q))
+    oracle = MaskOracle(g)
+    cmask = oracle.mask(cycle)
+    value = min(oracle.delta[s] for s in oracle.supersets(cmask))
+    smallest = (1 << oracle.k) - 1
+    for s in oracle.supersets(cmask):
+        if oracle.delta[s] == value:
+            smallest &= s
+    assert oracle.unmask(smallest) == cycle | complete
+    assert value == delta(g, cycle) + delta(g, complete) < 2 * n + 2
+    for _ in range(2):
+        assert d_min(g, cycle) == value
+        assert closure(g, cycle) == cycle | complete
+    assert g._index.zero_floor is False
+    low = [(r.witness, r.value) for r in in_class(g, max_body=2)[1]
+           if r.condition == "long_cycle_low_delta" and cycle <= set(r.witness)]
+    assert low == [(tuple(sorted(cycle | complete)), value)]
+    if n == 3:
+        assert value == 6
+
+
 def test_violation_witnesses_recheck():
     g = double_path(3)
     _, reports = in_class(g)
@@ -654,21 +703,24 @@ def test_condition3_walked_body_counts(monkeypatch, cl, counts):
 
 
 @pytest.mark.parametrize("make, through, counts", [
-    (lambda: make_cl_witness(3, 3), None, [373, 226]),
-    (twenty_seven_copies, None, [3763, 17844]),
-    (gq22_graph, {0}, [190, 648])], ids=["cl(3,3)", "27 copies", "GQ(2,2) at 0"])
+    (lambda: make_cl_witness(3, 3), None, [373, 642, 226]),
+    (twenty_seven_copies, None, [3763, 935766, 17844]),
+    (gq22_graph, {0}, [190, 1008, 648])], ids=["cl(3,3)", "27 copies", "GQ(2,2) at 0"])
 def test_cycle_walk_counts(make, through, counts):
     """The cycle walk of conditions 1 and 2, over the lengths `in_class`
-    asks for, pops a pinned number of half-length paths and yields a
-    pinned number of cycles, so a walk that grows whole cycles shows
-    here and not only in run time (that walk popped 2,697, 76,111 and
-    6,910 paths)."""
+    asks for, pops a pinned number of half-length paths, tests a pinned
+    number of pairs of halves and yields a pinned number of cycles, so a
+    walk that grows whole cycles shows here and not only in run time
+    (that walk popped 2,697, 76,111 and 6,910 paths), and so does a
+    pairing that tests halves from one first step (that made 1,056,
+    1,161,291 and 1,512 tests)."""
     g = make()
     lengths = [*range(4, 2 * g.n, 2), *range(2 * g.n + 2, default_horizon(g.n) + 1, 2)]
     cycles = []
-    pops = line_counts(lambda: cycles.extend(_cycles(g, lengths, through)),
-                       (ngons.graph._cycles, "stack.pop()"))
-    assert pops + [len(cycles)] == counts
+    counts_seen = line_counts(lambda: cycles.extend(_cycles(g, lengths, through)),
+                              (ngons.graph._cycles, "stack.pop()"),
+                              (ngons.graph._cycles, "mask & more =="))
+    assert counts_seen + [len(cycles)] == counts
 
 
 def test_matcher_leaves_no_reference_cycle():

@@ -5,11 +5,11 @@ import pytest
 import ngons.predimension
 from hypothesis import given, settings, strategies as st
 
-from ngons import (acl_relative, closure, d_min, d_rel, delta, delta_rel,
-                   is_strong, make_cl_witness, make_cycle, make_gamma, make_path,
-                   BipartiteGraph, GraphError)
+from ngons import (acl_relative, closure, d_min, d_rel, default_horizon, delta,
+                   delta_rel, grow, is_strong, make_cl_witness, make_cycle,
+                   make_gamma, make_path, BipartiteGraph, GraphError)
 from ngons.graph import enumerate_cycles
-from ngons.predimension import _min_superset
+from ngons.predimension import _hull_cut, _min_superset
 from conftest import MaskOracle, random_bipartite, sparse_graph
 
 
@@ -360,6 +360,55 @@ def test_min_cut_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _growth_corpus():
+    """The graphs of the growth workloads: 40-step n = 3 growths and
+    pool grows at n = 3 (10 steps) and n = 4 (2 steps)."""
+    graphs = [grow(make_cycle(3, 8), 40, r)[0] for r in (1, 2, 4)]
+    graphs += [grow(make_cycle(3, 8), 10, r)[0] for r in range(1, 101, 7)]
+    graphs += [grow(make_cycle(4, 10), 2, r, templates=(
+        "pendant_path", "path_completion", "cycle_attach"))[0] for r in range(1, 41, 4)]
+    return graphs
+
+
+def test_local_cut_matches_whole_graph_cut():
+    """A cut over the whole graph that runs near A only (ground None)
+    gives the value and the smallest minimiser of the cut over every
+    vertex, for every long cycle the membership check cuts (lengths 2n+2
+    up to the horizon) and for seeded subsets, on grown graphs, which
+    have zero floor.  Its hull is smaller on some of them."""
+    rng, smaller, cuts = random.Random(20261020), 0, 0
+    for g in _growth_corpus():
+        idx = g._index
+        sets = [idx.mask(c) for k in range(2 * g.n + 2, default_horizon(g.n) + 1, 2)
+                for c in enumerate_cycles(g, k)]
+        verts = sorted(g.vertices)
+        sets += [idx.mask(rng.sample(verts, rng.randint(1, min(13, len(verts)))))
+                 for _ in range(30)]
+        for amask in [0] + sets:
+            near = _hull_cut(g, amask, None)
+            whole = _hull_cut(g, amask, idx.full)
+            assert near[:2] == whole[:2]
+            smaller += len(near[3]) < len(whole[3])
+            cuts += 1
+        assert idx.zero_floor is True
+    assert cuts > 4000 and smaller > 50
+
+
+def test_one_cut_builds_no_state():
+    """A graph cut once over the whole graph keeps no floor and no
+    component table; the second cut builds both."""
+    g = make_cl_witness(3, 3)
+    c = frozenset(enumerate_cycles(g, 8)[0])
+    idx = g._index
+    assert d_min(g, c) == delta(g, c)
+    assert (idx.cuts, idx.zero_floor, idx.parts) == (1, None, None)
+    closure(g, c)
+    assert idx.cuts == 2 and idx.zero_floor is True and idx.parts
+    h = make_cycle(4, 12)
+    assert is_strong(h, {0, 1}) == (True, None)
+    assert (h._index.cuts, h._index.zero_floor, h._index.parts) == (1, None, None)
 
 
 def test_min_cut_on_a_long_tube():

@@ -6,8 +6,8 @@ behind copies, configuration isomorphism and automorphisms (`_matches`).
 Vertices are opaque integers carrying a part label in {0, 1}.  All graphs
 are simple and every edge joins part 0 to part 1.  No operation mutates a
 graph; it only gains its bitset index (`_index`, with the 2-core), built
-on first use for the min-cuts, the cycle walk (in the 2-core), the pair
-and site searches, and left out of == and hash.
+on first use for BFS by balls, the min-cuts, the cycle walk (in the
+2-core), the pair and site searches, and left out of == and hash.
 """
 
 import math
@@ -205,10 +205,10 @@ def _balls(adj, start, radius, within=-1):
     """[B_0, ..., B_radius]: B_k masks the vertices within distance k of
     the mask `start` along paths whose later vertices lie in `within`."""
     balls = [rim := start]
-    for _ in range(radius):
+    while rim and len(balls) <= radius:  # past an empty rim the ball stays
         rim = _union(adj, rim) & within & ~balls[-1]
         balls.append(balls[-1] | rim)
-    return balls
+    return balls + balls[-1:] * (radius + 1 - len(balls))
 
 
 def _peel(idx, candidates, anchor, threshold, first=-1):
@@ -236,24 +236,14 @@ def _peel(idx, candidates, anchor, threshold, first=-1):
 
 
 def bfs_distances(g, source):
-    """Dict of BFS distances from source to every reachable vertex."""
+    """Dict of BFS distances from source to every reachable vertex, read
+    off the balls around it up to its eccentricity."""
     g.part(source)
-    return _ball(g, (source,), INFINITY)
-
-
-def _ball(g, sources, radius, keep=None):
-    """BFS distances from the sources, up to `radius`, through vertices
-    for which keep(w) holds (default: all)."""
-    dist = dict.fromkeys(sources, 0)
-    queue = list(dist)
-    for u in queue:
-        d = dist[u] + 1
-        if d <= radius:
-            for w in g.neighbors(u):
-                if w not in dist and (keep is None or keep(w)):
-                    dist[w] = d
-                    queue.append(w)
-    return dist
+    idx = g._index
+    balls = _balls(idx.adj, 1 << idx.pos[source], len(idx.adj))
+    balls = balls[:balls.index(balls[-1]) + 1]
+    return {idx.verts[p]: d for d, (inner, ball) in enumerate(zip([0] + balls, balls))
+            for p in _bits(ball & ~inner)}
 
 
 def distance(g, u, v):
@@ -264,34 +254,37 @@ def distance(g, u, v):
 
 def diameter(g):
     """Largest distance between any two vertices; INFINITY if disconnected."""
-    worst = 0
-    for v in g.vertices:
-        dist = bfs_distances(g, v)
-        if len(dist) < len(g.vertices):
+    idx, worst = g._index, 0
+    for p in range(len(idx.verts)):  # eccentricity: the least radius of a full ball
+        balls = _balls(idx.adj, 1 << p, len(idx.adj))
+        if balls[-1] != idx.full:
             return INFINITY
-        worst = max(worst, max(dist.values()))
+        worst = max(worst, balls.index(idx.full))
     return worst
 
 
 def girth(g, roots=None):
     """Length of a shortest cycle; INFINITY if the graph is a forest.
 
-    One BFS per root.  A vertex at distance d with two neighbours at
-    distance d-1 ends two shortest paths from the root, whose union holds
-    a cycle of length at most 2d.  Conversely, seen from a vertex of a
-    shortest cycle (length 2d, the graph being bipartite), the antipode
-    lies at distance d with both its cycle neighbours at distance d-1.
-    Every cycle meets both parts, so the roots of the smaller part do;
-    `roots` that meet every orbit of a group of automorphisms meet an
-    image of every cycle.
+    One BFS per root, read off its balls.  A vertex at distance d with
+    two neighbours in the ball of radius d-1 ends two shortest paths from
+    the root, whose union holds a cycle of length at most 2d.  Conversely,
+    seen from a vertex of a shortest cycle (length 2d, the graph being
+    bipartite), the antipode lies at distance d with both its cycle
+    neighbours at distance d-1.  Every cycle meets both parts, so the
+    roots of the smaller part do; `roots` that meet every orbit of a group
+    of automorphisms meet an image of every cycle.
     """
-    best = INFINITY
+    idx, best = g._index, INFINITY
+    adj = idx.adj
     for root in roots or min(g.part_vertices(0), g.part_vertices(1), key=len):
-        # only cycles shorter than the best so far are looked for
-        dist = _ball(g, (root,),
-                     INFINITY if best == INFINITY else best // 2 - 1)
-        for w, d in dist.items():
-            if sum(dist.get(u) == d - 1 for u in g.neighbors(w)) >= 2:
+        # only shorter cycles are looked for; one through the root, of at
+        # most |V| edges, closes by depth |V| / 2
+        balls = _balls(adj, 1 << idx.pos[root],
+                       len(adj) // 2 if best == INFINITY else best // 2 - 1)
+        for d in range(1, len(balls)):
+            if any((adj[w] & balls[d - 1]).bit_count() >= 2
+                   for w in _bits(balls[d] & ~balls[d - 1])):
                 best = 2 * d
                 break
     return best
@@ -314,26 +307,19 @@ def is_generalized_ngon(g, thick=False, roots=None):
     if gi != 2 * n:
         witness = enumerate_cycles(g, gi, roots)[0] if gi != INFINITY else None
         return False, "girth is %s, expected %d (witness cycle %s)" % (gi, 2 * n, witness)
-    pair = _diameter_witness(g, n, roots)
-    if pair is not None:
-        return False, "diameter is %s, expected %d (witness pair %s)" % (
-            diameter(g), n, pair)
+    idx = g._index
+    for v in sorted(roots or g.vertices):
+        if _balls(idx.adj, 1 << idx.pos[v], n)[-1] != idx.full:
+            # the least vertex v never reaches, or else the least farthest one
+            balls = _balls(idx.adj, 1 << idx.pos[v], len(idx.adj))
+            far = idx.full & ~balls[-1] or balls[-1] & ~balls[balls.index(balls[-1]) - 1]
+            return False, "diameter is %s, expected %d (witness pair %s)" % (
+                diameter(g), n, (v, idx.verts[(far & -far).bit_length() - 1]))
     if thick:
         for v in sorted(g.vertices):
             if g.degree(v) < 3:
                 return False, "vertex %d has valency %d < 3" % (v, g.degree(v))
     return True, None
-
-
-def _diameter_witness(g, n, roots):
-    for v in sorted(roots or g.vertices):
-        dist = bfs_distances(g, v)
-        if len(dist) < len(g.vertices):
-            return (v, min(g.vertices - dist.keys()))
-        far = max(dist.values())
-        if far > n:
-            return (v, min(x for x, d in dist.items() if d == far))
-    return None
 
 
 def enumerate_cycles(g, length, through=None):
@@ -468,16 +454,11 @@ def _extend_match(g1, g2, allowed, order, f, images, i):
 
 def connected_components(g, within=None):
     """Connected components of the subgraph induced on `within` (default all)."""
-    within = g.vertices if within is None else frozenset(within)
-    seen = set()
-    comps = []
-    for v in sorted(within):
-        if v in seen:
-            continue
-        comp = frozenset(_ball(g, (v,), INFINITY, within.__contains__))
-        seen |= comp
-        comps.append(comp)
-    return comps
+    idx = g._index
+    within = idx.full if within is None else idx.mask(g.check_subset(within))
+    # in order of least vertex: a component first shows at its least position
+    return [frozenset(map(idx.verts.__getitem__, _bits(comp)))
+            for comp in dict.fromkeys(_components(idx.adj, within)) if comp]
 
 
 def is_connected(g, within=None):

@@ -7,12 +7,12 @@ Groups are kept as generators and never enumerated: automorphisms are
 found by the backtracking matcher of `graph`, the one `kmu` finds copies
 with, each vertex mapped into its class of an equitable colour
 refinement; the search is pruned by the orbits of the generators already
-found, whose sizes give the order.  A pointwise stabilizer is built
-point by point by Schreier–Sims and kept on the group, so the checks
-share G_x and every path prefix.  Each check starts from the least
-vertex of each G-orbit, in ascending order, as what it decides is
-G-invariant (Seress 2003, ch. 4): one simple path per G-orbit is
-tested, and transitivity on ordered cycles is counted.
+found, whose sizes give the order.  One Schreier–Sims run from the
+longest prefix kept gives the stabilizer of each longer prefix, kept on
+the group, so the checks share G_x and every path prefix.  Each check
+starts from the least vertex of each G-orbit, in ascending order, as what
+it decides is G-invariant (Seress 2003, ch. 4): one simple path per
+G-orbit is tested, and transitivity on ordered cycles is counted.
 """
 
 from collections import Counter
@@ -56,7 +56,7 @@ class PermGroup:
             raise GraphError("generator is not a permutation of the domain")
         self.generators = [p for p in gens if any(p[v] != v for v in dom)]
         self._elements = self._order = None
-        self._stabilizers = {}
+        self._stabilizers, self._checked = {}, {}
 
     def elements(self):
         """Every group element, as a list of dicts (identity included):
@@ -68,36 +68,44 @@ class PermGroup:
 
     @property
     def order(self):
-        """|G|, read off the stabilizer chain of `stabilizer(())`."""
+        """|G|, read off a stabilizer chain (`_chain`)."""
         if self._order is None:
-            self._order = self.stabilizer(()).order
+            self._chain(())
         return self._order
 
     def stabilizer(self, fixed):
-        """The pointwise stabilizer of the points `fixed`, kept on the group.
-        Within H, the stabilizer of fixed[:-1], a chain whose base starts
-        with the last point gives its strong generators and order; once |H|
-        is known, Schreier–Sims stops when the chain accounts for all of H."""
-        fixed = tuple(fixed)
-        if fixed in self._stabilizers:
-            return self._stabilizers[fixed]
+        """The pointwise stabilizer of the points `fixed`, kept on the group
+        with that of each prefix.  From the longest prefix kept, of group H,
+        the next points that H fixes cost nothing (H again), and one chain
+        of H whose base starts with the points left, stopped at |H|, gives
+        the stabilizer of every longer prefix: its level j generates the
+        stabilizer of its first j base points, of order the product of the
+        later transversal sizes (Seress 2003, ch. 4)."""
+        fixed, kept = tuple(fixed), self._stabilizers
         if not self._points.issuperset(fixed):
             raise GraphError("%r is not in the group's domain" % (fixed,))
-        if len(fixed) > 1:  # a point the prefix's group fixes costs nothing
-            sub = self.stabilizer(fixed[:-1])
-            if any(p[fixed[-1]] != fixed[-1] for p in sub.generators):
-                sub = sub.stabilizer(fixed[-1:])
-        else:
-            dom = self.domain
-            index = {v: i for i, v in enumerate(dom)}
-            gens = [tuple(index[p[v]] for v in dom) for p in self.generators]
-            levels = _schreier_sims(len(dom), gens, [index[v] for v in fixed],
-                                    self._order)[len(fixed):]
-            sub = PermGroup(dom, [{v: dom[s[i]] for i, v in enumerate(dom)}
-                                  for s, _ in (levels[0][1] if levels else ())])
-            sub._order = prod(len(level[2]) for level in levels)
-        self._stabilizers[fixed] = sub
+        j = next((j for j in range(len(fixed), 0, -1) if fixed[:j] in kept), 0)
+        sub = kept[fixed[:j]] if j else self
+        while j < len(fixed) and all(p[fixed[j]] == fixed[j] for p in sub.generators):
+            j += 1
+            kept[fixed[:j]] = sub
+        if j < len(fixed):  # one chain, with a trivial level past its end
+            dom, levels = self.domain, sub._chain(fixed[j:]) + [(None, (), (None,))]
+            for i in range(1, len(fixed) - j + 1):
+                sub = PermGroup(dom, [dict(zip(dom, map(dom.__getitem__, s)))
+                                      for s, _ in levels[i][1]])
+                sub._order = prod(len(level[2]) for level in levels[i:])
+                kept[fixed[:j + i]] = sub
         return sub
+
+    def _chain(self, base):
+        """`_schreier_sims` on domain positions with `base` first, stopped
+        at the order if known; it sets the order."""
+        index = {v: i for i, v in enumerate(self.domain)}
+        gens = [tuple(index[p[v]] for v in self.domain) for p in self.generators]
+        levels = _schreier_sims(len(index), gens, [index[v] for v in base], self._order)
+        self._order = prod(len(level[2]) for level in levels)
+        return levels
 
     def orbit(self, x):
         """The orbit of a point (or of a tuple of points, acted on
@@ -151,12 +159,12 @@ def _schreier_sims(degree, gens, base, order=None):
         if order == prod(len(level[2]) for level in levels):
             return
         for x, k in pairs:
-            s = strong[k][0]
-            h = _compose(trans[s[x]][1], _compose(s, trans[x][0]))
-            for b, _, lower in levels[i + 1:]:  # sift h
+            h = _compose(strong[k][0], trans[x][0])
+            for b, _, lower in levels[i:]:  # sift h, in T_i first
                 if h == ident or h[b] not in lower:
                     break
-                h = _compose(lower[h[b]][1], h)
+                if h[b] != b:
+                    h = _compose(lower[h[b]][1], h)
             if h != ident:
                 add([h], i + 1)
                 if order == prod(len(level[2]) for level in levels):
@@ -229,18 +237,21 @@ def automorphism_group(g, type_preserving=True):
         placed.add(nxt)
 
     gens, size = [], 1
+    cell = {v: {v} for v in verts}  # the orbits of the generators found
     for i in reversed(range(len(order))):
         v = order[i]
         fixed = {u: u for u in order[:i]}
-        orbit = PermGroup(verts, gens).orbit(v)
         for w in [f[v] for f in _matches(g, g, (v,), allowed, fixed)]:
-            if w not in orbit:
+            if w not in cell[v]:
                 found = next(_extend_match(g, g, allowed, order, {**fixed, v: w},
                                            {*fixed, w}, i + 1), None)
                 if found is not None:
                     gens.append(dict(found))
-                    orbit = PermGroup(verts, gens).orbit(v)
-        size *= len(orbit)
+                    for one, other in gens[-1].items():  # merge their cells
+                        if cell[one] is not cell[other]:
+                            merged = cell[one] | cell[other]
+                            cell.update(dict.fromkeys(merged, merged))
+        size *= len(cell[v])
     grp = PermGroup(verts, gens)
     grp._order = size
     for p in grp.generators:
@@ -260,7 +271,11 @@ def _require(g, grp, ngon=True):
     """Raise GraphError unless grp acts on g by automorphisms and (with
     ngon set) g is a generalized n-gon.  Return the orbits of grp, keyed
     by their least vertex in ascending order; the n-gon check runs its
-    BFS from those least vertices only."""
+    BFS from those least vertices only.  The group keeps them per graph and
+    whether the n-gon check ran, once the check passes."""
+    ran, orbits = grp._checked.get(g, (False, None))
+    if orbits is not None and (ran or not ngon):
+        return orbits
     if grp.domain != tuple(sorted(g.vertices)):
         raise GraphError("the group does not act on the graph's vertex set")
     for p in grp.generators:
@@ -272,6 +287,7 @@ def _require(g, grp, ngon=True):
     ok, reason = is_generalized_ngon(g, roots=list(orbits)) if ngon else (True, None)
     if not ok:
         raise GraphError("graph is not a generalized %d-gon: %s" % (g.n, reason))
+    grp._checked[g] = ngon, orbits
     return orbits
 
 
@@ -335,8 +351,11 @@ def check_remark_2_2(g, grp):
             for c, mask in _cycles(g, lengths, (x,)):  # counted, the least kept
                 found = carriers.setdefault(len(c), {}).setdefault(x, [len(orbit), 0, (inf,)])
                 found[1] += 1
-                if (mask & -mask).bit_length() - 1 <= found[2][0]:
-                    found[2] = min(found[2], _canonical(c))
+                low, least = (mask & -mask).bit_length() - 1, found[2]
+                if low <= least[0]:  # canonical: least vertex, smaller neighbour
+                    i = c.index(low)
+                    if low < least[0] or min(c[i - 1], c[i + 1 - len(c)]) <= least[1]:
+                        found[2] = min(least, _canonical(c))
     sides = []
     for length in lengths:
         (size, count, c), *second = carriers.get(length, {}).values() or [(0, 0, ())]

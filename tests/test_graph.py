@@ -171,6 +171,104 @@ def test_generalized_ngon_diameter_failure(fano):
         False, "diameter is 7, expected 3 (witness pair (0, 17))")
 
 
+# ------------------------------------------------ dict-BFS reference metrics
+
+def dict_bfs(g, source, within=None):
+    """Distances from source by a queue over vertex ids, through `within`."""
+    dist, queue = {source: 0}, [source]
+    for u in queue:
+        for w in sorted(g.neighbors(u)):
+            if w not in dist and (within is None or w in within):
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_girth(g):
+    """From every vertex: a vertex at distance d with two neighbours at
+    distance d - 1 closes a cycle of length at most 2d, and a vertex on a
+    shortest cycle sees its antipode so."""
+    best = math.inf
+    for v in g.vertices:
+        dist = dict_bfs(g, v)
+        best = min([best] + [2 * d for w, d in dist.items()
+                             if sum(dist.get(u) == d - 1 for u in g.neighbors(w)) >= 2])
+    return best
+
+
+def least_cycle(g, length):
+    """The least cycle of the given length as `enumerate_cycles` writes
+    it (from its least vertex, second vertex below the last), by search."""
+    for v in sorted(g.vertices):
+        found, stack = [], [(v,)]
+        while stack:
+            path = stack.pop()
+            if len(path) == length:
+                if v in g.neighbors(path[-1]) and path[1] < path[-1]:
+                    found.append(path)
+            else:
+                stack += [path + (w,) for w in g.neighbors(path[-1])
+                          if w > v and w not in path]
+        if found:
+            return min(found)
+    return None
+
+
+def reference_ngon_reason(g, thick):
+    n, verts = g.n, sorted(g.vertices)
+    dists = {v: dict_bfs(g, v) for v in verts}
+    gi = reference_girth(g)
+    if gi != 2 * n:
+        witness = least_cycle(g, gi) if gi != math.inf else None
+        return "girth is %s, expected %d (witness cycle %s)" % (gi, 2 * n, witness)
+    far = {v: max(dists[v].values()) for v in verts}
+    diam = max(far.values()) if all(len(d) == len(verts) for d in dists.values()) else math.inf
+    for v in verts:
+        dist = dists[v]
+        if len(dist) < len(verts) or far[v] > n:
+            w = min(set(verts) - dist.keys() or [x for x in dist if dist[x] == far[v]])
+            return "diameter is %s, expected %d (witness pair %s)" % (diam, n, (v, w))
+    for v in verts:
+        if thick and g.degree(v) < 3:
+            return "vertex %d has valency %d < 3" % (v, g.degree(v))
+    return None
+
+
+def test_mask_bfs_matches_dict_reference(small_graphs, grow_outputs, fano, gq22,
+                                         pg23, pg25):
+    """Distances, diameter, girth, components (also inside random vertex
+    sets) and the n-gon verdict with its witness, read off bitmask balls,
+    against a queue BFS over vertex ids."""
+    rng = random.Random(26)
+    parts = {v + s: fano.part(v) for v in fano.vertices for s in (0, 14)}
+    edges = [(u + s, v + s) for (u, v) in fano.edges for s in (0, 14)]
+    graphs = list(small_graphs) + [g for g, _ in grow_outputs.values()]
+    graphs += [grow(make_cycle(4, 10), 6, 1)[0], fano, gq22, pg23, pg25,
+               BipartiteGraph(3, parts, edges),
+               BipartiteGraph(3, parts, edges + [(0, 21)])]
+    reasons = set()
+    for g in graphs:
+        verts = sorted(g.vertices)
+        dists = [dict_bfs(g, v) for v in verts]
+        assert [bfs_distances(g, v) for v in verts] == dists
+        assert diameter(g) == (max(max(d.values()) for d in dists)
+                               if all(len(d) == len(verts) for d in dists) else math.inf)
+        assert girth(g) == reference_girth(g)
+        for within in [None] + [set(rng.sample(verts, rng.randrange(len(verts))))
+                                for _ in range(3)]:
+            comps, seen = [], set()
+            for v in verts:
+                if (within is None or v in within) and v not in seen:
+                    comps.append(frozenset(dict_bfs(g, v, within)))
+                    seen |= comps[-1]
+            assert connected_components(g, within) == comps
+        for thick in (False, True):
+            ok, reason = is_generalized_ngon(g, thick)
+            assert reason == reference_ngon_reason(g, thick) and ok == (reason is None)
+            reasons.add(reason.split(" ")[0] if reason else None)
+    assert reasons == {None, "girth", "diameter", "vertex"}
+
+
 def test_girth_equals_twice_diameter_on_ngons(fano, gq22):
     for g in (fano, gq22, make_cycle(3, 6), make_cycle(4, 8)):
         if is_generalized_ngon(g)[0]:

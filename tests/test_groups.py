@@ -5,7 +5,9 @@ from itertools import permutations
 
 import pytest
 
-from conftest import pgl3, random_bipartite
+from conftest import line_counts, pgl3, random_bipartite
+from ngons import groups
+from ngons.graph import _canonical
 from ngons import (BipartiteGraph, GraphError, PermGroup, automorphism_group,
                    check_remark_2_2, fano_graph, format_cycles, gq22_graph,
                    is_generalized_ngon, is_moufang, is_strongly_transitive,
@@ -339,11 +341,18 @@ def test_battery_matches_element_scan_on_random_subgroups(scan_corpus):
     assert all(fails.values()), fails
 
 
+def _chain_runs(run):
+    """The number of `_schreier_sims` runs while run() runs."""
+    return line_counts(run, (groups._schreier_sims, "ident = tuple(range(degree))"))[0]
+
+
 def test_stabilizer_chain_matches_element_scan(scan_corpus):
     """Each group answers tuples that share prefixes, last points or
     lengths, a longer one both before and after its prefixes, from the
-    stabilizers it keeps; asked again, it returns the same object."""
-    rng = random.Random(5)
+    stabilizers it keeps; asked again, it returns the same object.  A
+    kept tuple extended by a point its stabilizer fixes (the same group,
+    no chain run) and then by one it moves costs one chain run."""
+    rng, extended = random.Random(5), 0
     for g, grp, x in scan_corpus:
         ref = ElementScan(g, grp)
         verts = sorted(g.vertices)
@@ -359,6 +368,41 @@ def test_stabilizer_chain_matches_element_scan(scan_corpus):
             assert all(p[v] == v for p in stab.generators for v in fixed)
             assert stab.order == len(members)
             assert stab.orbit(x) == {p[x] for p in members}
+        fresh = PermGroup(verts, grp.generators)
+        kept = fresh.stabilizer(t[:1])
+        still = [v for v in verts if v != t[0] and kept.orbit(v) == {v}]
+        moved = [v for v in verts if kept.orbit(v) != {v}]
+        if still and moved:
+            longer = t[:1] + (still[0], moved[0])
+            assert _chain_runs(lambda: fresh.stabilizer(longer)) == 1
+            assert fresh.stabilizer(longer[:-1]) is kept
+            stab, members = fresh.stabilizer(longer), ref.stabilizer(longer)
+            assert stab.order == len(members) < kept.order
+            assert stab.orbit(x) == {p[x] for p in members}
+            extended += 1
+    assert extended >= 10, extended
+
+
+@pytest.mark.parametrize("name, moufang_runs", [("fano", 0), ("gq22", 0), ("pg23", 2)])
+def test_battery_runs_one_chain_per_orbit(name, moufang_runs, fano, gq22, pg23):
+    """Schreier–Sims runs through one battery.  Strong transitivity runs
+    one chain per orbit representative (its first path's G_x-orbit
+    covers the rest); asked again, none.  Moufang then starts from the
+    path stabilizers kept: on Fano and GQ(2,2) they fix the other points
+    of the neighbourhoods, so it runs none, and on PG(2,3) one per
+    representative.  The remark runs one for its cycle, and the degree
+    check none, as G_0 is kept."""
+    g = {"fano": fano, "gq22": gq22, "pg23": pg23}[name]
+    grp = automorphism_group(g)
+    representatives = {min(grp.orbit(v)) for v in g.vertices}
+    runs = [_chain_runs(lambda: grp.order),
+            _chain_runs(lambda: is_strongly_transitive(g, grp)),
+            _chain_runs(lambda: is_strongly_transitive(g, grp)),
+            _chain_runs(lambda: is_moufang(g, grp)),
+            _chain_runs(lambda: check_remark_2_2(g, grp)),
+            _chain_runs(lambda: stabilizer_transitivity_degree(g, grp, 0))]
+    assert len(representatives) == 2
+    assert runs == [0, 2, 0, moufang_runs, 1, 0]
 
 
 def _cycle_form(g, grp):
@@ -449,10 +493,43 @@ def test_require_reason_matches_is_generalized_ngon(fano):
         want = "graph is not a generalized 3-gon: " + is_generalized_ngon(g)[1]
         for grp in (automorphism_group(g), automorphism_group(g, False),
                     PermGroup(sorted(g.vertices), [])):
+            # the degree check skips the n-gon axioms: what it keeps on
+            # the group must not let the checks below skip them
+            stabilizer_transitivity_degree(g, grp, min(g.vertices))
             for check in (is_strongly_transitive, is_moufang, check_remark_2_2):
                 with pytest.raises(GraphError) as err:
                     check(g, grp)
                 assert str(err.value) == want
+
+
+def test_checks_kept_per_graph(fano, fano_grp):
+    """A group that passed on one graph is checked again on a graph with
+    the same vertices and other edges, or another gonality, and fails
+    there; on an equal graph it keeps its answers."""
+    assert is_strongly_transitive(fano, fano_grp) == (True, None)
+    parts = {v: fano.part(v) for v in fano.vertices}
+    others = [BipartiteGraph(3, parts, sorted(fano.edges)[1:]),
+              BipartiteGraph(4, parts, fano.edges)]
+    for g in others:
+        for check in (is_strongly_transitive, is_moufang, check_remark_2_2):
+            with pytest.raises(GraphError):
+                check(g, fano_grp)
+    with pytest.raises(GraphError):
+        stabilizer_transitivity_degree(others[0], fano_grp, 0)
+    again = BipartiteGraph(3, parts, fano.edges)
+    assert again is not fano and is_moufang(again, fano_grp) == (True, None)
+
+
+def test_remark_canonicalises_few_cycles(pg25):
+    """On PG(2,5) under its group the walk starts at vertex 0, the least
+    of the graph, which lies on every cycle it counts; a cycle is put in
+    canonical form only if its least vertex and that vertex's smaller
+    cycle neighbour do not exceed those of the least cycle so far."""
+    grp = automorphism_group(pg25)
+    counts = line_counts(lambda: check_remark_2_2(pg25, grp),
+                         (_canonical, "i = cycle.index(min(cycle))"),
+                         (check_remark_2_2, "found[1] += 1"))
+    assert counts == [2141, 6375]
 
 
 def test_remark_on_full_groups(fano, gq22):

@@ -21,7 +21,7 @@ from .zeroalg import (ZeroAlgebraicPair, is_zero_algebraic,
                       degree_identity_check, default_body_cap,
                       enumerate_zero_min_pairs)
 from .kmu import (MuFunction, ViolationReport, default_horizon, default_mu,
-                  find_copies, count_copies, copies_equivalent,
+                  find_copies, copies_equivalent,
                   pairs_isomorphic, in_class)
 from .witnesses import (make_path, make_cycle, make_gamma, make_cl_witness,
                         BaseSetSpec, find_base_set)
@@ -44,7 +44,7 @@ __all__ = [
     "is_zero_minimally_algebraic", "minimal_base", "degree_identity_check",
     "default_body_cap", "enumerate_zero_min_pairs",
     "MuFunction", "ViolationReport", "default_horizon", "default_mu",
-    "find_copies", "count_copies", "copies_equivalent", "pairs_isomorphic",
+    "find_copies", "copies_equivalent", "pairs_isomorphic",
     "in_class",
     "make_path", "make_cycle", "make_gamma", "make_cl_witness",
     "BaseSetSpec", "find_base_set",

@@ -79,6 +79,14 @@ def _emit(args, key, value):
         print(value)
 
 
+def _verdict(args, key, ok, witness_line):
+    """Print a verdict; a false one puts its witness line on stderr, exit 1."""
+    _emit(args, key, "true" if ok else "false")
+    if not ok:
+        print(witness_line, file=sys.stderr)
+    return 0 if ok else 1
+
+
 def _ids(vertices):
     return ",".join(str(v) for v in sorted(vertices))
 
@@ -99,11 +107,7 @@ def _cmd_subset_query(args):
 def _cmd_strong(args):
     g = _load(args.file)
     ok, witness = is_strong(g, _subset(g, args.subset))
-    _emit(args, "strong", "true" if ok else "false")
-    if not ok:
-        print("violator %s" % _ids(witness), file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(args, "strong", ok, None if ok else "violator %s" % _ids(witness))
 
 
 def _cmd_zeroalg(args):
@@ -169,11 +173,7 @@ def _cmd_grow(args):
 def _cmd_verify_ngon(args):
     g = _load(args.file)
     ok, reason = is_generalized_ngon(g, thick=args.thick)
-    _emit(args, "ngon", "true" if ok else "false")
-    if not ok:
-        print(reason, file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(args, "ngon", ok, reason)
 
 
 def _cmd_aut(args):
@@ -190,11 +190,8 @@ def _cmd_path_check(args):
     g = _load(args.file)
     grp = automorphism_group(g, type_preserving=True)
     ok, witness = args.check(g, grp)
-    _emit(args, args.key, "true" if ok else "false")
-    if not ok:
-        print("path %s" % ",".join(str(v) for v in witness), file=sys.stderr)
-        return 1
-    return 0
+    return _verdict(args, args.key, ok,
+                    None if ok else "path %s" % ",".join(str(v) for v in witness))
 
 
 def _cmd_transdeg(args):
@@ -245,8 +242,7 @@ def _build_parser():
     p.add_argument("--max-body", type=int, default=None)
     p.set_defaults(fn=_cmd_kmu)
 
-    p = sub.add_parser("witness", parents=[common],
-                       help="emit a standard witness graph")
+    p = sub.add_parser("witness", help="emit a standard witness graph")
     ws = p.add_subparsers(dest="kind", required=True)
     for kind, size in (("path", "length"), ("cycle", "length"),
                        ("gamma", None), ("cl", "l")):
@@ -255,7 +251,6 @@ def _build_parser():
         if size:
             q.add_argument(size, type=int)
         q.add_argument("-o", "--output", default=None)
-        q.add_argument("--format", choices=("plain", "structured"), default="plain")
     q.add_argument("--with-b", action="store_true")  # cl only
     p.set_defaults(fn=_cmd_witness)
 

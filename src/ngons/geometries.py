@@ -44,16 +44,9 @@ def gq22_graph():
     it.  Duads get ids 0..14, synthemes 15..29.
     """
     duads = [frozenset(p) for p in combinations(range(6), 2)]
-    synthemes = []
-    for a in combinations(range(6), 2):
-        rest = [x for x in range(6) if x not in a]
-        b0 = rest[0]
-        for b1 in rest[1:]:
-            c = [x for x in rest if x not in (b0, b1)]
-            syn = frozenset({frozenset(a), frozenset((b0, b1)), frozenset(c)})
-            if syn not in synthemes:
-                synthemes.append(syn)
-    synthemes.sort(key=lambda s: sorted(sorted(d) for d in s))
+    # three duads covering all six symbols, in the order of their duads
+    synthemes = [syn for syn in combinations(duads, 3)
+                 if len(frozenset().union(*syn)) == 6]
     verts = {i: 0 for i in range(15)}
     edges = []
     for j, syn in enumerate(synthemes):

@@ -136,12 +136,8 @@ class _Index:
     """Sorted vertices, their positions, and per position the adjacency
     bitmask (bit j for a neighbour at position j) and the degree; below[t]
     masks the vertices of degree below t (t <= 3), `core` the 2-core, built
-    on first use.  A vertex set is a mask over these positions.
-
-    The min-cuts over the whole graph keep their state here too (see
-    `predimension._near`): `cuts` counts them, `zero_floor` tells whether
-    no vertex set has negative delta (None until a second cut asks), and
-    `parts` is their component table."""
+    on first use.  A vertex set is a mask over these positions.  `cuts`,
+    `zero_floor` and `parts` hold the state of `predimension._near`."""
 
     def __init__(self, g):
         self.verts = tuple(sorted(g.vertices))
@@ -249,7 +245,10 @@ def bfs_distances(g, source):
 def distance(g, u, v):
     """Graph distance between u and v; INFINITY if disconnected."""
     g.part(v)
-    return bfs_distances(g, u).get(v, INFINITY)
+    g.part(u)
+    idx = g._index
+    balls = _balls(idx.adj, 1 << idx.pos[u], len(idx.adj))
+    return next((d for d, ball in enumerate(balls) if ball >> idx.pos[v] & 1), INFINITY)
 
 
 def diameter(g):

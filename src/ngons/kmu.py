@@ -11,8 +11,6 @@ Conditions 2 and 3 quantify over unbounded families; the checker joins
 half-length paths into cycles up to a configurable horizon (condition 1
 too) and walks bodies up to a configurable size cap: a verdict holds
 only within those limits, which `ngons kmu` prints and reports omit.
-Condition 3 walks only bodies whose bases a copy or the old part can share,
-and builds vertex sets only for a base with several bodies or no new vertex.
 
 Copies, copy equivalence, configuration isomorphism and the path test
 behind mu = 1 all run on one backtracking matcher, `graph._matches`,
@@ -132,12 +130,6 @@ def find_copies(g, base, body):
             for f in _matches(g, g, body, pinned={a: a for a in base})}
 
 
-def count_copies(g, base, body):
-    """Number of copies of the body over the base inside g, counted as
-    distinct vertex sets."""
-    return len(find_copies(g, base, body))
-
-
 def copies_equivalent(g, base, body1, body2):
     """Are two bodies copies of each other over the pointwise-fixed base?
     True iff some bijection body1 -> body2 preserves induced adjacency and
@@ -180,12 +172,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     weight bound of `predimension._hull_cut` leaves d(C) possibly below
     2n+2; condition 3 walks only the bodies that `zeroalg._shared_bodies`
     keeps, and skips a base that meets the new vertices with one body.
-    The cut of a cycle C peels only the components of the vertices of
-    degree >= ceil(n/(n-2)) that C touches (`predimension._near`): where
-    no vertex set has negative delta, the smallest minimiser over C is C
-    plus pieces joined to C, as dropping a piece with no edge to the rest
-    lowers delta by that piece's delta.  A graph with a negative floor,
-    such as a K_{4,5} at n = 3 beside the cycle, is cut whole.
+    The cut of a cycle C peels only near C (`predimension._near`).
     """
     n, mu = g.n, default_mu(g.n) if mu is None else mu
     if mu.n != n:
@@ -203,8 +190,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
             raise GraphError("member_base is not strongly embedded; violator %s"
                              % sorted(is_strong(g, member_base)[1]))
 
-    # Conditions 1 and 2 from one walk: no cycle of length 2m with m < n,
-    # and d(C) >= 2n+2 for each cycle C longer than 2n.
+    # Conditions 1 and 2, from one walk of the cycles
     floor, seen_minimisers, reports = 2 * n + 2, set(), []
     for cyc, cmask in _cycles(g, [*range(4, 2 * n, 2), *range(floor, horizon + 1, 2)],
                               through=new):
@@ -218,10 +204,9 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
             reports.append(ViolationReport("long_cycle_low_delta", tuple(
                 idx.verts[p] for p in _bits(w)), value, floor))
 
-    # Condition 3: copy counts of 0-minimally algebraic bodies stay within
-    # mu.  A class over a base meeting the new vertices is streamed whole
-    # (`zeroalg._shared_bodies`) and counted by its size, a lone body within
-    # every mu; over an old base find_copies recounts, old-part copies too.
+    # Condition 3.  A class over a base meeting the new vertices is streamed
+    # whole (`zeroalg._shared_bodies`) and counted by its size, a lone body
+    # within every mu; over an old base find_copies recounts, old-part copies too.
     by_base, verts = {}, idx.verts.__getitem__
     for base, body in _zero_min_pairs(g, cap, nmask, shared=True):
         by_base.setdefault(base, []).append(body)

@@ -16,20 +16,9 @@ on a network with a node per vertex and an arc pair per edge
 (Picard-Queyranne), built by ``_cut_network`` on masks over the graph's
 bitset index: ``_min_superset`` reads the smallest minimiser off it,
 ``acl_relative`` the largest, ``zeroalg`` the strong connectivity of its
-residual network.  One breadth-first residual search (``_Network.reach``)
-finds the shortest augmenting paths, both sides of the cut and strong
-connectivity.  Brute force over subsets cross-checks all in the tests.
-
-The smallest minimiser stays next to its set.  When no vertex set of the
-graph has negative delta (its floor is zero), each piece of it outside
-A is joined to A, since dropping a piece with no edge to the rest lowers
-delta by that piece's delta, at least 0.  So the cuts over the whole
-graph -- ``d_min``, ``closure`` and ``is_strong`` with no ground given,
-and the cycle cuts of ``kmu.in_class`` -- peel only the components of
-the vertices of degree >= ceil(n/(n-2)) that hold a neighbour of A
-(``_near``), from a graph's second cut on.  A graph with a negative
-floor, such as PG(2,5), is peeled whole, as is the ground of
-``acl_relative``, whose largest minimiser need not stay near A.
+residual network (all three by ``_Network.reach``).  Brute force over
+subsets cross-checks all in the tests.  The cuts over the whole graph
+peel only near A: see ``_near``.
 """
 
 import math
@@ -181,7 +170,8 @@ def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None, delta_a=None):
 
 def _near(g, amask, t):
     """A mask of the whole graph that holds every vertex of the smallest
-    minimiser W of delta over supersets of A, t = ceil(n/(n-2)).
+    minimiser W of delta over supersets of A, t = ceil(n/(n-2)), for the
+    cuts over the whole graph.
 
     Zero floor: when no vertex set has negative delta, every component X
     of W - A (in the subgraph W induces) has an edge to A.  Else X has no
@@ -189,9 +179,7 @@ def _near(g, amask, t):
     W - X would be a smaller minimiser.  Each v in W - A has at least t
     edges into W (see `_min_superset`), so X lies in one component of the
     vertices of degree >= t, one holding a neighbour of A.  The region is
-    the union of those components, read off a table built once per graph:
-    22 vertices on average for the long cycles of an 800-step growth of
-    the 8-cycle (1,923 vertices), where a cut once peeled the whole graph.
+    the union of those components, read off a table built once per graph.
 
     A negative floor, as in PG(2,5) or any graph holding K_{4,5} at n = 3,
     leaves the whole graph.  So does a graph's first cut: the floor costs
@@ -227,9 +215,8 @@ def _min_superset(g, a, ground, enough=math.inf):
     any v in W - A therefore raises delta: v has at least ceil(n/(n-2))
     edges into W and survives the peel of ground - A anchored at A.  The
     network is built on that peeled hull F only, which leaves the value
-    and the smallest minimiser unchanged.  On the whole ground, and a
-    graph whose floor is zero, W - A also lies in the components next to
-    A that `_near` finds, and the peel starts from those.
+    and the smallest minimiser unchanged.  On the whole ground the peel
+    starts from the region of `_near` (zero floor).
 
     Vertex-only cut network (Picard and Queyranne, Networks 1982;
     Goldberg, UCB/CSD-84-171, 1984), `_cut_network`: for X <= F, with

@@ -7,9 +7,8 @@ arithmetic they are used for depends only on their own edges.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
 
-from .graph import BipartiteGraph, GraphError, bfs_distances
+from .graph import BipartiteGraph, GraphError, _balls, _bits
 
 
 def make_path(n, length):
@@ -91,29 +90,25 @@ class BaseSetSpec:
 
 
 def find_base_set(g):
-    """All base sets in g, one canonical ordering per 4-point set."""
-    n = g.n
+    """All base sets in g, one canonical ordering per 4-point set, in the
+    order of the sorted 4-sets.  The least ordering starts at the least
+    point s0; s1 < s3 lie on its n-sphere, s3 on the diag-sphere of s1,
+    and s2 > s0 on the diag-sphere of s0 and the n-spheres of s1 and s3."""
+    n, idx = g.n, g._index
     diag = n - 1 if n % 2 else n
-    dist = {v: bfs_distances(g, v) for v in g.vertices}
-
-    def d(u, v):
-        return dist[u].get(v)
-
+    balls = [_balls(idx.adj, 1 << p, n) for p in range(len(idx.verts))]
+    side = [b[n] & ~b[n - 1] for b in balls]  # positions sort as the vertices do
+    cross = [b[diag] & ~b[diag - 1] for b in balls]
+    best = {}
+    for s0 in range(len(balls)):
+        above = ~((2 << s0) - 1)
+        for s1 in _bits(side[s0] & above):
+            for s2 in _bits(cross[s0] & side[s1] & above):
+                # ascending s1, s2, s3: the first ordering of a 4-set is its least
+                for s3 in _bits(side[s0] & cross[s1] & side[s2] & ~((2 << s1) - 1)):
+                    best.setdefault(tuple(sorted((s0, s1, s2, s3))), (s0, s1, s2, s3))
     out = []
-    for four in combinations(sorted(g.vertices), 4):
-        best = None
-        for perm in permutations(four):
-            if perm[0] != min(four):
-                continue
-            s0, s1, s2, s3 = perm
-            if (d(s0, s1) == d(s1, s2) == d(s2, s3) == d(s3, s0) == n
-                    and d(s0, s2) == diag and d(s1, s3) == diag):
-                if best is None or perm < best:
-                    best = perm
-        if best is not None:
-            if n % 2:
-                mode = "odd_n"
-            else:
-                mode = "even_n_type%d" % g.part(best[0])
-            out.append(BaseSetSpec(best, mode))
+    for key in sorted(best):
+        s = tuple(map(idx.verts.__getitem__, best[key]))
+        out.append(BaseSetSpec(s, "odd_n" if n % 2 else "even_n_type%d" % g.part(s[0])))
     return out

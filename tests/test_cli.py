@@ -176,6 +176,29 @@ def test_group_commands(capsys, fano_file):
     assert code == 0 and out.strip() == "3"
 
 
+def test_verdict_lines_pinned(capsys, fano_file, cyc8_file):
+    """Exit code, stdout and stderr of each true/false verdict, byte for
+    byte, plain and structured."""
+    girth8 = "girth is 8, expected 6 (witness cycle (0, 1, 2, 3, 4, 5, 6, 7))\n"
+    for argv, want in (
+            (["strong", fano_file, "0,1,2"], (1, "false\n", "violator 0,1,2,7\n")),
+            (["strong", fano_file, "0,1,2", "--format", "structured"],
+             (1, "strong false\n", "violator 0,1,2,7\n")),
+            (["verify-ngon", cyc8_file], (1, "false\n", girth8)),
+            (["verify-ngon", cyc8_file, "--format", "structured"],
+             (1, "ngon false\n", girth8)),
+            (["strans", fano_file], (0, "true\n", "")),
+            (["strans", fano_file, "--format", "structured"],
+             (0, "strongly_transitive true\n", "")),
+            (["moufang", fano_file], (0, "true\n", ""))):
+        assert run(capsys, *argv) == want
+
+
+def test_witness_has_no_format_option(capsys):
+    """`witness` writes a graph, so it takes no --format."""
+    assert run(capsys, "witness", "cycle", "3", "8", "--format", "plain")[0] == 2
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_exits_1_without_traceback(fano_file, unbuffered):
     """A reader that closes stdout before the command writes (as `head`

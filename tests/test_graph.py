@@ -236,9 +236,10 @@ def reference_ngon_reason(g, thick):
 
 def test_mask_bfs_matches_dict_reference(small_graphs, grow_outputs, fano, gq22,
                                          pg23, pg25):
-    """Distances, diameter, girth, components (also inside random vertex
-    sets) and the n-gon verdict with its witness, read off bitmask balls,
-    against a queue BFS over vertex ids."""
+    """Distances (also between two vertices, for every pair), diameter,
+    girth, components (also inside random vertex sets) and the n-gon
+    verdict with its witness, read off bitmask balls, against a queue BFS
+    over vertex ids."""
     rng = random.Random(26)
     parts = {v + s: fano.part(v) for v in fano.vertices for s in (0, 14)}
     edges = [(u + s, v + s) for (u, v) in fano.edges for s in (0, 14)]
@@ -251,6 +252,8 @@ def test_mask_bfs_matches_dict_reference(small_graphs, grow_outputs, fano, gq22,
         verts = sorted(g.vertices)
         dists = [dict_bfs(g, v) for v in verts]
         assert [bfs_distances(g, v) for v in verts] == dists
+        assert [[distance(g, u, v) for v in verts] for u in verts] == [
+            [d.get(v, math.inf) for v in verts] for d in dists]
         assert diameter(g) == (max(max(d.values()) for d in dists)
                                if all(len(d) == len(verts) for d in dists) else math.inf)
         assert girth(g) == reference_girth(g)

@@ -1,10 +1,11 @@
 import math
+from itertools import combinations, permutations
 
 import pytest
 
-from ngons import (GraphError, delta, delta_rel, distance, girth, is_strong,
-                   make_cl_witness, make_cycle, make_gamma, make_path,
-                   find_base_set, fano_graph)
+from ngons import (GraphError, bfs_distances, delta, delta_rel, distance, girth,
+                   grow, is_strong, make_cl_witness, make_cycle, make_gamma,
+                   make_path, find_base_set, fano_graph)
 
 
 def test_make_path_shape():
@@ -77,6 +78,42 @@ def test_base_set_search(fano):
             assert distance(fano, u, v) == 3
         assert distance(fano, s0, s2) == 2
         assert distance(fano, s1, s3) == 2
+
+
+def reference_base_sets(g):
+    """Every ordering of every 4-subset, by BFS distances: per 4-set the
+    least ordering that starts at its least point, as (vertices, mode),
+    in the order of the sorted 4-sets."""
+    n = g.n
+    diag = n - 1 if n % 2 else n
+    dist = {v: bfs_distances(g, v) for v in g.vertices}
+
+    def d(u, v):
+        return dist[u].get(v)
+
+    out = []
+    for four in combinations(sorted(g.vertices), 4):
+        found = [(s0, s1, s2, s3) for s0, s1, s2, s3 in permutations(four)
+                 if s0 == four[0]
+                 and d(s0, s1) == d(s1, s2) == d(s2, s3) == d(s3, s0) == n
+                 and d(s0, s2) == diag and d(s1, s3) == diag]
+        if found:
+            best = min(found)
+            out.append((best, "odd_n" if n % 2 else "even_n_type%d" % g.part(best[0])))
+    return out
+
+
+def test_base_sets_match_permutation_scan(fano, gq22):
+    """The spheres of `find_base_set` against a scan of all orderings."""
+    graphs = [fano, gq22] + [make_cl_witness(n, 2) for n in (3, 4, 5)]
+    graphs += [make_cycle(3, length) for length in (6, 8, 10)] + [make_path(3, 1)]
+    graphs += [grow(make_cycle(3, 8), 8, seed)[0] for seed in (1, 2)]
+    wants = [reference_base_sets(g) for g in graphs]
+    assert [[(s.vertices, s.mode) for s in find_base_set(g)] for g in graphs] == wants
+    assert [len(want) for want in wants[:2]] == [21, 60]
+    assert all(wants[2:5]) and all(wants[-2:])
+    # GQ(2,2) has base sets of both even types
+    assert {mode for _, mode in wants[1]} == {"even_n_type0", "even_n_type1"}
 
 
 def test_gamma_is_a_tree():

@@ -69,7 +69,7 @@ def free_amalgam(m, e, gluing):
     first = max(m.vertices, default=-1) + 1
     fresh = {v: i for i, v in enumerate(sorted(e.vertices - dom), first)}
     relabel = {**gluing, **fresh}
-    verts = {v: m.part(v) for v in m.vertices}
+    verts = dict(m._part)
     verts.update({fresh[v]: e.part(v) for v in fresh})
     edges = set(m.edges)
     for (u, v) in e.edges:
@@ -98,7 +98,7 @@ def _sites_completion(g, rng, length):
     partners are the secluded v > u of the right part outside u's ball of
     radius 2n - length - 1."""
     idx, pairs = g._index, []
-    secluded, part0 = _secluded(idx), idx.mask(g.part_vertices(0))
+    secluded, part0 = _secluded(idx), idx.sides[0]
     for u in _bits(secluded):
         # u's part for an even length, the other one for an odd length
         part = part0 if (part0 >> u & 1) == (length % 2 == 0) else ~part0
@@ -115,7 +115,7 @@ def _sites_witness_base(g, rng, witness):
     leaves out the radius-2 balls of the vertices chosen before; it is
     listed in id order, as index positions follow the sorted ids."""
     idx, base, balls = g._index, sorted(witness.subsets["A0"]), {}
-    secluded, part0 = _secluded(idx), idx.mask(g.part_vertices(0))
+    secluded, part0 = _secluded(idx), idx.sides[0]
     pools = [secluded & (part0 if witness.part(s) == 0 else ~part0) for s in base]
     for _ in range(50):
         chosen, blocked = [], 0

@@ -254,8 +254,7 @@ def _build_parser():
     q.add_argument("--with-b", action="store_true")  # cl only
     p.set_defaults(fn=_cmd_witness)
 
-    p = sub.add_parser("grow", parents=[common],
-                       help="seeded growth by free amalgamation")
+    p = sub.add_parser("grow", help="seeded growth by free amalgamation")
     p.add_argument("seedfile")
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True,
@@ -271,7 +270,7 @@ def _build_parser():
     p.add_argument("--thick", action="store_true")
     p.set_defaults(fn=_cmd_verify_ngon)
 
-    p = sub.add_parser("aut", parents=[common], help="automorphism group")
+    p = sub.add_parser("aut", help="automorphism group")
     p.add_argument("file")
     p.add_argument("--type-preserving", action="store_true")
     p.set_defaults(fn=_cmd_aut)

@@ -4,10 +4,10 @@ paths, the generalized n-gon axioms, and the one backtracking matcher
 behind copies, configuration isomorphism and automorphisms (`_matches`).
 
 Vertices are opaque integers carrying a part label in {0, 1}.  All graphs
-are simple and every edge joins part 0 to part 1.  No operation mutates a
-graph; it only gains its bitset index (`_index`, with the 2-core), built
-on first use for BFS by balls, the min-cuts, the cycle walk (in the
-2-core), the pair and site searches, and left out of == and hash.
+are simple and every edge joins part 0 to part 1.  The adjacency is the
+bitset index (`_index`, with the 2-core) built with the graph, for the
+accessors, BFS by balls, min-cuts, the cycle walk (in the 2-core), the
+matcher and the pair and site searches; == and hash leave it out.
 """
 
 import math
@@ -45,7 +45,6 @@ class BipartiteGraph:
             self._part[v] = p
         self.vertices = frozenset(self._part)
         norm = set()
-        adj = {v: set() for v in self.vertices}
         for u, v in edges:
             if u not in self._part or v not in self._part:
                 raise GraphError("edge (%r, %r) has an unknown endpoint" % (u, v))
@@ -54,56 +53,45 @@ class BipartiteGraph:
             if self._part[u] == self._part[v]:
                 raise GraphError(
                     "edge (%r, %r) joins two vertices of part %d" % (u, v, self._part[u]))
-            e = (u, v) if u < v else (v, u)
-            norm.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+            norm.add((u, v) if u < v else (v, u))
         self.edges = frozenset(norm)
-        self._adj = {v: frozenset(ns) for v, ns in adj.items()}
         self.subsets = {}
         for name, ids in dict(subsets or {}).items():
             members = frozenset(ids)
             if not members <= self.vertices:
                 raise GraphError("subset %r mentions unknown vertices" % (name,))
             self.subsets[name] = members
-        # set here: a new attribute later on slows every attribute read
-        self._idx = None
-
-    @property
-    def _index(self):
-        if self._idx is None:
-            self._idx = _Index(self)
-        return self._idx
+        self._index = _Index(self)
 
     def part(self, v):
+        return self._index.sides[1] >> self._position(v) & 1
+
+    def _position(self, v):
         try:
-            return self._part[v]
+            return self._index.pos[v]
         except KeyError:
             raise GraphError("unknown vertex id %r" % (v,)) from None
 
     def neighbors(self, v):
-        try:
-            return self._adj[v]
-        except KeyError:
-            raise GraphError("unknown vertex id %r" % (v,)) from None
+        return self._index.members(self._index.adj[self._position(v)])
 
     def degree(self, v):
-        return len(self.neighbors(v))
+        return self._index.deg[self._position(v)]
 
     def has_edge(self, u, v):
-        return v in self.neighbors(u)
+        row, q = self._index.adj[self._position(u)], self._index.pos.get(v)
+        return q is not None and row >> q & 1 == 1
 
     def edge_count(self, a, b=None):
         """The number of edges inside a; with b, of edges with one end in a
-        and the other in b, each once (also those inside a & b)."""
-        a = frozenset(a)
-        if b is None:
-            return sum(len(self._adj[v] & a) for v in a if v in self._adj) // 2
-        b = frozenset(b)
+        and the other in b, each once (also those inside a & b).  Ids that
+        are not vertices are ignored."""
+        idx = self._index
+        a = idx.mask(self.vertices.intersection(a))
+        b = a if b is None else idx.mask(self.vertices.intersection(b))
         # pairs (u, v) with u in a and v in b count an edge inside a & b
         # twice
-        return (sum(len(self._adj[u] & b) for u in a if u in self._adj)
-                - self.edge_count(a & b))
+        return sum((idx.adj[p] & b).bit_count() for p in _bits(a)) - idx.edges(a & b)
 
     def check_subset(self, members):
         members = frozenset(members)
@@ -113,7 +101,7 @@ class BipartiteGraph:
         return members
 
     def part_vertices(self, p):
-        return frozenset(v for v in self.vertices if self._part[v] == p)
+        return self._index.members(self._index.sides[p] if p in (0, 1) else 0)
 
     def __len__(self):
         return len(self.vertices)
@@ -135,9 +123,9 @@ class BipartiteGraph:
 class _Index:
     """Sorted vertices, their positions, and per position the adjacency
     bitmask (bit j for a neighbour at position j) and the degree; below[t]
-    masks the vertices of degree below t (t <= 3), `core` the 2-core, built
-    on first use.  A vertex set is a mask over these positions.  `cuts`,
-    `zero_floor` and `parts` hold the state of `predimension._near`."""
+    masks the vertices of degree below t (t <= 3), `sides` the two parts,
+    `core` the 2-core.  A vertex set is a mask over these positions.
+    `cuts`, `zero_floor` and `parts` hold the state of `predimension._near`."""
 
     def __init__(self, g):
         self.verts = tuple(sorted(g.vertices))
@@ -150,17 +138,21 @@ class _Index:
         self.deg = deg = [m.bit_count() for m in adj]
         self.below = [0] + [sum(1 << i for i, d in enumerate(deg) if d < t)
                             for t in (1, 2, 3)]
-        self._core = None
+        part0 = sum(1 << i for i, v in enumerate(self.verts) if g._part[v] == 0)
+        self.sides = (part0, self.full & ~part0)
+        self.core = _peel(self, self.full, 0, 2, _union(adj, self.below[2]))
         self.cuts, self.zero_floor, self.parts = 0, None, None
-
-    @property
-    def core(self):
-        if self._core is None:
-            self._core = _peel(self, self.full, 0, 2, _union(self.adj, self.below[2]))
-        return self._core
 
     def mask(self, vertices):
         return sum(1 << self.pos[v] for v in vertices)
+
+    def members(self, m):
+        """The vertex ids of the mask m."""
+        return frozenset(map(self.verts.__getitem__, _bits(m)))
+
+    def edges(self, m):
+        """The number of edges inside the mask m."""
+        return sum((self.adj[p] & m).bit_count() for p in _bits(m)) // 2
 
 
 def _bits(m):
@@ -314,10 +306,9 @@ def is_generalized_ngon(g, thick=False, roots=None):
             far = idx.full & ~balls[-1] or balls[-1] & ~balls[balls.index(balls[-1]) - 1]
             return False, "diameter is %s, expected %d (witness pair %s)" % (
                 diameter(g), n, (v, idx.verts[(far & -far).bit_length() - 1]))
-    if thick:
-        for v in sorted(g.vertices):
-            if g.degree(v) < 3:
-                return False, "vertex %d has valency %d < 3" % (v, g.degree(v))
+    if thick and idx.below[3]:  # the least vertex of valency < 3
+        p = (idx.below[3] & -idx.below[3]).bit_length() - 1
+        return False, "vertex %d has valency %d < 3" % (idx.verts[p], idx.deg[p])
     return True, None
 
 
@@ -395,60 +386,69 @@ def ordered_cycles(g, length, start_part=None):
 def simple_paths(g, length, start=None):
     """All ordered simple paths (x_0, ..., x_length) in g, in lexicographic
     order; with `start` (a vertex set), only those with x_0 in it."""
-    out = []
-    for v in sorted(g.vertices if start is None else g.check_subset(start)):
-        stack = [((v,), frozenset((v,)))]
+    if length < 0:
+        raise GraphError("path length must be nonnegative, got %r" % (length,))
+    idx, out = g._index, []
+    adj, verts = idx.adj, idx.verts
+    for v in _bits(idx.full if start is None else idx.mask(g.check_subset(start))):
+        stack = [((verts[v],), 1 << v)]
         while stack:
             path, seen = stack.pop()
             if len(path) == length + 1:
                 out.append(path)
                 continue
-            for w in sorted(g.neighbors(path[-1]), reverse=True):
-                if w not in seen:
-                    stack.append((path + (w,), seen | {w}))
+            m = adj[idx.pos[path[-1]]] & ~seen
+            while m:  # the highest first, so that the stack pops the least
+                w = m.bit_length() - 1
+                stack.append((path + (verts[w],), seen | 1 << w))
+                m ^= 1 << w
     return out
 
 
-def _matches(g1, g2, dom, allowed=None, pinned=()):
-    """Yield every injective map f of `dom` into g2 that extends the
-    `pinned` pairs, keeps adjacency and non-adjacency between any two
-    mapped vertices and sends each v into allowed(v) (default: anywhere).
+def _matches(g1, g2, dom, allowed=None, fixed=0):
+    """Yield every injective map f of the positions in the mask `dom` into
+    those of g2 that fixes the mask `fixed` (g1 being g2), keeps adjacency
+    and non-adjacency between any two mapped positions and sends each p
+    into the mask allowed(p) (default: anywhere), as a dict of positions.
 
     The order is connected where it can be: next comes the smallest
-    vertex with a mapped neighbour, else the smallest one left, and a
-    vertex with a mapped neighbour u only tries the neighbours of f(u).
+    position with a mapped neighbour, else the smallest one left, and a
+    position with a mapped neighbour u only tries the neighbours of f(u).
     The yielded dict is reused by the search; copy what you keep.
     """
-    f = dict(pinned)
-    order, placed, left = [], set(f), set(dom) - set(f)
-    while left:
-        v = min([u for u in left if not placed.isdisjoint(g1.neighbors(u))]
-                or left)
-        order.append(v)
-        placed.add(v)
-        left.discard(v)
-    return _extend_match(g1, g2, allowed, order, f, set(f.values()), 0)
+    adj, full, plan = g1._index.adj, g2._index.full, []
+    placed, reach = fixed, _union(adj, fixed)
+    while left := dom & ~placed:
+        pick = left & reach or left
+        p = (pick & -pick).bit_length() - 1
+        plan.append((p, _bits(adj[p] & placed), allowed(p) if allowed else full))
+        placed |= 1 << p
+        reach |= adj[p]
+    return _extend_match(g2._index.adj, plan, {p: p for p in _bits(fixed)}, fixed, 0)
 
 
-def _extend_match(g1, g2, allowed, order, f, images, i):
-    """The search of `_matches` from order[i] on, in the caller's order:
-    `f` holds the maps of order[:i] and `images` their images.  (A
-    recursive closure would leave a reference cycle behind every call.)"""
-    if i == len(order):
+def _extend_match(adj, plan, f, images, i):
+    """The search of `_matches` from plan[i] on, given the target's masks
+    `adj` and per step (position, earlier neighbours, allowed images):
+    `f` maps the positions placed before it and `images` masks their
+    images.  (A recursive closure would leave a reference cycle behind.)"""
+    if i == len(plan):
         yield f
         return
-    v = order[i]
-    want = {f[u] for u in g1.neighbors(v) if u in f}
-    pool = g2.neighbors(min(want)) if want else g2.vertices
-    if allowed is not None:
-        pool = pool & allowed(v)
-    for c in sorted(pool - images):
-        if g2.neighbors(c) & images == want:
+    v, links, pool = plan[i]
+    want = 0
+    for u in links:
+        want |= 1 << f[u]
+        pool &= adj[f[u]]
+    pool &= ~images
+    while pool:
+        low = pool & -pool
+        pool ^= low
+        c = low.bit_length() - 1
+        if adj[c] & images == want:
             f[v] = c
-            images.add(c)
-            yield from _extend_match(g1, g2, allowed, order, f, images, i + 1)
+            yield from _extend_match(adj, plan, f, images | low, i + 1)
             del f[v]
-            images.discard(c)
 
 
 def connected_components(g, within=None):
@@ -456,8 +456,7 @@ def connected_components(g, within=None):
     idx = g._index
     within = idx.full if within is None else idx.mask(g.check_subset(within))
     # in order of least vertex: a component first shows at its least position
-    return [frozenset(map(idx.verts.__getitem__, _bits(comp)))
-            for comp in dict.fromkeys(_components(idx.adj, within)) if comp]
+    return [idx.members(comp) for comp in dict.fromkeys(_components(idx.adj, within)) if comp]
 
 
 def is_connected(g, within=None):

@@ -18,8 +18,8 @@ G-orbit is tested, and transitivity on ordered cycles is counted.
 from collections import Counter
 from math import inf, perm, prod
 
-from .graph import (GraphError, is_generalized_ngon, simple_paths, _canonical,
-                    _cycles, _extend_match, _matches)
+from .graph import (GraphError, is_generalized_ngon, simple_paths, _bits, _canonical,
+                    _cycles, _extend_match, _union)
 
 
 def _compose(p, q):
@@ -176,17 +176,15 @@ def _schreier_sims(degree, gens, base, order=None):
     return levels
 
 
-def _refine_colours(g, colours):
-    """Equitable refinement: split classes by the multiset of neighbour
-    colours until stable.  Colours are canonical (sorted signatures), so
-    they are isomorphism-invariant."""
+def _refine_colours(adj, colours):
+    """Equitable refinement over the masks `adj`: split classes by the
+    multiset of neighbour colours until stable.  Colours are canonical
+    (sorted signatures), so they are isomorphism-invariant."""
     while True:
-        sig = {}
-        for v in g.vertices:
-            nb = tuple(sorted(Counter(colours[w] for w in g.neighbors(v)).items()))
-            sig[v] = (colours[v], nb)
-        palette = {s: i for i, s in enumerate(sorted(set(sig.values())))}
-        new = {v: palette[sig[v]] for v in g.vertices}
+        sig = [(c, tuple(sorted(Counter(map(colours.__getitem__, _bits(m))).items())))
+               for c, m in zip(colours, adj)]
+        palette = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [palette[s] for s in sig]
         if new == colours:
             return colours
         colours = new
@@ -211,47 +209,47 @@ def automorphism_group(g, type_preserving=True):
     level 0 the whole group, of order the product of those orbit sizes.
     Each one moves order[i] out of the orbit of the ones before it.
     """
-    verts = sorted(g.vertices)
-    colours = {v: (g.part(v) if type_preserving else 0, len(g.neighbors(v)))
-               for v in verts}
-    palette = {c: i for i, c in enumerate(sorted(set(colours.values())))}
-    colours = _refine_colours(g, {v: palette[colours[v]] for v in verts})
+    idx = g._index
+    adj, verts = idx.adj, idx.verts
+    colours = [(g.part(v) if type_preserving else 0, d) for v, d in zip(verts, idx.deg)]
+    palette = {c: i for i, c in enumerate(sorted(set(colours)))}
+    colours = _refine_colours(adj, [palette[c] for c in colours])
     by_colour = {}
-    for v in verts:
-        by_colour.setdefault(colours[v], set()).add(v)
-    cls = {v: c for c in map(frozenset, by_colour.values()) for v in c}
-    allowed = cls.__getitem__  # the images of v keep its colour
+    for p, c in enumerate(colours):
+        by_colour[c] = by_colour.get(c, 0) | 1 << p
+    cls = [by_colour[c] for c in colours]  # the images of p keep its colour
     # start at a most constrained vertex, then stay connected: a vertex
     # with a mapped neighbour has at most degree-many candidate images
-    order, placed = [], set()
-    while len(order) < len(verts):
-        pool = [v for v in verts if v not in placed]
-        anchored = [v for v in pool if g.neighbors(v) & placed]
-        if anchored:
-            nxt = max(anchored,
-                      key=lambda v: (len(g.neighbors(v) & placed),
-                                     -len(cls[v]), -v))
+    plan, placed, reach = [], 0, 0  # the matcher's steps, as in `graph._matches`
+    while left := idx.full & ~placed:
+        if anchored := reach & left:
+            nxt = max(_bits(anchored), key=lambda p: (
+                (adj[p] & placed).bit_count(), -cls[p].bit_count(), -p))
         else:
-            nxt = min(pool, key=lambda v: (len(cls[v]), colours[v], v))
-        order.append(nxt)
-        placed.add(nxt)
+            nxt = min(_bits(left), key=lambda p: (cls[p].bit_count(), colours[p], p))
+        plan.append((nxt, _bits(adj[nxt] & placed), cls[nxt]))
+        placed |= 1 << nxt
+        reach |= adj[nxt]
 
     gens, size = [], 1
-    cell = {v: {v} for v in verts}  # the orbits of the generators found
-    for i in reversed(range(len(order))):
-        v = order[i]
-        fixed = {u: u for u in order[:i]}
-        for w in [f[v] for f in _matches(g, g, (v,), allowed, fixed)]:
-            if w not in cell[v]:
-                found = next(_extend_match(g, g, allowed, order, {**fixed, v: w},
-                                           {*fixed, w}, i + 1), None)
+    cell = [1 << p for p in range(len(verts))]  # the orbits of the generators found
+    fixed = {p: p for p in range(len(verts))}
+    for i in reversed(range(len(plan))):
+        v = plan[i][0]
+        del fixed[v]  # fixed and placed hold the positions of plan[:i]
+        placed ^= 1 << v
+        for w in [f[v] for f in _extend_match(adj, plan[:i + 1], fixed, placed, i)]:
+            if not cell[v] >> w & 1:
+                found = next(_extend_match(adj, plan, {**fixed, v: w}, placed | 1 << w,
+                                           i + 1), None)
                 if found is not None:
-                    gens.append(dict(found))
-                    for one, other in gens[-1].items():  # merge their cells
-                        if cell[one] is not cell[other]:
+                    gens.append({verts[p]: verts[q] for p, q in found.items()})
+                    for one, other in found.items():  # merge their cells
+                        if cell[one] != cell[other]:
                             merged = cell[one] | cell[other]
-                            cell.update(dict.fromkeys(merged, merged))
-        size *= len(cell[v])
+                            for p in _bits(merged):
+                                cell[p] = merged
+        size *= cell[v].bit_count()
     grp = PermGroup(verts, gens)
     grp._order = size
     for p in grp.generators:
@@ -260,10 +258,11 @@ def automorphism_group(g, type_preserving=True):
 
 
 def _check_automorphism(g, p, type_preserving):
-    for (u, v) in g.edges:
-        if not g.has_edge(p[u], p[v]):
-            raise GraphError("generator does not preserve adjacency")
-    if type_preserving and any(g.part(p[v]) != g.part(v) for v in g.vertices):
+    idx = g._index
+    image = [1 << idx.pos[p[v]] for v in idx.verts]
+    if any(_union(image, m) != idx.adj[idx.pos[p[v]]] for v, m in zip(idx.verts, idx.adj)):
+        raise GraphError("generator does not preserve adjacency")
+    if type_preserving and _union(image, idx.sides[0]) != idx.sides[0]:
         raise GraphError("generator does not preserve parts")
 
 
@@ -304,8 +303,8 @@ def _first_failing_path(g, grp, moufang):
     for x in _require(g, grp):
         covered = set()
         for path in simple_paths(g, g.n, (x,)):
-            targets = g.neighbors(path[-1]) - {path[-2]}
-            if path in covered or not targets:
+            targets = () if path in covered else g.neighbors(path[-1]) - {path[-2]}
+            if not targets:
                 continue
             # with moufang set, the union contains the path: fix the rest too
             union = set(path).union(*(g.neighbors(y) for y in path[1:-1] if moufang))

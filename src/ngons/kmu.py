@@ -24,7 +24,7 @@ from typing import Optional
 
 from .graph import GraphError, _bits, _cycles, _matches
 from . import io as gio
-from .predimension import delta, is_strong, _hull_cut
+from .predimension import delta, is_strong, _delta, _hull_cut
 from .witnesses import make_path
 from .zeroalg import default_body_cap, _require_disjoint, _zero_min_pairs
 
@@ -126,19 +126,18 @@ def find_copies(g, base, body):
     given body.  Returns a set of frozensets; the body itself is one of
     them."""
     base, body = _require_disjoint(g, base, body)
-    return {frozenset(f[b] for b in body)
-            for f in _matches(g, g, body, pinned={a: a for a in base})}
+    bits, verts = _bits(body), g._index.verts
+    return {frozenset(verts[f[p]] for p in bits) for f in _matches(g, g, body, fixed=base)}
 
 
 def copies_equivalent(g, base, body1, body2):
     """Are two bodies copies of each other over the pointwise-fixed base?
     True iff some bijection body1 -> body2 preserves induced adjacency and
     the exact base neighbourhood of every vertex."""
-    base, body1 = _require_disjoint(g, base, body1)
-    base, body2 = _require_disjoint(g, base, body2)
-    return len(body1) == len(body2) and next(
-        _matches(g, g, body1, lambda v: body2, pinned={a: a for a in base}),
-        None) is not None
+    fixed, body1 = _require_disjoint(g, base, body1)
+    fixed, body2 = _require_disjoint(g, base, body2)
+    return body1.bit_count() == body2.bit_count() and next(
+        _matches(g, g, body1, lambda p: body2, fixed), None) is not None
 
 
 def pairs_isomorphic(g1, base1, body1, g2, base2, body2):
@@ -146,11 +145,11 @@ def pairs_isomorphic(g1, base1, body1, g2, base2, body2):
     base2+body2 mapping base onto base and preserving induced adjacency."""
     base1, body1 = _require_disjoint(g1, base1, body1)
     base2, body2 = _require_disjoint(g2, base2, body2)
-    if g1.n != g2.n or len(base1) != len(base2) or len(body1) != len(body2):
+    if g1.n != g2.n or (base1.bit_count(), body1.bit_count()) != (
+            base2.bit_count(), body2.bit_count()):
         return False
-    return next(_matches(g1, g2, {*base1, *body1},
-                         lambda v: base2 if v in base1 else body2),
-                None) is not None
+    return next(_matches(g1, g2, base1 | body1,
+                         lambda p: base2 if base1 >> p & 1 else body2), None) is not None
 
 
 def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
@@ -182,10 +181,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     idx, new, nmask = g._index, g.vertices, g._index.full
     if member_base is not None:
         nmask = idx.mask(new := g.vertices - g.check_subset(member_base))
-        # delta(member_base) = delta(g) - delta(new / member_base); summing
-        # 2 deg(v) - e(v, new) over the new v counts each edge at one twice
-        twice = sum(2 * idx.deg[p] - (idx.adj[p] & nmask).bit_count() for p in _bits(nmask))
-        old = (n - 1) * (len(g) - len(new)) - (n - 2) * (len(g.edges) - twice // 2)
+        old = _delta(g, idx.full & ~nmask)
         if _hull_cut(g, idx.full & ~nmask, idx.full, old, delta_a=old)[0] < old:
             raise GraphError("member_base is not strongly embedded; violator %s"
                              % sorted(is_strong(g, member_base)[1]))

@@ -28,8 +28,12 @@ from .graph import GraphError, _bits, _components, _peel, _union
 
 def delta(g, a):
     """(n-1)|A| - (n-2) e(A)."""
-    a = g.check_subset(a)
-    return (g.n - 1) * len(a) - (g.n - 2) * g.edge_count(a)
+    return _delta(g, g._index.mask(g.check_subset(a)))
+
+
+def _delta(g, m):
+    """delta of the vertex set with the mask m over the graph's index."""
+    return (g.n - 1) * m.bit_count() - (g.n - 2) * g._index.edges(m)
 
 
 def delta_rel(g, a, b):
@@ -156,8 +160,7 @@ def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None, delta_a=None):
     weights = [2 * (n - 1) - (n - 2) * (2 * (adj[p] & amask).bit_count()
                                         + (adj[p] & free).bit_count()) for p in hull]
     offered = -sum(w for w in weights if w < 0)
-    value = delta_a if delta_a is not None else (n - 1) * amask.bit_count() - (
-        n - 2) * sum((adj[p] & amask).bit_count() for p in _bits(amask)) // 2
+    value = _delta(g, amask) if delta_a is None else delta_a
     if not hull or value - offered // 2 >= enough:
         return value - offered // 2, 0, None, hull
     node = {p: k for k, p in enumerate(hull)}
@@ -192,7 +195,7 @@ def _near(g, amask, t):
     if idx.cuts < 2:
         return idx.full
     if idx.zero_floor is None:
-        idx.zero_floor = _hull_cut(g, 0, idx.full, 0, delta_a=0)[0] >= 0
+        idx.zero_floor = _hull_cut(g, 0, idx.full, 0)[0] >= 0
         if idx.zero_floor:
             idx.parts = _components(idx.adj, idx.full & ~idx.below[t])
     if not idx.zero_floor:

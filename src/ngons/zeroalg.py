@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import chain, combinations
 
 from .graph import GraphError, _balls, _bits, _peel, _union
-from .predimension import _cut_network, delta_rel
+from .predimension import _cut_network, _delta
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,11 @@ class ZeroAlgebraicPair:
 
 
 def _require_disjoint(g, base, body):
+    """The masks of base and body, disjoint vertex sets of g."""
     base, body = g.check_subset(base), g.check_subset(body)
     if base & body:
         raise GraphError("base and body must be disjoint, share %s" % sorted(base & body))
-    return base, body
+    return g._index.mask(base), g._index.mask(body)
 
 
 def _shape(adj, body):
@@ -47,15 +48,16 @@ def _touched_base(g, base, body):
     """If the body is 0-algebraic over `base`, the base vertices with an
     edge into it, over which it is 0-minimally algebraic; else None."""
     base, body = _require_disjoint(g, base, body)
-    if not body or delta_rel(g, body, base) != 0:
+    if not body or _delta(g, base | body) != _delta(g, base):
         return None
-    touched = frozenset(a for a in base if g.neighbors(a) & body)
-    counts = [len(g.neighbors(v) & base) for v in sorted(body)]
+    idx = g._index
+    touched = idx.members(base & _union(idx.adj, body))
+    counts = [(idx.adj[p] & base).bit_count() for p in _bits(body)]
     # a vertex v with two base edges has delta({v}/A) <= 3 - n <= 0, so
     # the body is 0-algebraic only if it is {v}
     if max(counts) > 1:
-        return touched if len(body) == 1 else None
-    _, adj = _shape(g._index.adj, g._index.mask(body))
+        return touched if body.bit_count() == 1 else None
+    _, adj = _shape(idx.adj, body)
     used = sum(1 << i for i, c in enumerate(counts) if c)
     return touched if _zero_algebraic(g.n, adj, used) else None
 
@@ -81,10 +83,10 @@ def is_zero_minimally_algebraic(g, base, body):
 
 def degree_identity_check(g, base, body):
     """The edge-count identity |B|(n-1) = (n-2)(e(B) + e(B,A)) that every
-    0-algebraic pair satisfies."""
+    0-algebraic pair satisfies: delta(B/A) = 0, as e(A + B) = e(A) + e(B)
+    + e(B,A) for disjoint A and B."""
     base, body = _require_disjoint(g, base, body)
-    n = g.n
-    return len(body) * (n - 1) == (n - 2) * (g.edge_count(body) + g.edge_count(body, base))
+    return _delta(g, base | body) == _delta(g, base)
 
 
 def default_body_cap(n):
@@ -100,10 +102,8 @@ def enumerate_zero_min_pairs(g, max_body=None, around=None):
     or body meets it are returned; the search is pruned accordingly."""
     idx, cap = g._index, default_body_cap(g.n) if max_body is None else max_body
     amask = idx.full if around is None else idx.mask(g.check_subset(around))
-    verts = idx.verts.__getitem__
-    return [ZeroAlgebraicPair(frozenset(map(verts, a)), frozenset(map(verts, b)))
-            for b, a in sorted((_bits(b), _bits(a))
-                               for a, b in _zero_min_pairs(g, cap, amask))]
+    return [ZeroAlgebraicPair(idx.members(a), idx.members(b)) for a, b in sorted(
+        _zero_min_pairs(g, cap, amask), key=lambda pair: (_bits(pair[1]), _bits(pair[0])))]
 
 
 def _zero_min_pairs(g, cap, amask, shared=False):

@@ -199,6 +199,14 @@ def test_witness_has_no_format_option(capsys):
     assert run(capsys, "witness", "cycle", "3", "8", "--format", "plain")[0] == 2
 
 
+def test_aut_and_grow_take_no_format_option(capsys, fano_file, cyc8_file, tmp_path):
+    """`aut` and `grow` never print through --format, so they reject it."""
+    out = str(tmp_path / "g.txt")
+    assert run(capsys, "aut", fano_file, "--format", "plain")[0] == 2
+    assert run(capsys, "grow", cyc8_file, "--steps", "1", "--seed", "1", "-o", out,
+               "--format", "plain")[0] == 2
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"])
 def test_closed_stdout_exits_1_without_traceback(fano_file, unbuffered):
     """A reader that closes stdout before the command writes (as `head`

@@ -29,19 +29,20 @@ def test_construction_validation():
 
 def test_bitset_index_built_once_and_invisible(monkeypatch):
     """Every min-cut and pair search on one graph shares one bitset
-    index, built on first use; building it changes neither ==, hash nor
-    the text format, and the index agrees with the adjacency."""
-    built = 0
+    index, built with the graph; no query builds another, and the index
+    changes neither ==, hash nor the text format and agrees with the
+    adjacency."""
+    built = []
     real = graph_module._Index.__init__
 
     def counting(self, g):
-        nonlocal built
-        built += 1
+        built.append(g)
         real(self, g)
 
     monkeypatch.setattr(graph_module._Index, "__init__", counting)
     g = ngons.make_cl_witness(3, 2)
     twin = ngons.make_cl_witness(3, 2)
+    index = g._index
     before = (hash(g), format_graph(g))
     a = frozenset(sorted(g.vertices)[:3])
     ngons.d_min(g, a)
@@ -50,11 +51,11 @@ def test_bitset_index_built_once_and_invisible(monkeypatch):
     ngons.acl_relative(g, a)
     ngons.enumerate_zero_min_pairs(g)
     assert ngons.in_class(g)[0]
-    assert built == 1
-    index = g._index
-    assert index is g._index and built == 1
+    # one index per graph built (the queries may build graphs of their own)
+    assert index is g._index and sum(h is g for h in built) == 1
+    assert len(set(map(id, built))) == len(built)
     assert (hash(g), format_graph(g)) == before
-    assert g == twin and hash(g) == hash(twin) and twin._idx is None
+    assert g == twin and hash(g) == hash(twin)
     assert index.verts == tuple(sorted(g.vertices))
     def members(m):
         return frozenset(v for i, v in enumerate(index.verts) if m >> i & 1)
@@ -66,6 +67,47 @@ def test_bitset_index_built_once_and_invisible(monkeypatch):
                                        if g.degree(v) < 3}
     assert members(index.full) == g.vertices
     assert members(index.mask(a)) == a
+
+
+def test_accessors_match_edge_list_reference(small_graphs, fano, gq22, pg23,
+                                              grow_outputs):
+    """neighbors, degree, has_edge, edge_count (one set and two) and
+    part_vertices, which read the bitset index, agree with a reference
+    built from g.edges on every vertex and pair and on random sets."""
+    rng = random.Random(20261020)
+    graphs = small_graphs + [fano, gq22, pg23] + [g for g, _ in grow_outputs.values()]
+    for g in graphs:
+        ref = {v: set() for v in g.vertices}
+        for u, v in g.edges:
+            ref[u].add(v)
+            ref[v].add(u)
+        verts = sorted(g.vertices)
+        for v in verts:
+            assert g.neighbors(v) == ref[v] and isinstance(g.neighbors(v), frozenset)
+            assert g.degree(v) == len(ref[v])
+        for u in verts[:12]:
+            assert all(g.has_edge(u, v) is (v in ref[u]) for v in verts)
+        for p in (0, 1):
+            assert g.part_vertices(p) == {v for v in verts if g.part(v) == p}
+        for _ in range(10):
+            a = set(rng.sample(verts, rng.randrange(len(verts) + 1)))
+            b = set(rng.sample(verts, rng.randrange(len(verts) + 1)))
+            assert g.edge_count(a) == sum(1 for u, v in g.edges if u in a and v in a)
+            assert g.edge_count(a, b) == sum(
+                1 for u, v in g.edges if (u in a and v in b) or (u in b and v in a))
+
+
+def test_accessors_on_unknown_ids():
+    """An unknown second id of has_edge is no edge, an unknown first id
+    raises, and edge_count ignores ids that are not vertices."""
+    g = make_path(3, 2)  # 0 - 1 - 2
+    assert g.has_edge(0, 99) is False
+    for call in (lambda: g.has_edge(99, 0), lambda: g.neighbors(99),
+                 lambda: g.degree(99)):
+        with pytest.raises(GraphError):
+            call()
+    assert g.edge_count({0, 1, 99}) == 1
+    assert g.edge_count({0, 99}, {1, 98}) == 1
 
 
 def test_edge_normalisation_and_counting():
@@ -429,6 +471,15 @@ def test_simple_paths():
     assert len(simple_paths(g, 3)) == 12  # 6 starts x 2 directions
     for p in simple_paths(g, 3):
         assert len(set(p)) == 4
+
+
+def test_simple_paths_refuse_a_negative_length(gq22):
+    """A negative length is refused at once, as `make_path` refuses it,
+    instead of walking every simple path and returning []."""
+    for length in (-1, -5):
+        with pytest.raises(GraphError):
+            simple_paths(gq22, length, {0})
+    assert simple_paths(gq22, 0, {0}) == [(0,)]
 
 
 def test_simple_paths_start_matches_filtered(fano, gq22, grow_outputs):

@@ -252,18 +252,7 @@ def automorphism_group(g, type_preserving=True):
         size *= cell[v].bit_count()
     grp = PermGroup(verts, gens)
     grp._order = size
-    for p in grp.generators:
-        _check_automorphism(g, p, type_preserving)
     return grp
-
-
-def _check_automorphism(g, p, type_preserving):
-    idx = g._index
-    image = [1 << idx.pos[p[v]] for v in idx.verts]
-    if any(_union(image, m) != idx.adj[idx.pos[p[v]]] for v, m in zip(idx.verts, idx.adj)):
-        raise GraphError("generator does not preserve adjacency")
-    if type_preserving and _union(image, idx.sides[0]) != idx.sides[0]:
-        raise GraphError("generator does not preserve parts")
 
 
 def _require(g, grp, ngon=True):
@@ -277,8 +266,11 @@ def _require(g, grp, ngon=True):
         return orbits
     if grp.domain != tuple(sorted(g.vertices)):
         raise GraphError("the group does not act on the graph's vertex set")
+    idx = g._index
     for p in grp.generators:
-        _check_automorphism(g, p, type_preserving=False)
+        image = [1 << idx.pos[p[v]] for v in idx.verts]
+        if any(_union(image, m) != idx.adj[idx.pos[p[v]]] for v, m in zip(idx.verts, idx.adj)):
+            raise GraphError("generator does not preserve adjacency")
     orbits, seen = {}, set()
     for v in grp.domain:
         if v not in seen:

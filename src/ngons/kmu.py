@@ -167,10 +167,11 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     copy count that grew involves a new vertex.
 
     Conditions 1 and 2 read each cycle's mask off one walk of half-length
-    paths (`graph._cycles`); condition 2 runs a min-cut only where the
-    weight bound of `predimension._hull_cut` leaves d(C) possibly below
-    2n+2; condition 3 walks only the bodies that `zeroalg._shared_bodies`
-    keeps, and skips a base that meets the new vertices with one body.
+    paths (`graph._cycles`); condition 2 adds delta(C) to the relative
+    minimum of `predimension._hull_cut` and runs a min-cut only where its
+    weight bound leaves d(C) possibly below 2n+2; condition 3 walks only
+    the bodies that `zeroalg._shared_bodies` keeps, and skips a base that
+    meets the new vertices with one body.
     The cut of a cycle C peels only near C (`predimension._near`).
     """
     n, mu = g.n, default_mu(g.n) if mu is None else mu
@@ -181,8 +182,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     idx, new, nmask = g._index, g.vertices, g._index.full
     if member_base is not None:
         nmask = idx.mask(new := g.vertices - g.check_subset(member_base))
-        old = _delta(g, idx.full & ~nmask)
-        if _hull_cut(g, idx.full & ~nmask, idx.full, old, delta_a=old)[0] < old:
+        if _hull_cut(g, idx.full & ~nmask, idx.full, 0)[0] < 0:
             raise GraphError("member_base is not strongly embedded; violator %s"
                              % sorted(is_strong(g, member_base)[1]))
 
@@ -194,11 +194,12 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
             reports.append(ViolationReport("short_cycle", tuple(
                 idx.verts[p] for p in _bits(cmask)), len(cyc), 2 * n))
             continue
-        value, x, _, _ = _hull_cut(g, cmask, None, floor)
-        if value < floor and (w := cmask | x) not in seen_minimisers:
+        dc = _delta(g, cmask)
+        value, x, _, _ = _hull_cut(g, cmask, None, floor - dc)
+        if dc + value < floor and (w := cmask | x) not in seen_minimisers:
             seen_minimisers.add(w)
             reports.append(ViolationReport("long_cycle_low_delta", tuple(
-                idx.verts[p] for p in _bits(w)), value, floor))
+                idx.verts[p] for p in _bits(w)), dc + value, floor))
 
     # Condition 3.  A class over a base meeting the new vertices is streamed
     # whole (`zeroalg._shared_bodies`) and counted by its size, a lone body

@@ -19,6 +19,12 @@ bitset index: ``_min_superset`` reads the smallest minimiser off it,
 residual network (all three by ``_Network.reach``).  Brute force over
 subsets cross-checks all in the tests.  The cuts over the whole graph
 peel only near A: see ``_near``.
+
+A cut reports delta relative to its set: min delta(S/A) = min delta(S) -
+delta(A) over A <= S <= ground, which its flow gives without summing
+delta(A) (see ``_min_superset``).  So ``is_strong`` compares it with 0;
+only ``d_min`` and condition 2 of ``kmu.in_class``, which need an
+absolute value, add delta(A) themselves.
 """
 
 import math
@@ -49,7 +55,8 @@ def is_strong(g, a, b=None):
     (ok, witness); on failure the witness is an inclusion-minimal
     violating set B'.
 
-    Minimising delta over A <= S <= B decides the question.  The
+    Minimising delta(S/A) over A <= S <= B (see the module docstring)
+    decides the question: it is negative iff A is not strong.  The
     smallest minimiser W then violates; it is shrunk by re-solving inside
     W - v for each v in W - A, replacing W whenever a violator remains.
     W only shrinks, so a vertex kept once stays necessary, and one pass
@@ -59,14 +66,13 @@ def is_strong(g, a, b=None):
     b = g.vertices if b is None else g.check_subset(b)
     if not a <= b:
         raise GraphError("is_strong requires A to be a subset of B")
-    base = delta(g, a)
-    value, w = _min_superset(g, a, b, base)
-    if value >= base:
+    value, w = _min_superset(g, a, b, 0)
+    if value >= 0:
         return True, None
     for v in sorted(w - a):
         if v in w:
             value, smaller = _min_superset(g, a, w - {v})
-            if value < base:
+            if value < 0:
                 w = smaller
     return False, w
 
@@ -133,23 +139,22 @@ def _cut_network(n, weights, edges):
     return net
 
 
-def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None, delta_a=None):
+def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None):
     """The max flow of `_min_superset` for A <= S <= ground (masks) on
     the hull F, ground - A peeled by `threshold` (default ceil(n/(n-2))):
-    (min delta, a mask of the smallest minimiser's vertices outside A,
-    network, F's positions; node 2 + k stands for F[k]).  A caller that
-    knows delta(A) passes it as `delta_a`; else it is summed over A.
-    Ground None, with the default threshold, is the whole graph peeled
-    from the region of `_near` only: the value and the smallest minimiser
-    stay, the largest does not.
+    (min delta(S/A), relative as in the module docstring, a mask of the
+    smallest minimiser's vertices outside A, network, F's positions; node
+    2 + k stands for F[k]).  Ground None, with the default threshold, is
+    the whole graph peeled from the region of `_near` only: the value and
+    the smallest minimiser stay, the largest does not.
 
     The weights bound the minimum before any arc is built: by the identity
     of `_min_superset`, whose edge term (n-2) e(X, F - X) is not negative,
     2 delta(A + X) - 2 delta(A) >= sum_X w(v) >= -offered, the total of
-    -w(v) over w(v) < 0.  As delta is an integer, min delta >= delta(A) -
-    floor(offered / 2), which is delta(A) itself on an empty hull.  There,
-    and whenever the bound reaches `enough`, it is returned as the value,
-    with no vertex outside A and no network.
+    -w(v) over w(v) < 0.  As delta is an integer, the minimum is
+    >= -floor(offered / 2), 0 on an empty hull.  There, and whenever the
+    bound reaches `enough`, it is returned as the value, with no vertex
+    outside A and no network.
     """
     n, idx = g.n, g._index
     adj, t = idx.adj, threshold or math.ceil(n / (n - 2))
@@ -160,14 +165,13 @@ def _hull_cut(g, amask, gmask, enough=math.inf, threshold=None, delta_a=None):
     weights = [2 * (n - 1) - (n - 2) * (2 * (adj[p] & amask).bit_count()
                                         + (adj[p] & free).bit_count()) for p in hull]
     offered = -sum(w for w in weights if w < 0)
-    value = _delta(g, amask) if delta_a is None else delta_a
-    if not hull or value - offered // 2 >= enough:
-        return value - offered // 2, 0, None, hull
+    if not hull or -(offered // 2) >= enough:
+        return -(offered // 2), 0, None, hull
     node = {p: k for k, p in enumerate(hull)}
     net = _cut_network(n, weights, ((node[q], k) for k, p in enumerate(hull)
                                     for q in _bits(adj[p] & free & ((1 << p) - 1))))
     cut, side = net.max_flow(0, 1)
-    return (value - (offered - cut) // 2,
+    return ((cut - offered) // 2,
             sum(1 << p for k, p in enumerate(hull) if 2 + k in side), net, hull)
 
 
@@ -209,9 +213,9 @@ def _near(g, amask, t):
 
 
 def _min_superset(g, a, ground, enough=math.inf):
-    """(min delta over A <= S <= ground, inclusion-smallest minimiser);
-    a value that the bound of `_hull_cut` puts at `enough` or above comes
-    with A alone.
+    """(min delta(S/A) over A <= S <= ground, relative as in the module
+    docstring, inclusion-smallest minimiser); a value that the bound of
+    `_hull_cut` puts at `enough` or above comes with A alone.
 
     delta is submodular, so the minimisers are closed under union and
     intersection, and the smallest one, W, lies in all of them.  Dropping
@@ -248,7 +252,7 @@ def d_min(g, a, within=None):
     ground = g.vertices if within is None else g.check_subset(within)
     if not a <= ground:
         raise GraphError("d_min requires A to be contained in the ground set")
-    return _min_superset(g, a, ground)[0]
+    return _delta(g, g._index.mask(a)) + _min_superset(g, a, ground)[0]
 
 
 def d_rel(g, b, a):

@@ -11,8 +11,8 @@ from ngons.graph import _canonical
 from ngons import (BipartiteGraph, GraphError, PermGroup, automorphism_group,
                    check_remark_2_2, fano_graph, format_cycles, gq22_graph,
                    is_generalized_ngon, is_moufang, is_strongly_transitive,
-                   make_cycle, make_path, ordered_cycles, projective_plane,
-                   simple_paths, stabilizer_transitivity_degree)
+                   make_cl_witness, make_cycle, make_path, ordered_cycles,
+                   projective_plane, simple_paths, stabilizer_transitivity_degree)
 
 
 @pytest.fixture(scope="module")
@@ -79,12 +79,20 @@ def test_classical_orders(fano, gq22, fano_grp, gq_grp):
     assert automorphism_group(gq22, type_preserving=False).order == 1440
 
 
-def test_generators_preserve_structure(fano, fano_grp):
-    for p in fano_grp.generators:
-        for (u, v) in fano.edges:
-            assert fano.has_edge(p[u], p[v])
-        for v in fano.vertices:
-            assert fano.part(p[v]) == fano.part(v)
+def test_generators_preserve_structure(fano, gq22, pg23):
+    """Every generator the search returns maps edges to edges, and keeps
+    the parts when type-preserving: `automorphism_group` does not re-check
+    them, so this test does, on polygons, witnesses and random graphs."""
+    rng = random.Random(20261021)
+    graphs = [fano, gq22, pg23, make_cycle(3, 12), make_cl_witness(3, 2)]
+    graphs += [random_bipartite(rng, 3, rng.randrange(6, 13), rng.uniform(0.2, 0.7))
+               for _ in range(10)]
+    for g in graphs:
+        for type_preserving in (True, False):
+            for p in automorphism_group(g, type_preserving).generators:
+                assert all(g.has_edge(p[u], p[v]) for (u, v) in g.edges)
+                if type_preserving:
+                    assert all(g.part(p[v]) == g.part(v) for v in g.vertices)
 
 
 def test_strong_transitivity(fano, gq22, fano_grp, gq_grp):

@@ -6,6 +6,7 @@ import pytest
 
 import ngons.graph
 import ngons.kmu
+import ngons.predimension
 from conftest import (MaskOracle, cycle_with_handles, double_path, line_counts,
                       random_bipartite)
 from ngons import (BipartiteGraph, GraphError, MuFunction, TEMPLATES,
@@ -313,9 +314,9 @@ def test_condition2_matches_brute_force():
                                       if oracle.delta[s] == d), key=int.bit_count)
                 values.add(d - bar)
                 chorded += d < bar and g.edge_count(c) > len(c)
-                value, _, net, hull = _hull_cut(g, idx.mask(c), idx.full, bar)
+                value, _, net, hull = _hull_cut(g, idx.mask(c), idx.full, bar - delta(g, c))
                 routes.add("empty hull" if not hull else "cleared" if net is None
-                           else "violation" if value < bar else "flow")
+                           else "violation" if delta(g, c) + value < bar else "flow")
             base = closure(g, rng.sample(sorted(g.vertices), len(g) // 2))
             assert oracle.is_strong(base)
             wants = []
@@ -408,6 +409,23 @@ def test_incremental_member_base_agrees(grow_outputs):
     # full check and nothing-new incremental check agree
     assert in_class(g)[0]
     assert in_class(g, member_base=g.vertices)[0]
+
+
+def test_member_base_check_reads_only_the_new_part(monkeypatch):
+    """With `member_base`, delta is summed over the new vertices only (the
+    cycles through them, the bases of their bodies), never over the old
+    part: every mask delta sees has fewer than |V|/2 bits."""
+    g = grow(make_cycle(3, 8), 120, 1)[0]
+    h = grow(make_cycle(3, 8), 119, 1)[0]
+    assert len(g) == 373 and len(h) == 367
+    seen = []
+    for module in (ngons.kmu, ngons.predimension):
+        def spy(g, m, real=module._delta):
+            seen.append(m.bit_count())
+            return real(g, m)
+        monkeypatch.setattr(module, "_delta", spy)
+    assert in_class(g, member_base=h.vertices)[0]
+    assert seen and max(seen) < len(g) / 2
 
 
 def test_member_base_must_be_strong():

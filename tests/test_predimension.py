@@ -127,9 +127,13 @@ def test_cut_network_against_mask_oracle(n):
     value and smallest minimiser against brute force.  Dense graphs, and
     K_{4,5} and K_{5,5} at the end, give negative delta over the empty
     base; sparse ones give ties whose smallest minimiser leaves edges
-    cut, which a wrong edge weight breaks."""
+    cut, which a wrong edge weight breaks.  The cut reports delta relative
+    to A; with `enough` e it either finds that minimum m and the smallest
+    minimiser, or stops before any network at a bound that is <= m and
+    >= e.  On a nonempty hull both happen."""
     rng = random.Random(100 + n)
     moved = {"empty": 0, "within": 0, "whole": 0}
+    stops = {"flow": 0, "bound": 0}
     graphs = [sparse_graph(rng, n, rng.randrange(8, 13), closed=True) if i % 2
               else random_bipartite(rng, n, rng.randrange(8, 12),
                                     rng.uniform(0.4, 0.8)) for i in range(24)]
@@ -142,7 +146,16 @@ def test_cut_network_against_mask_oracle(n):
                                                         rng.randrange(len(ground))))):
                 for where, b in (("within", ground), ("whole", g.vertices)):
                     value, smallest, oracle = _brute_min_superset(g, a, b)
-                    assert _min_superset(g, a, b) == (value, smallest)
+                    m = value - delta(g, a)
+                    assert _min_superset(g, a, b) == (m, smallest)
+                    amask, gmask = g._index.mask(a), g._index.mask(b)
+                    for e in (-1, 0, 1):
+                        got, x, net, hull = _hull_cut(g, amask, gmask, e)
+                        assert got <= m
+                        if got < m or a | g._index.members(x) != smallest:
+                            assert got >= e and x == 0 and net is None
+                        if hull:
+                            stops["flow" if net else "bound"] += 1
                     assert d_min(g, a, within=b) == value
                     ok, witness = is_strong(g, a, b)
                     assert ok == (value >= delta(g, a))
@@ -153,6 +166,7 @@ def test_cut_network_against_mask_oracle(n):
                     if not ok:
                         _assert_inclusion_minimal_violator(oracle, a, witness)
     assert all(moved.values()), moved
+    assert all(stops.values()), stops
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

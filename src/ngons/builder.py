@@ -14,11 +14,15 @@ outputs.
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graph import BipartiteGraph, GraphError, _balls, _bits, _union
 from .predimension import is_strong
 from .kmu import in_class, default_mu
 from .witnesses import make_cycle, make_cl_witness
+
+# the templates of `grow`, like `_aligned_path`, built once per parameter set
+_cycle, _cl_witness = lru_cache(make_cycle), lru_cache(make_cl_witness)
 
 
 class AmalgamError(GraphError):
@@ -46,7 +50,8 @@ def free_amalgam(m, e, gluing):
 
     The gluing must be an isomorphism of induced subgraphs (parts and
     induced edges both match) and its domain must be strongly embedded in
-    e.  Vertices of e outside the domain receive fresh ids above m's.
+    e.  Vertices of e outside the domain receive fresh ids above m's, so
+    the amalgam extends m and its index (`BipartiteGraph._extended`).
     """
     if m.n != e.n:
         raise AmalgamError("ambient and extension have different gonality")
@@ -66,16 +71,12 @@ def free_amalgam(m, e, gluing):
     if not ok:
         raise AmalgamError("gluing base is not strong in the extension; "
                            "violator %s" % sorted(witness))
-    first = max(m.vertices, default=-1) + 1
+    first = m._index.verts[-1] + 1 if m._index.verts else 0
     fresh = {v: i for i, v in enumerate(sorted(e.vertices - dom), first)}
     relabel = {**gluing, **fresh}
-    verts = dict(m._part)
-    verts.update({fresh[v]: e.part(v) for v in fresh})
-    edges = set(m.edges)
-    for (u, v) in e.edges:
-        a, b = relabel[u], relabel[v]
-        edges.add((a, b) if a < b else (b, a))
-    return BipartiteGraph(m.n, verts, edges, m.subsets)
+    edges = {(a, b) if a < b else (b, a)
+             for a, b in ((relabel[u], relabel[v]) for u, v in e.edges)}
+    return m._extended({fresh[v]: e.part(v) for v in fresh}, edges)
 
 
 def _pick_pair(rng, items):
@@ -112,15 +113,17 @@ def _sites_witness_base(g, rng, witness):
     """Four secluded vertices of g, pairwise at distance >= 3 (no shared
     neighbours), matching the parts of the witness base, which is
     edgeless, so induced isomorphism just means parts match.  Each pool
-    leaves out the radius-2 balls of the vertices chosen before; it is
-    listed in id order, as index positions follow the sorted ids."""
-    idx, base, balls = g._index, sorted(witness.subsets["A0"]), {}
+    leaves out the radius-2 balls of the vertices chosen before and is
+    listed once per blocked set, in id order (positions follow the ids)."""
+    idx, base, balls, listed = g._index, sorted(witness.subsets["A0"]), {}, {}
     secluded, part0 = _secluded(idx), idx.sides[0]
     pools = [secluded & (part0 if witness.part(s) == 0 else ~part0) for s in base]
     for _ in range(50):
         chosen, blocked = [], 0
         for mask in pools:
-            pool = _bits(mask & ~blocked)
+            if (free := mask & ~blocked) not in listed:
+                listed[free] = _bits(free)
+            pool = listed[free]
             if not pool:
                 break
             u = pool[rng.randrange(len(pool))]
@@ -133,6 +136,7 @@ def _sites_witness_base(g, rng, witness):
     return None
 
 
+@lru_cache
 def _aligned_path(n, length, part0):
     """A path on 0..length whose vertex 0 has the requested part."""
     verts = {i: (i + part0) % 2 for i in range(length + 1)}
@@ -156,7 +160,7 @@ def _candidate(g, rng, template):
         u, v = pair
         return _aligned_path(n, length, g.part(u)), {0: u, length: v}
     if template == "cycle_attach":
-        cyc = make_cycle(n, 2 * n + 2)
+        cyc = _cycle(n, 2 * n + 2)
         # an edge (a, b) with a, b and N(a) + N(b) quiet: both ends secluded
         idx, secluded = g._index, _secluded(g._index)
         edges = [(a, b) for a in _bits(secluded)
@@ -169,7 +173,7 @@ def _candidate(g, rng, template):
         v = _pick_pair(rng, [idx.verts[p] for p in _bits(secluded)])
         return None if v is None else (cyc, {0 if cyc.part(0) == g.part(v) else 1: v})
     if template == "cl_witness":
-        wit = make_cl_witness(n, rng.choice([2, 3]))
+        wit = _cl_witness(n, rng.choice([2, 3]))
         gluing = _sites_witness_base(g, rng, wit)
         return None if gluing is None else (wit, gluing)
     raise AmalgamError("unknown template %r" % (template,))

@@ -4,10 +4,10 @@ paths, the generalized n-gon axioms, and the one backtracking matcher
 behind copies, configuration isomorphism and automorphisms (`_matches`).
 
 Vertices are opaque integers carrying a part label in {0, 1}.  All graphs
-are simple and every edge joins part 0 to part 1.  The adjacency is the
-bitset index (`_index`, with the 2-core) built with the graph, for the
-accessors, BFS by balls, min-cuts, the cycle walk (in the 2-core), the
-matcher and the pair and site searches; == and hash leave it out.
+are simple and every edge joins part 0 to part 1.  The parts and the
+adjacency are the bitset index (`_index`, with the 2-core), extended from
+the parent's for an amalgam, for the accessors, BFS by balls, min-cuts,
+the cycle walk (in the 2-core), the matcher and the pair and site searches.
 """
 
 import math
@@ -35,24 +35,23 @@ class BipartiteGraph:
     def __init__(self, n, parts, edges, subsets=None):
         if not isinstance(n, int) or n < 3:
             raise GraphError("gonality n must be an integer >= 3, got %r" % (n,))
-        self.n = n
-        self._part = {}
+        self.n, part = n, {}
         for v, p in dict(parts).items():
             if not isinstance(v, int):
                 raise GraphError("vertex ids must be integers, got %r" % (v,))
             if p not in (0, 1):
                 raise GraphError("part of vertex %r must be 0 or 1, got %r" % (v, p))
-            self._part[v] = p
-        self.vertices = frozenset(self._part)
+            part[v] = p
+        self.vertices = frozenset(part)
         norm = set()
         for u, v in edges:
-            if u not in self._part or v not in self._part:
+            if u not in part or v not in part:
                 raise GraphError("edge (%r, %r) has an unknown endpoint" % (u, v))
             if u == v:
                 raise GraphError("loop at vertex %r" % (u,))
-            if self._part[u] == self._part[v]:
+            if part[u] == part[v]:
                 raise GraphError(
-                    "edge (%r, %r) joins two vertices of part %d" % (u, v, self._part[u]))
+                    "edge (%r, %r) joins two vertices of part %d" % (u, v, part[u]))
             norm.add((u, v) if u < v else (v, u))
         self.edges = frozenset(norm)
         self.subsets = {}
@@ -61,7 +60,15 @@ class BipartiteGraph:
             if not members <= self.vertices:
                 raise GraphError("subset %r mentions unknown vertices" % (name,))
             self.subsets[name] = members
-        self._index = _Index(self)
+        self._index = _Index().extended(part, self.edges)
+
+    def _extended(self, parts, edges):
+        """This graph plus the vertices `parts` and the `edges`, as
+        `_Index.extended` takes them; the caller vouches for them."""
+        g = object.__new__(BipartiteGraph)
+        g.n, g.subsets, g.vertices = self.n, dict(self.subsets), self.vertices.union(parts)
+        g.edges, g._index = self.edges.union(edges), self._index.extended(parts, edges)
+        return g
 
     def part(self, v):
         return self._index.sides[1] >> self._position(v) & 1
@@ -109,11 +116,12 @@ class BipartiteGraph:
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        return (self.n == other.n and self._part == other._part
-                and self.edges == other.edges)
+        return (self.n == other.n and self.edges == other.edges
+                and self._index.verts == other._index.verts
+                and self._index.sides[0] == other._index.sides[0])
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self._part.items())), self.edges))
+        return hash((self.n, self._index.verts, self._index.sides[0], self.edges))
 
     def __repr__(self):
         return "BipartiteGraph(n=%d, |V|=%d, |E|=%d)" % (
@@ -125,23 +133,45 @@ class _Index:
     bitmask (bit j for a neighbour at position j) and the degree; below[t]
     masks the vertices of degree below t (t <= 3), `sides` the two parts,
     `core` the 2-core.  A vertex set is a mask over these positions.
-    `cuts`, `zero_floor` and `parts` hold the state of `predimension._near`."""
+    `cuts`, `zero_floor` and `parts` hold the state of `predimension._near`.
+    `_Index()` is empty, and `extended` builds every index from it."""
 
-    def __init__(self, g):
-        self.verts = tuple(sorted(g.vertices))
-        self.pos = pos = {v: i for i, v in enumerate(self.verts)}
-        adj = [0] * len(pos)
-        for u, v in g.edges:
-            adj[pos[u]] |= 1 << pos[v]
-            adj[pos[v]] |= 1 << pos[u]
-        self.adj, self.full = adj, (1 << len(adj)) - 1
-        self.deg = deg = [m.bit_count() for m in adj]
-        self.below = [0] + [sum(1 << i for i, d in enumerate(deg) if d < t)
-                            for t in (1, 2, 3)]
-        part0 = sum(1 << i for i, v in enumerate(self.verts) if g._part[v] == 0)
-        self.sides = (part0, self.full & ~part0)
-        self.core = _peel(self, self.full, 0, 2, _union(adj, self.below[2]))
-        self.cuts, self.zero_floor, self.parts = 0, None, None
+    verts, pos, adj, deg, full, below, sides, core = (), {}, [], [], 0, (0,) * 4, (0, 0), 0
+    cuts, zero_floor, parts = 0, None, None
+
+    def extended(self, parts, edges):
+        """This index plus the vertices `parts` (id -> part, ids above the
+        old ones) at new positions and the `edges`, pairs u < v with v new
+        or already joined to u: only the new positions and the old ends u
+        change.  The 2-core grows from the old one through the new vertices
+        and the old pendant trees they touch; an untouched tree still hangs
+        by one edge."""
+        idx, old = _Index(), len(self.verts)
+        idx.verts = verts = self.verts + tuple(sorted(parts))
+        idx.pos = pos = dict(self.pos)
+        pos.update(zip(verts[old:], new := range(old, len(verts))))
+        idx.adj = adj = self.adj + [0] * len(parts)
+        idx.full, glued = (1 << len(adj)) - 1, 0
+        for u, v in edges:
+            p, q = pos[u], pos[v]
+            adj[p] |= 1 << q
+            adj[q] |= 1 << p
+            if p < old:
+                glued |= 1 << p
+        idx.deg = deg = self.deg + [m.bit_count() for m in adj[old:]]
+        for p in (bits := _bits(glued)):
+            deg[p] = adj[p].bit_count()
+        bits += new
+        idx.below = [0] + [self.below[t] & ~glued | sum(1 << p for p in bits if deg[p] < t)
+                           for t in (1, 2, 3)]
+        part0 = self.sides[0] | sum(1 << p for p in new if parts[verts[p]] == 0)
+        idx.sides, rest = (part0, idx.full & ~part0), self.full & ~self.core
+        rim, grown = glued & rest, idx.full & ~self.full
+        while rim:
+            grown |= rim
+            rim = _union(adj, rim) & rest & ~grown
+        idx.core = self.core | _peel(idx, grown, self.core, 2, _union(adj, grown & idx.below[2]))
+        return idx
 
     def mask(self, vertices):
         return sum(1 << self.pos[v] for v in vertices)

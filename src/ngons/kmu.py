@@ -210,8 +210,8 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     for bits, bodies in sorted((_bits(base), bodies) for base, bodies in by_base.items()
                                if len(bodies) > 1 or not base & nmask):
         base, classes = frozenset(map(verts, bits)), []
-        for body in (frozenset(map(verts, b)) for b in sorted(map(_bits, bodies))):
-            key = (len(body), g.edge_count(body))
+        for b in sorted(bodies, key=_bits):
+            key, body = (b.bit_count(), idx.edges(b)), frozenset(map(verts, _bits(b)))
             for ckey, cls in classes:
                 if ckey == key and copies_equivalent(g, base, cls[0], body):
                     cls.append(body)

@@ -191,8 +191,7 @@ def _near(g, amask, t):
     A negative floor, as in PG(2,5) or any graph holding K_{4,5} at n = 3,
     leaves the whole graph.  So does a graph's first cut: the floor costs
     a cut over its t-core and the table a pass over its vertices, which
-    a graph cut once (the extension that `builder.free_amalgam` checks
-    with one `is_strong`, a fresh cycle's one query) would never repay.
+    a graph cut once (a fresh cycle's one query) would never repay.
     """
     idx = g._index
     idx.cuts += 1

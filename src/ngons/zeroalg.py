@@ -110,7 +110,12 @@ def _zero_min_pairs(g, cap, amask, shared=False):
     """Each pair (A, B) once with B 0-minimally algebraic over A, |B| <=
     cap and A or B meeting `amask`, as masks over the graph's index in no
     fixed order.  B is connected: delta(B/A) = 0 sums over its parts.
-    With `shared`, only the bodies that `_shared_bodies` keeps are walked."""
+    With `shared`, only the bodies that `_shared_bodies` keeps are walked.
+    A body of >= 2 vertices meets the touch set (`amask` and its
+    neighbours) and has degrees >= t = ceil(n/(n-2)) and internal degrees
+    >= t-1 (each v has (n-2) e(v, B - v + A) >= n, one edge into A at
+    most): it lies in the ball of radius cap - 1 around the touch set
+    among the degree->=t vertices and survives a peel by t-1 of that ball."""
     n, idx, adj = g.n, g._index, g._index.adj
     touch, pairs = amask | _union(adj, amask), []
     # delta(b/A) = 0 for a singleton body forces n = 3 and two base edges;
@@ -120,14 +125,11 @@ def _zero_min_pairs(g, cap, amask, shared=False):
                      for x, y in combinations(_bits(adj[b]), 2)
                      if (1 << x | 1 << y | 1 << b) & amask)
     if cap >= 2:
-        # In a body of size >= 2 every vertex v has (n-2) e(v, rest of body
-        # + base) >= n with at most one edge into the base, so it needs
-        # degree >= t = ceil(n/(n-2)) and internal degree >= t-1; peeling
-        # by the latter cuts n = 3 graphs at every plain path.
         t = -(-n // (n - 2))
-        ground = _peel(idx, idx.full & ~idx.below[t], 0, t - 1)
-        # a body of a pair meeting `amask` meets the touch set near[0]; near[k]
-        # is the ground within distance k of it, so near[cap - 1] holds each
+        high = idx.full & ~idx.below[t]
+        ground = _peel(idx, _balls(adj, touch & high, cap - 1, high)[-1], 0, t - 1)
+        # near[k] is the ground within distance k of the touch set near[0],
+        # so near[cap - 1] holds each body
         near = _balls(adj, touch & ground, cap - 1, ground)
         bodies = _candidate_bodies(idx, n, near, cap)
         bodies = _shared_bodies(adj, bodies, amask) if shared else bodies

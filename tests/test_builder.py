@@ -4,6 +4,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import ngons.builder
 from ngons import (AmalgamError, BipartiteGraph, bfs_distances, delta,
@@ -175,6 +176,85 @@ def test_grow_80_steps_pinned():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
         "9796ce5611ecd9ab925826e19b9c49e996e5d01b7e46347e52e9736ab2431d81")
     assert in_class(g) == (True, [])
+
+
+# ------------------------------------------- amalgams extend their parent
+
+INDEX_FIELDS = ("verts", "pos", "adj", "full", "deg", "below", "sides", "core")
+
+
+def _assert_fresh_build(g):
+    """g's fields and every field of its bitset index equal those of a
+    graph built afresh from g's data."""
+    fresh = BipartiteGraph(g.n, {v: g.part(v) for v in g.vertices}, g.edges, g.subsets)
+    assert (g.n, g.vertices, g.edges, g.subsets) == (
+        fresh.n, fresh.vertices, fresh.edges, fresh.subsets)
+    for field in INDEX_FIELDS:
+        assert getattr(g._index, field) == getattr(fresh._index, field), field
+
+
+def test_amalgam_index_matches_fresh_build(monkeypatch):
+    """An amalgam extends its parent's index at the glued and fresh
+    positions, and the result equals a fresh build: on every amalgam of
+    seeded growth at n = 3, 4 and 5, and on a completion between two
+    pendant leaves, which pulls both pendant trees into the 2-core."""
+    real, built = ngons.builder.free_amalgam, []
+
+    def checked(m, e, gluing):
+        built.append(real(m, e, gluing))
+        _assert_fresh_build(built[-1])
+        return built[-1]
+
+    monkeypatch.setattr(ngons.builder, "free_amalgam", checked)
+    for s in (1, 2, 3):
+        grow(make_cycle(3, 8), 40, s)
+    grow(make_cycle(4, 10), 8, 1)
+    for s in (2, 3):
+        grow(make_cycle(4, 10), 3, s, templates=(
+            "pendant_path", "path_completion", "cycle_attach"))
+    grow(make_cycle(5, 12), 4, 1)
+    assert {g.n for g in built} == {3, 4, 5} and len(built) > 90
+    # pendant paths 0 - 8 - 9 and 4 - 10 - 11, then a path of length 2
+    # between the leaves 9 and 11: a cycle through both trees
+    g = real(make_cycle(3, 8), make_path(3, 2), {0: 0})
+    g = real(g, make_path(3, 2), {0: 4})
+    assert g._index.core == g._index.mask(range(8))
+    g = real(g, make_path(3, 2), {0: 9, 2: 11})
+    assert g._index.core == g._index.full
+    _assert_fresh_build(g)
+
+
+@st.composite
+def amalgam_inputs(draw):
+    """An ambient graph on drawn ids, an extension that copies the
+    subgraph it induces on a drawn vertex set and adds fresh vertices and
+    edges at them, and the identity gluing of that set."""
+    n = draw(st.sampled_from([3, 4, 5]))
+    ids = sorted(draw(st.sets(st.integers(-20, 40), min_size=1, max_size=10)))
+    parts = {v: draw(st.integers(0, 1)) for v in ids}
+    pairs = [(u, v) for u in ids for v in ids if u < v and parts[u] != parts[v]]
+    m = BipartiteGraph(n, parts, draw(st.sets(st.sampled_from(pairs))) if pairs else ())
+    dom = draw(st.sets(st.sampled_from(ids), max_size=4))
+    eparts = {v: parts[v] for v in dom}
+    eparts.update({100 + i: draw(st.integers(0, 1))
+                   for i in range(draw(st.integers(0, 5)))})
+    extra = [(u, v) for u in eparts for v in eparts
+             if u < v and v >= 100 and eparts[u] != eparts[v]]
+    edges = {(u, v) for u, v in m.edges if u in dom and v in dom}
+    edges |= draw(st.sets(st.sampled_from(extra))) if extra else set()
+    return m, BipartiteGraph(n, eparts, edges), {v: v for v in dom}
+
+
+@settings(max_examples=200, deadline=None)
+@given(amalgam_inputs())
+def test_amalgam_index_matches_fresh_build_on_drawn_inputs(inputs):
+    """The same on drawn `free_amalgam` inputs, glued twice in a row, so
+    that an extended index is extended again."""
+    m, e, gluing = inputs
+    assume(is_strong(e, gluing)[0])
+    g = free_amalgam(m, e, gluing)
+    _assert_fresh_build(g)
+    _assert_fresh_build(free_amalgam(g, e, gluing))
 
 
 # ------------------------------------------- site search, BFS references

@@ -32,14 +32,19 @@ def test_bitset_index_built_once_and_invisible(monkeypatch):
     index, built with the graph; no query builds another, and the index
     changes neither ==, hash nor the text format and agrees with the
     adjacency."""
-    built = []
-    real = graph_module._Index.__init__
+    built, graphs = [], []
+    real, real_init = graph_module._Index.extended, BipartiteGraph.__init__
 
-    def counting(self, g):
-        built.append(g)
-        real(self, g)
+    def counting(self, parts, edges):
+        built.append(real(self, parts, edges))
+        return built[-1]
 
-    monkeypatch.setattr(graph_module._Index, "__init__", counting)
+    def constructing(self, *args, **kwargs):
+        graphs.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(graph_module._Index, "extended", counting)
+    monkeypatch.setattr(BipartiteGraph, "__init__", constructing)
     g = ngons.make_cl_witness(3, 2)
     twin = ngons.make_cl_witness(3, 2)
     index = g._index
@@ -52,8 +57,8 @@ def test_bitset_index_built_once_and_invisible(monkeypatch):
     ngons.enumerate_zero_min_pairs(g)
     assert ngons.in_class(g)[0]
     # one index per graph built (the queries may build graphs of their own)
-    assert index is g._index and sum(h is g for h in built) == 1
-    assert len(set(map(id, built))) == len(built)
+    assert index is g._index and sum(i is index for i in built) == 1
+    assert sorted(map(id, built)) == sorted(id(h._index) for h in graphs)
     assert (hash(g), format_graph(g)) == before
     assert g == twin and hash(g) == hash(twin)
     assert index.verts == tuple(sorted(g.vertices))

@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import ngons.kmu
 import ngons.zeroalg
 from ngons import (BipartiteGraph, GraphError, default_body_cap,
                    degree_identity_check, delta, delta_rel,
@@ -14,6 +15,7 @@ from ngons import (BipartiteGraph, GraphError, default_body_cap,
                    is_zero_algebraic, is_zero_minimally_algebraic,
                    make_cl_witness, make_cycle, make_gamma, make_path,
                    minimal_base)
+from ngons.graph import _balls, _peel, _union
 from conftest import MaskOracle, line_counts, random_bipartite, sparse_graph
 
 
@@ -467,6 +469,73 @@ def test_enumeration_around_the_last_step(n, seed, steps):
     got = enumerate_zero_min_pairs(after, around=new)
     assert got == [p for p in full if (p.base | p.body) & new]
     assert any(not p.body & new for p in got)
+
+
+def _whole_peel_pairs(g, cap, amask):
+    """The pairs of `_zero_min_pairs` with |B| >= 2 from a body search on
+    the degree->=t vertices of the whole graph peeled by t - 1."""
+    n, idx = g.n, g._index
+    t = -(-n // (n - 2))
+    ground = _peel(idx, idx.full & ~idx.below[t], 0, t - 1)
+    touch = amask | _union(idx.adj, amask)
+    near = _balls(idx.adj, touch & ground, cap - 1, ground)
+    return {(base, body) for body, target, _ in
+            ngons.zeroalg._candidate_bodies(idx, n, near, cap)
+            for base in ngons.zeroalg._pairs_for_body(g, body, target, amask)}
+
+
+def test_local_peel_finds_the_whole_graph_pairs(enumeration_graphs, grow_outputs):
+    """The pair search peels only the ball of radius cap - 1 around the
+    touch set, and its pairs with |B| >= 2 equal those of a whole-graph
+    peel: on the shared corpus, the cl witnesses with and without b and
+    the grown graphs, with every vertex new and around single vertices."""
+    graphs = list(enumeration_graphs) + [g for g, _ in grow_outputs.values()]
+    graphs += [make_cl_witness(n, l, with_b=b)
+               for n, l in ((3, 2), (3, 3), (4, 2)) for b in (False, True)]
+    pairs = around = 0
+    for g in graphs:
+        idx, cap = g._index, default_body_cap(g.n)
+        for amask in [idx.full] + [1 << p for p in range(0, len(idx.verts), 5)]:
+            got = {(a, b) for a, b in ngons.zeroalg._zero_min_pairs(g, cap, amask)
+                   if b & (b - 1)}
+            assert got == _whole_peel_pairs(g, cap, amask)
+            pairs += len(got)
+            around += len(got) if amask != idx.full else 0
+    assert pairs > 1000 and around > 100, (pairs, around)
+
+
+def test_pair_peel_stays_in_the_ball(monkeypatch):
+    """In the membership checks of a 120-step growth, each peel of the
+    pair search gets only vertices of degree >= t within distance cap - 1
+    of the touch set (the new vertices and their neighbours), by BFS; in
+    the later checks that is a small part of the graph."""
+    real_pairs, real_peel, peels = ngons.kmu._zero_min_pairs, ngons.zeroalg._peel, []
+
+    def pairs(g, cap, amask, shared=False):
+        peels.append([g, cap, amask])
+        return real_pairs(g, cap, amask, shared)
+
+    def peel(idx, candidates, anchor, threshold):
+        peels[-1].append(candidates)
+        return real_peel(idx, candidates, anchor, threshold)
+
+    monkeypatch.setattr(ngons.kmu, "_zero_min_pairs", pairs)
+    monkeypatch.setattr(ngons.zeroalg, "_peel", peel)
+    g, _ = grow(make_cycle(3, 8), 120, 1)
+    assert len(g) > 300 and len(peels) > 80
+    for h, cap, amask, candidates in peels:
+        idx = h._index
+        new = idx.members(amask)
+        dist = {v: 0 for v in new.union(*map(h.neighbors, new))}
+        queue = list(dist)
+        for v in queue:
+            for w in h.neighbors(v) - dist.keys():
+                dist[w] = dist[v] + 1
+                queue.append(w)
+        ball = {v for v, d in dist.items() if d <= cap - 1 and h.degree(v) >= 3}
+        assert idx.members(candidates) <= ball
+    h, _, amask, candidates = peels[-1]
+    assert 10 * candidates.bit_count() < len(h) and amask != h._index.full
 
 
 def _supply(g, body, required):

@@ -12,6 +12,7 @@ the cycle walk (in the 2-core), the matcher and the pair and site searches.
 
 import math
 from itertools import combinations
+from types import MappingProxyType
 
 INFINITY = math.inf
 
@@ -134,9 +135,11 @@ class _Index:
     masks the vertices of degree below t (t <= 3), `sides` the two parts,
     `core` the 2-core.  A vertex set is a mask over these positions.
     `cuts`, `zero_floor` and `parts` hold the state of `predimension._near`.
-    `_Index()` is empty, and `extended` builds every index from it."""
+    `_Index()` is empty, and `extended` builds every index from it; its
+    fields are immutable, so no index can write into the shared empties."""
 
-    verts, pos, adj, deg, full, below, sides, core = (), {}, [], [], 0, (0,) * 4, (0, 0), 0
+    verts, adj, deg, full, below, sides, core = (), (), (), 0, (0,) * 4, (0, 0), 0
+    pos = MappingProxyType({})
     cuts, zero_floor, parts = 0, None, None
 
     def extended(self, parts, edges):
@@ -150,7 +153,7 @@ class _Index:
         idx.verts = verts = self.verts + tuple(sorted(parts))
         idx.pos = pos = dict(self.pos)
         pos.update(zip(verts[old:], new := range(old, len(verts))))
-        idx.adj = adj = self.adj + [0] * len(parts)
+        idx.adj = adj = [*self.adj, *[0] * len(parts)]
         idx.full, glued = (1 << len(adj)) - 1, 0
         for u, v in edges:
             p, q = pos[u], pos[v]
@@ -158,7 +161,7 @@ class _Index:
             adj[q] |= 1 << p
             if p < old:
                 glued |= 1 << p
-        idx.deg = deg = self.deg + [m.bit_count() for m in adj[old:]]
+        idx.deg = deg = [*self.deg, *[m.bit_count() for m in adj[old:]]]
         for p in (bits := _bits(glued)):
             deg[p] = adj[p].bit_count()
         bits += new

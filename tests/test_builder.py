@@ -222,6 +222,12 @@ def test_amalgam_index_matches_fresh_build(monkeypatch):
     g = real(g, make_path(3, 2), {0: 9, 2: 11})
     assert g._index.core == g._index.full
     _assert_fresh_build(g)
+    # every index is extended from the shared empty one, which no build
+    # can write into
+    empty = ngons.graph._Index()
+    assert (empty.verts, dict(empty.pos), empty.adj, empty.deg) == ((), {}, (), ())
+    with pytest.raises(TypeError):
+        empty.pos[0] = 0
 
 
 @st.composite

@@ -471,13 +471,16 @@ def test_enumeration_around_the_last_step(n, seed, steps):
     assert any(not p.body & new for p in got)
 
 
-def _whole_peel_pairs(g, cap, amask):
+def _peel_pairs(g, cap, amask, radius=None):
     """The pairs of `_zero_min_pairs` with |B| >= 2 from a body search on
-    the degree->=t vertices of the whole graph peeled by t - 1."""
+    the degree->=t vertices, peeled by t - 1: of the whole graph, or with
+    a radius, of its ball of that radius around the touch set."""
     n, idx = g.n, g._index
     t = -(-n // (n - 2))
-    ground = _peel(idx, idx.full & ~idx.below[t], 0, t - 1)
-    touch = amask | _union(idx.adj, amask)
+    touch, high = amask | _union(idx.adj, amask), idx.full & ~idx.below[t]
+    if radius is not None:
+        high = _balls(idx.adj, touch & high, radius, high)[-1]
+    ground = _peel(idx, high, 0, t - 1)
     near = _balls(idx.adj, touch & ground, cap - 1, ground)
     return {(base, body) for body, target, _ in
             ngons.zeroalg._candidate_bodies(idx, n, near, cap)
@@ -498,10 +501,28 @@ def test_local_peel_finds_the_whole_graph_pairs(enumeration_graphs, grow_outputs
         for amask in [idx.full] + [1 << p for p in range(0, len(idx.verts), 5)]:
             got = {(a, b) for a, b in ngons.zeroalg._zero_min_pairs(g, cap, amask)
                    if b & (b - 1)}
-            assert got == _whole_peel_pairs(g, cap, amask)
+            assert got == _peel_pairs(g, cap, amask)
             pairs += len(got)
             around += len(got) if amask != idx.full else 0
     assert pairs > 1000 and around > 100, (pairs, around)
+
+
+def test_local_peel_radius_is_tight():
+    """The ball radius cap - 1 is the least that keeps every body: at
+    n >= 4 the path x_0 ... x_{n-1} has the body x_1 ... x_{n-2} of n - 2
+    vertices over {x_0, x_{n-1}}, and with `around` = {x_0} and cap = n - 2
+    its far end lies at distance cap - 1 from the touch set, so a peel in
+    the ball of radius cap - 2 loses the pair.  (At n = 3 a body has
+    internal degrees >= 2 and stays nearer.)"""
+    for n in (4, 5, 6):
+        g, cap = make_path(n, n - 1), n - 2
+        idx = g._index
+        amask, pair = idx.mask({0}), (idx.mask({0, n - 1}), idx.mask(range(1, n - 1)))
+        got = {(a, b) for a, b in ngons.zeroalg._zero_min_pairs(g, cap, amask)
+               if b & (b - 1)}
+        assert pair in got and got == _peel_pairs(g, cap, amask)
+        assert got == _peel_pairs(g, cap, amask, cap - 1)
+        assert pair not in _peel_pairs(g, cap, amask, cap - 2)
 
 
 def test_pair_peel_stays_in_the_ball(monkeypatch):

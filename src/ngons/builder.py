@@ -74,8 +74,7 @@ def free_amalgam(m, e, gluing):
     first = m._index.verts[-1] + 1 if m._index.verts else 0
     fresh = {v: i for i, v in enumerate(sorted(e.vertices - dom), first)}
     relabel = {**gluing, **fresh}
-    edges = {(a, b) if a < b else (b, a)
-             for a, b in ((relabel[u], relabel[v]) for u, v in e.edges)}
+    edges = [(relabel[u], relabel[v]) for u, v in e.edges]
     return m._extended({fresh[v]: e.part(v) for v in fresh}, edges)
 
 
@@ -197,27 +196,21 @@ def grow(seed, steps, rng_seed, mu=None, templates=TEMPLATES):
     rng, g, log = random.Random(rng_seed), seed, []
     for k in range(steps):
         template = templates[rng.randrange(len(templates))]
-        built = _candidate(g, rng, template)
-        if built is None:
-            log.append(StepRecord(k, template, False, "no_site",
-                                  len(g.vertices), len(g.edges)))
-            continue
+        built, reason = _candidate(g, rng, template), "no_site"
         try:
-            candidate = free_amalgam(g, *built)
+            candidate = None if built is None else free_amalgam(g, *built)
         except AmalgamError:
-            log.append(StepRecord(k, template, False,
-                                  "amalgam_error", len(g.vertices), len(g.edges)))
-            continue
-        # the previous graph is a member; in_class verifies that it stays
-        # strongly embedded, and then only looks at the new vertices
-        try:
-            ok, reports = in_class(candidate, mu, member_base=g.vertices)
-        except GraphError as exc:
-            raise AmalgamError(
-                "strong persistence failed at step %d: previous graph is no "
-                "longer strong (%s)" % (k, exc)) from exc
-        if ok:
-            g = candidate
-        log.append(StepRecord(k, template, ok, "+".join(sorted(
-            {r.condition for r in reports})), len(g.vertices), len(g.edges)))
+            candidate, reason = None, "amalgam_error"
+        if candidate is not None:
+            # the previous graph is a member; in_class verifies that it
+            # stays strongly embedded, and then only looks at the new vertices
+            try:
+                ok, reports = in_class(candidate, mu, member_base=g._index.verts)
+            except GraphError as exc:
+                raise AmalgamError(
+                    "strong persistence failed at step %d: previous graph is no "
+                    "longer strong (%s)" % (k, exc)) from exc
+            g = candidate if ok else g
+            reason = "+".join(sorted({r.condition for r in reports}))
+        log.append(StepRecord(k, template, not reason, reason, len(g), sum(g._index.deg) // 2))
     return g, log

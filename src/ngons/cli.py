@@ -196,8 +196,6 @@ def _cmd_path_check(args):
 
 def _cmd_transdeg(args):
     g = _load(args.file)
-    if args.vertex not in g.vertices:
-        raise _InputError("unknown vertex %d" % args.vertex)
     grp = automorphism_group(g, type_preserving=True)
     _emit(args, "transdeg",
           stabilizer_transitivity_degree(g, grp, args.vertex))

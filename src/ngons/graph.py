@@ -4,13 +4,14 @@ paths, the generalized n-gon axioms, and the one backtracking matcher
 behind copies, configuration isomorphism and automorphisms (`_matches`).
 
 Vertices are opaque integers carrying a part label in {0, 1}.  All graphs
-are simple and every edge joins part 0 to part 1.  The parts and the
-adjacency are the bitset index (`_index`, with the 2-core), extended from
-the parent's for an amalgam, for the accessors, BFS by balls, min-cuts,
-the cycle walk (in the 2-core), the matcher and the pair and site searches.
+are simple and every edge joins part 0 to part 1.  A graph stores them
+once, in the bitset index (`_index`, with the 2-core), extended from the
+parent's for an amalgam; the `vertices` and `edges` views, the accessors,
+BFS by balls, min-cuts, the cycle walk, the matcher and the searches read it.
 """
 
 import math
+from functools import cached_property
 from itertools import combinations
 from types import MappingProxyType
 
@@ -19,6 +20,13 @@ INFINITY = math.inf
 
 class GraphError(ValueError):
     """Raised on malformed graph data (bad parts, unknown ids, loops...)."""
+
+
+class _View(cached_property):
+    """A view read off the index once and kept; it cannot be assigned."""
+
+    def __set__(self, obj, value):
+        raise AttributeError("%s is read off the graph's index" % self.attrname)
 
 
 class BipartiteGraph:
@@ -31,6 +39,9 @@ class BipartiteGraph:
     parts : mapping vertex id -> part (0 or 1)
     edges : iterable of (u, v) pairs
     subsets : optional mapping name -> iterable of vertex ids
+
+    Edges come in either order, repeats allowed.  == and hash compare n,
+    the vertices, their parts and the edges, not the subsets.
     """
 
     def __init__(self, n, parts, edges, subsets=None):
@@ -43,33 +54,36 @@ class BipartiteGraph:
             if p not in (0, 1):
                 raise GraphError("part of vertex %r must be 0 or 1, got %r" % (v, p))
             part[v] = p
-        self.vertices = frozenset(part)
-        norm = set()
-        for u, v in edges:
+        for u, v in (edges := list(edges)):
             if u not in part or v not in part:
                 raise GraphError("edge (%r, %r) has an unknown endpoint" % (u, v))
-            if u == v:
-                raise GraphError("loop at vertex %r" % (u,))
-            if part[u] == part[v]:
+            if part[u] == part[v]:  # loops included
                 raise GraphError(
                     "edge (%r, %r) joins two vertices of part %d" % (u, v, part[u]))
-            norm.add((u, v) if u < v else (v, u))
-        self.edges = frozenset(norm)
         self.subsets = {}
         for name, ids in dict(subsets or {}).items():
             members = frozenset(ids)
-            if not members <= self.vertices:
+            if not part.keys() >= members:
                 raise GraphError("subset %r mentions unknown vertices" % (name,))
             self.subsets[name] = members
-        self._index = _Index().extended(part, self.edges)
+        self._index = _Index().extended(part, edges)
 
     def _extended(self, parts, edges):
         """This graph plus the vertices `parts` and the `edges`, as
         `_Index.extended` takes them; the caller vouches for them."""
         g = object.__new__(BipartiteGraph)
-        g.n, g.subsets, g.vertices = self.n, dict(self.subsets), self.vertices.union(parts)
-        g.edges, g._index = self.edges.union(edges), self._index.extended(parts, edges)
+        g.n, g.subsets = self.n, dict(self.subsets)
+        g._index = self._index.extended(parts, edges)
         return g
+
+    vertices = _View(lambda g: frozenset(g._index.verts))
+
+    @_View
+    def edges(self):
+        """The edges (u, v), u < v: positions follow the ids."""
+        verts, adj = self._index.verts, self._index.adj
+        return frozenset((verts[p], verts[q]) for p, m in enumerate(adj)
+                         for q in _bits(m & ~((2 << p) - 1)))
 
     def part(self, v):
         return self._index.sides[1] >> self._position(v) & 1
@@ -95,38 +109,37 @@ class BipartiteGraph:
         and the other in b, each once (also those inside a & b).  Ids that
         are not vertices are ignored."""
         idx = self._index
-        a = idx.mask(self.vertices.intersection(a))
-        b = a if b is None else idx.mask(self.vertices.intersection(b))
+        a = idx.mask(idx.pos.keys() & a)
+        b = a if b is None else idx.mask(idx.pos.keys() & b)
         # pairs (u, v) with u in a and v in b count an edge inside a & b
         # twice
         return sum((idx.adj[p] & b).bit_count() for p in _bits(a)) - idx.edges(a & b)
 
     def check_subset(self, members):
         members = frozenset(members)
-        unknown = members - self.vertices
-        if unknown:
-            raise GraphError("unknown vertex ids %s" % sorted(unknown))
+        if not self._index.pos.keys() >= members:
+            raise GraphError("unknown vertex ids %s" % sorted(members - self._index.pos.keys()))
         return members
 
     def part_vertices(self, p):
         return self._index.members(self._index.sides[p] if p in (0, 1) else 0)
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self._index.verts)
 
     def __eq__(self, other):
         if not isinstance(other, BipartiteGraph):
             return NotImplemented
-        return (self.n == other.n and self.edges == other.edges
-                and self._index.verts == other._index.verts
-                and self._index.sides[0] == other._index.sides[0])
+        return self._key == other._key
 
     def __hash__(self):
-        return hash((self.n, self._index.verts, self._index.sides[0], self.edges))
+        return hash(self._key)
+
+    _key = _View(lambda g: (g.n, g._index.verts, g._index.sides[0], tuple(g._index.adj)))
 
     def __repr__(self):
         return "BipartiteGraph(n=%d, |V|=%d, |E|=%d)" % (
-            self.n, len(self.vertices), len(self.edges))
+            self.n, len(self), sum(self._index.deg) // 2)
 
 
 class _Index:
@@ -144,23 +157,22 @@ class _Index:
 
     def extended(self, parts, edges):
         """This index plus the vertices `parts` (id -> part, ids above the
-        old ones) at new positions and the `edges`, pairs u < v with v new
-        or already joined to u: only the new positions and the old ends u
-        change.  The 2-core grows from the old one through the new vertices
-        and the old pendant trees they touch; an untouched tree still hangs
-        by one edge."""
+        old ones) at new positions and the `edges`, pairs in either order,
+        possibly repeated, each with a new end or already joined: only the
+        new positions and their old neighbours change.  The 2-core grows
+        from the old one through the new vertices and the old pendant trees
+        they touch; an untouched tree still hangs by one edge."""
         idx, old = _Index(), len(self.verts)
         idx.verts = verts = self.verts + tuple(sorted(parts))
         idx.pos = pos = dict(self.pos)
         pos.update(zip(verts[old:], new := range(old, len(verts))))
         idx.adj = adj = [*self.adj, *[0] * len(parts)]
-        idx.full, glued = (1 << len(adj)) - 1, 0
+        idx.full = (1 << len(adj)) - 1
         for u, v in edges:
             p, q = pos[u], pos[v]
             adj[p] |= 1 << q
             adj[q] |= 1 << p
-            if p < old:
-                glued |= 1 << p
+        glued = _union(adj, grown := idx.full & ~self.full) & self.full
         idx.deg = deg = [*self.deg, *[m.bit_count() for m in adj[old:]]]
         for p in (bits := _bits(glued)):
             deg[p] = adj[p].bit_count()
@@ -169,7 +181,7 @@ class _Index:
                            for t in (1, 2, 3)]
         part0 = self.sides[0] | sum(1 << p for p in new if parts[verts[p]] == 0)
         idx.sides, rest = (part0, idx.full & ~part0), self.full & ~self.core
-        rim, grown = glued & rest, idx.full & ~self.full
+        rim = glued & rest
         while rim:
             grown |= rim
             rim = _union(adj, rim) & rest & ~grown
@@ -332,7 +344,7 @@ def is_generalized_ngon(g, thick=False, roots=None):
         witness = enumerate_cycles(g, gi, roots)[0] if gi != INFINITY else None
         return False, "girth is %s, expected %d (witness cycle %s)" % (gi, 2 * n, witness)
     idx = g._index
-    for v in sorted(roots or g.vertices):
+    for v in sorted(roots or idx.verts):
         if _balls(idx.adj, 1 << idx.pos[v], n)[-1] != idx.full:
             # the least vertex v never reaches, or else the least farthest one
             balls = _balls(idx.adj, 1 << idx.pos[v], len(idx.adj))

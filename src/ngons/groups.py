@@ -264,9 +264,9 @@ def _require(g, grp, ngon=True):
     ran, orbits = grp._checked.get(g, (False, None))
     if orbits is not None and (ran or not ngon):
         return orbits
-    if grp.domain != tuple(sorted(g.vertices)):
-        raise GraphError("the group does not act on the graph's vertex set")
     idx = g._index
+    if grp.domain != idx.verts:
+        raise GraphError("the group does not act on the graph's vertex set")
     for p in grp.generators:
         image = [1 << idx.pos[p[v]] for v in idx.verts]
         if any(_union(image, m) != idx.adj[idx.pos[p[v]]] for v, m in zip(idx.verts, idx.adj)):
@@ -378,10 +378,8 @@ def stabilizer_transitivity_degree(g, grp, x):
     """The largest t such that the stabilizer of x acts t-transitively on
     D_1(x), decided on ordered t-tuples of distinct neighbours; 0 if it
     is not even transitive."""
-    if x not in g.vertices:
-        raise GraphError("unknown vertex %r" % (x,))
     _require(g, grp, ngon=False)
-    nbrs = sorted(g.neighbors(x))
+    nbrs = sorted(g.neighbors(x))  # raises GraphError on an unknown x
     stab = grp.stabilizer((x,))
     t = 0  # the orbit of nbrs[:t] holds only t-tuples of distinct neighbours
     while t < len(nbrs) and len(stab.orbit(tuple(nbrs[:t + 1]))) == perm(len(nbrs), t + 1):

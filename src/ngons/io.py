@@ -8,8 +8,8 @@ One declaration per line, '#' starts a comment:
     subset <name> <id> ...
 
 Parsing is strict: duplicate declarations, unknown vertices and malformed
-lines are errors.  Writing is canonical (sorted), so equal graphs
-serialize to identical bytes.
+lines are errors.  Writing is canonical (sorted): the text depends on n,
+the vertices, their parts, the edges and the subsets, which == ignores.
 """
 
 from .graph import BipartiteGraph, GraphError

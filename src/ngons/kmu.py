@@ -179,9 +179,9 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
         raise GraphError("mu-function built for n=%d, graph has n=%d" % (mu.n, n))
     horizon = default_horizon(n) if horizon is None else horizon
     cap = default_body_cap(n) if max_body is None else max_body
-    idx, new, nmask = g._index, g.vertices, g._index.full
+    idx, new, nmask = g._index, g._index.pos.keys(), g._index.full
     if member_base is not None:
-        nmask = idx.mask(new := g.vertices - g.check_subset(member_base))
+        nmask = idx.mask(new := idx.pos.keys() - g.check_subset(member_base))
         if _hull_cut(g, idx.full & ~nmask, idx.full, 0)[0] < 0:
             raise GraphError("member_base is not strongly embedded; violator %s"
                              % sorted(is_strong(g, member_base)[1]))

@@ -63,8 +63,7 @@ def is_strong(g, a, b=None):
     leaves no violating proper subset.
     """
     a = g.check_subset(a)
-    b = g.vertices if b is None else g.check_subset(b)
-    if not a <= b:
+    if b is not None and not a <= (b := g.check_subset(b)):
         raise GraphError("is_strong requires A to be a subset of B")
     value, w = _min_superset(g, a, b, 0)
     if value >= 0:
@@ -212,16 +211,17 @@ def _near(g, amask, t):
 
 
 def _min_superset(g, a, ground, enough=math.inf):
-    """(min delta(S/A) over A <= S <= ground, relative as in the module
-    docstring, inclusion-smallest minimiser); a value that the bound of
-    `_hull_cut` puts at `enough` or above comes with A alone.
+    """(min delta(S/A) over A <= S <= ground (None: the whole graph),
+    relative as in the module docstring, inclusion-smallest minimiser);
+    a value that the bound of `_hull_cut` puts at `enough` or above
+    comes with A alone.
 
     delta is submodular, so the minimisers are closed under union and
     intersection, and the smallest one, W, lies in all of them.  Dropping
     any v in W - A therefore raises delta: v has at least ceil(n/(n-2))
     edges into W and survives the peel of ground - A anchored at A.  The
     network is built on that peeled hull F only, which leaves the value
-    and the smallest minimiser unchanged.  On the whole ground the peel
+    and the smallest minimiser unchanged.  On the whole graph the peel
     starts from the region of `_near` (zero floor).
 
     Vertex-only cut network (Picard and Queyranne, Networks 1982;
@@ -239,8 +239,8 @@ def _min_superset(g, a, ground, enough=math.inf):
     smallest minimum cut, so the smallest minimiser.
     """
     idx = g._index
-    value, x, _, _ = _hull_cut(g, idx.mask(a), None if len(ground) == len(idx.verts)
-                               else idx.mask(ground), enough)
+    value, x, _, _ = _hull_cut(g, idx.mask(a), None if ground is None else idx.mask(ground),
+                               enough)
     return value, frozenset(a).union(map(idx.verts.__getitem__, _bits(x)))
 
 
@@ -248,10 +248,9 @@ def d_min(g, a, within=None):
     """d(A): the minimum of delta over all supersets of A inside the ambient
     graph (or inside `within`)."""
     a = g.check_subset(a)
-    ground = g.vertices if within is None else g.check_subset(within)
-    if not a <= ground:
+    if within is not None and not a <= (within := g.check_subset(within)):
         raise GraphError("d_min requires A to be contained in the ground set")
-    return _delta(g, g._index.mask(a)) + _min_superset(g, a, ground)[0]
+    return _delta(g, g._index.mask(a)) + _min_superset(g, a, within)[0]
 
 
 def d_rel(g, b, a):
@@ -267,7 +266,7 @@ def closure(g, a):
     every minimiser is strong, and the closure is itself a minimiser, so
     the lattice bottom is exactly cl(A).
     """
-    return _min_superset(g, g.check_subset(a), g.vertices)[1]
+    return _min_superset(g, g.check_subset(a), None)[1]
 
 
 def acl_relative(g, a):

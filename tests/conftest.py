@@ -293,6 +293,10 @@ def grow_outputs():
 
 @pytest.fixture(scope="session")
 def small_graphs():
+    return small_corpus()
+
+
+def small_corpus():
     """A mixed corpus of graphs small enough for the mask oracle."""
     from ngons import make_path, make_gamma
     rng = random.Random(20260823)

@@ -2,6 +2,7 @@ import math
 import hashlib
 import random
 from collections import Counter
+from itertools import count
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -183,14 +184,26 @@ def test_grow_80_steps_pinned():
 INDEX_FIELDS = ("verts", "pos", "adj", "full", "deg", "below", "sides", "core")
 
 
-def _assert_fresh_build(g):
-    """g's fields and every field of its bitset index equal those of a
-    graph built afresh from g's data."""
-    fresh = BipartiteGraph(g.n, {v: g.part(v) for v in g.vertices}, g.edges, g.subsets)
-    assert (g.n, g.vertices, g.edges, g.subsets) == (
-        fresh.n, fresh.vertices, fresh.edges, fresh.subsets)
+def _checked_amalgam(m, e, gluing, amalgam=free_amalgam):
+    """amalgam(m, e, gluing), checked against a reference built here from
+    m's and e's parts and edges: e's vertices outside the gluing take the
+    ids above m's largest, in order, and e's edges are relabelled through
+    the gluing and those ids.  The amalgam's vertices, parts, edges and
+    subsets equal the reference's, and every field of its bitset index
+    equals that of a graph built afresh from the reference."""
+    g = amalgam(m, e, gluing)
+    ids = dict(gluing)
+    ids.update(zip(sorted(e.vertices - gluing.keys()), count(max(m.vertices, default=-1) + 1)))
+    parts = {v: m.part(v) for v in m.vertices}
+    parts.update((ids[v], e.part(v)) for v in e.vertices)
+    edges = m.edges | {(min(ids[u], ids[v]), max(ids[u], ids[v])) for u, v in e.edges}
+    fresh = BipartiteGraph(m.n, parts, edges, m.subsets)
+    assert g.n == m.n and g.subsets == m.subsets
+    assert g.vertices == set(parts) and all(g.part(v) == p for v, p in parts.items())
+    assert g.edges == edges
     for field in INDEX_FIELDS:
         assert getattr(g._index, field) == getattr(fresh._index, field), field
+    return g
 
 
 def test_amalgam_index_matches_fresh_build(monkeypatch):
@@ -201,8 +214,7 @@ def test_amalgam_index_matches_fresh_build(monkeypatch):
     real, built = ngons.builder.free_amalgam, []
 
     def checked(m, e, gluing):
-        built.append(real(m, e, gluing))
-        _assert_fresh_build(built[-1])
+        built.append(_checked_amalgam(m, e, gluing, real))
         return built[-1]
 
     monkeypatch.setattr(ngons.builder, "free_amalgam", checked)
@@ -219,9 +231,8 @@ def test_amalgam_index_matches_fresh_build(monkeypatch):
     g = real(make_cycle(3, 8), make_path(3, 2), {0: 0})
     g = real(g, make_path(3, 2), {0: 4})
     assert g._index.core == g._index.mask(range(8))
-    g = real(g, make_path(3, 2), {0: 9, 2: 11})
+    g = _checked_amalgam(g, make_path(3, 2), {0: 9, 2: 11}, real)
     assert g._index.core == g._index.full
-    _assert_fresh_build(g)
     # every index is extended from the shared empty one, which no build
     # can write into
     empty = ngons.graph._Index()
@@ -258,9 +269,7 @@ def test_amalgam_index_matches_fresh_build_on_drawn_inputs(inputs):
     that an extended index is extended again."""
     m, e, gluing = inputs
     assume(is_strong(e, gluing)[0])
-    g = free_amalgam(m, e, gluing)
-    _assert_fresh_build(g)
-    _assert_fresh_build(free_amalgam(g, e, gluing))
+    _checked_amalgam(_checked_amalgam(m, e, gluing), e, gluing)
 
 
 # ------------------------------------------- site search, BFS references

@@ -7,11 +7,12 @@ import ngons
 from ngons import graph as graph_module
 from ngons.graph import _canonical, _cycles
 from ngons.io import format_graph
-from conftest import cycle_with_handles, random_bipartite
+from conftest import cycle_with_handles, random_bipartite, small_corpus, sparse_graph
 from ngons import (BipartiteGraph, GraphError, bfs_distances, distance,
                    diameter, girth, enumerate_cycles, ordered_cycles,
                    simple_paths, connected_components, is_connected,
-                   is_generalized_ngon, grow, make_cycle, make_path)
+                   is_generalized_ngon, grow, make_cycle, make_path,
+                   free_amalgam, parse_graph)
 
 
 def test_construction_validation():
@@ -74,19 +75,35 @@ def test_bitset_index_built_once_and_invisible(monkeypatch):
     assert members(index.mask(a)) == a
 
 
-def test_accessors_match_edge_list_reference(small_graphs, fano, gq22, pg23,
-                                              grow_outputs):
-    """neighbors, degree, has_edge, edge_count (one set and two) and
-    part_vertices, which read the bitset index, agree with a reference
-    built from g.edges on every vertex and pair and on random sets."""
+def test_accessors_match_edge_list_reference(monkeypatch):
+    """vertices, edges, part, neighbors, degree, has_edge, edge_count (one
+    set and two) and part_vertices, which read the bitset index, agree
+    with a reference built from the parts and the edge list given to the
+    constructor, on every vertex and pair and on random sets.  The
+    corpus runs past 64 vertices, so masks span several machine words.
+    (An amalgam's index equals a fresh build's: see test_builder.)"""
+    built, real_init = [], BipartiteGraph.__init__
+
+    def recording(self, n, parts, edges, subsets=None):
+        built.append((self, dict(parts), list(edges)))
+        real_init(self, n, parts, built[-1][2], subsets)
+
+    monkeypatch.setattr(BipartiteGraph, "__init__", recording)
     rng = random.Random(20261020)
-    graphs = small_graphs + [fano, gq22, pg23] + [g for g, _ in grow_outputs.values()]
+    graphs = small_corpus() + [ngons.fano_graph(), ngons.gq22_graph(), ngons.projective_plane(3),
+                               sparse_graph(rng, 3, 150, True),
+                               cycle_with_handles(rng, 4, 70, 30, 6)]
+    given = {id(g): (parts, edges) for g, parts, edges in built}
+    assert max(map(len, graphs)) > 64
     for g in graphs:
-        ref = {v: set() for v in g.vertices}
-        for u, v in g.edges:
+        parts, edges = given[id(g)]
+        ref = {v: set() for v in parts}
+        for u, v in edges:
             ref[u].add(v)
             ref[v].add(u)
-        verts = sorted(g.vertices)
+        verts = sorted(parts)
+        assert g.vertices == set(verts) and all(g.part(v) == parts[v] for v in verts)
+        assert g.edges == (pairs := {(min(e), max(e)) for e in edges})
         for v in verts:
             assert g.neighbors(v) == ref[v] and isinstance(g.neighbors(v), frozenset)
             assert g.degree(v) == len(ref[v])
@@ -97,9 +114,9 @@ def test_accessors_match_edge_list_reference(small_graphs, fano, gq22, pg23,
         for _ in range(10):
             a = set(rng.sample(verts, rng.randrange(len(verts) + 1)))
             b = set(rng.sample(verts, rng.randrange(len(verts) + 1)))
-            assert g.edge_count(a) == sum(1 for u, v in g.edges if u in a and v in a)
+            assert g.edge_count(a) == sum(1 for u, v in pairs if u in a and v in a)
             assert g.edge_count(a, b) == sum(
-                1 for u, v in g.edges if (u in a and v in b) or (u in b and v in a))
+                1 for u, v in pairs if (u in a and v in b) or (u in b and v in a))
 
 
 def test_accessors_on_unknown_ids():
@@ -122,6 +139,46 @@ def test_edge_normalisation_and_counting():
     assert g.edge_count({0}, {1}) == 1
     assert g.edge_count({0, 2}, {1}) == 2
     assert g.degree(1) == 2
+
+
+def test_equality_and_hash_compare_the_edges():
+    """== and hash read n, the vertices, their parts and the edges off the
+    index: the same counts with other edges differ, while a reordered,
+    reversed or repeated edge list gives one graph, one hash and one text,
+    and a repeated edge counts once."""
+    parts = {0: 0, 1: 1, 2: 0, 3: 1}
+    one = BipartiteGraph(3, parts, [(0, 1), (2, 3)])
+    other = BipartiteGraph(3, parts, [(0, 3), (2, 1)])
+    assert len(one) == len(other) and len(one.edges) == len(other.edges) == 2
+    assert one != other and one.edges != other.edges
+    assert one != BipartiteGraph(4, parts, [(0, 1), (2, 3)])
+    assert one != BipartiteGraph(3, {0: 0, 1: 1, 2: 1, 3: 0}, [(0, 1), (3, 2)])
+    edges = [(0, 1), (2, 1), (2, 3), (0, 3)]
+    base = BipartiteGraph(3, parts, edges)
+    for variant in (edges[::-1], [(v, u) for u, v in edges], edges + [(1, 0), (0, 1)]):
+        g = BipartiteGraph(3, parts, variant)
+        assert g == base and hash(g) == hash(base)
+        assert format_graph(g) == format_graph(base)
+    g = BipartiteGraph(3, parts, [(0, 1), (1, 0), (0, 1)])
+    assert g.degree(0) == g.degree(1) == 1 and g.edge_count({0, 1}) == 1
+    assert g.edges == {(0, 1)} and g.neighbors(0) == {1}
+
+
+def test_graph_stores_only_its_index():
+    """A fresh graph, a parsed one and an amalgam hold n, the subsets and
+    the index; vertices and edges are views read off the index on first
+    use, which cannot be assigned.  Gluing builds neither view of the
+    parent or of the amalgam."""
+    parent = make_cycle(3, 8)
+    parsed = parse_graph(format_graph(make_cycle(3, 8)))
+    amalgam = free_amalgam(parent, make_path(3, 2), {0: 0})
+    for g in (parent, parsed, amalgam):
+        assert vars(g).keys() == {"n", "subsets", "_index"}
+        for name in ("vertices", "edges"):
+            with pytest.raises(AttributeError):
+                setattr(g, name, frozenset())
+    assert amalgam.edges is amalgam.edges and len(amalgam.edges) == 10
+    assert amalgam.vertices == set(range(10))
 
 
 def test_edge_count_matches_brute_force(small_graphs):

@@ -25,6 +25,19 @@ def test_round_trip_witnesses():
         assert format_graph(h) == text
 
 
+def test_text_writes_the_subsets_that_equality_ignores():
+    """== and hash leave the subsets out, while the text writes them: a
+    named subset keeps a graph equal, with the same hash, but changes its
+    bytes.  The text depends on n, the vertices, their parts, the edges
+    and the subsets, so it reads a graph back with its subsets."""
+    plain = BipartiteGraph(3, {0: 0, 1: 1}, [(0, 1)])
+    named = BipartiteGraph(3, {0: 0, 1: 1}, [(1, 0)], {"s": [0]})
+    assert plain == named and hash(plain) == hash(named)
+    assert format_graph(plain) != format_graph(named)
+    assert format_graph(named) == "ngon 3\nvertex 0 0\nvertex 1 1\nedge 0 1\nsubset s 0\n"
+    assert parse_graph(format_graph(named)).subsets == {"s": {0}}
+
+
 def test_parse_minimal():
     g = parse_graph("ngon 3\nvertex 0 0\nvertex 1 1 # a comment\nedge 0 1\n"
                     "subset a 0 1\n")

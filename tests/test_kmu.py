@@ -685,7 +685,7 @@ def test_condition3_skips_only_bodies_without_copies(monkeypatch):
     checks += [(twenty_seven_copies(), None, None), (gq22_without_19(), 8, None)]
     skipped = 0
     for g, cap, member_base in checks:
-        new = g.vertices - (member_base or frozenset())
+        new = g.vertices - frozenset(member_base or ())
         yielded, walked = walked_bodies(monkeypatch, g, cap, member_base)
         assert set(walked) <= set(yielded)
         over, bases = {}, {}

@@ -65,7 +65,7 @@ def _load_mu(path, n):
     try:
         with open(path) as fh:
             mu = MuFunction.from_json(fh.read())
-    except (OSError, ValueError, KeyError, gio.ParseError, GraphError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, gio.ParseError, GraphError) as exc:
         raise _InputError("bad mu file %s: %s" % (path, exc))
     if mu.n != n:
         raise _InputError("mu file is for n=%d, graph has n=%d" % (mu.n, n))

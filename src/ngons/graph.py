@@ -64,7 +64,8 @@ class BipartiteGraph:
         for name, ids in dict(subsets or {}).items():
             members = frozenset(ids)
             if not part.keys() >= members:
-                raise GraphError("subset %r mentions unknown vertices" % (name,))
+                raise GraphError("subset %r mentions unknown vertices %s"  # ids of any type
+                                 % (name, sorted(members - part.keys(), key=repr)))
             self.subsets[name] = members
         self._index = _Index().extended(part, edges)
 
@@ -365,6 +366,7 @@ def enumerate_cycles(g, length, through=None):
     The sorted, single-length view of `_cycles`."""
     if length % 2 != 0 or length < 4:
         raise GraphError("cycle length must be even and >= 4, got %r" % (length,))
+    through = -1 if through is None else g._index.mask(g.check_subset(through))
     return sorted(tuple(map(g._index.verts.__getitem__, _canonical(cyc)))
                   for cyc, _ in _cycles(g, (length,), through))
 
@@ -376,23 +378,24 @@ def _canonical(cycle):
     return cyc if cyc[1] < cyc[-1] else cyc[:1] + cyc[:0:-1]
 
 
-def _cycles(g, lengths, through=None):
+def _cycles(g, lengths, through=-1):
     """Yield each simple cycle whose length is in `lengths` (even, >= 4)
+    and that meets the checked mask `through` (by default every vertex)
     once, as (its positions in cycle order, their mask), in no fixed order.
 
-    A cycle of length L has one root r, its smallest vertex (with
-    `through`: its smallest one in `through`), and one antipode v.  From r
-    the walk lists the simple paths of length L/2 over vertices above r or
-    outside `through`, by their end: two to one v whose masks meet only in
-    {r, v} close a cycle, and each cycle is exactly one such unordered pair
-    (its halves), so it comes out once.  Two halves that leave r by one
-    first step share it and close none, so only halves from different
-    first steps have their masks compared.  Every cycle lies in the 2-core
-    (`_Index.core`), each of its vertices having two neighbours on it: no
-    walk leaves it, and a pendant path added last roots none."""
+    A cycle of length L has one root r, its smallest vertex in `through`,
+    and one antipode v.  From r the walk lists the simple paths of length
+    L/2 over vertices above r or outside `through`, by their end: two to
+    one v whose masks meet only in {r, v} close a cycle, and each cycle is
+    exactly one such unordered pair (its halves), so it comes out once.
+    Two halves that leave r by one first step share it and close none, so
+    only halves from different first steps have their masks compared.
+    Every cycle lies in the 2-core (`_Index.core`), each of its vertices
+    having two neighbours on it: no walk leaves it, and a pendant path
+    added last roots none."""
     idx, halves = g._index, frozenset(length // 2 for length in lengths)
     adj, core, top = idx.adj, idx.core, max(halves)
-    roots = core if through is None else idx.mask(g.check_subset(through)) & core
+    roots = core & through
     for r in _bits(roots):
         keep = core & ~(roots & ((2 << r) - 1))
         ends, stack = {}, [((r,), 1 << r)]

@@ -339,7 +339,7 @@ def check_remark_2_2(g, grp):
     orbits, lengths, carriers = _require(g, grp), (2 * g.n + 2, 2 * g.n), {}
     for x, orbit in orbits.items():
         if not all(map(g.part, orbit)):  # the orbit meets part 0
-            for c, mask in _cycles(g, lengths, (x,)):  # counted, the least kept
+            for c, mask in _cycles(g, lengths, 1 << g._index.pos[x]):  # counted, the least kept
                 found = carriers.setdefault(len(c), {}).setdefault(x, [len(orbit), 0, (inf,)])
                 found[1] += 1
                 low, least = (mask & -mask).bit_length() - 1, found[2]

@@ -7,9 +7,10 @@ One declaration per line, '#' starts a comment:
     edge <id> <id>
     subset <name> <id> ...
 
-Parsing is strict: duplicate declarations, unknown vertices and malformed
-lines are errors.  Writing is canonical (sorted): the text depends on n,
-the vertices, their parts, the edges and the subsets, which == ignores.
+Declarations after the header come in any order.  The reader checks the
+syntax, by line; the data rules and their errors are `BipartiteGraph`'s.
+Writing is canonical (sorted): the text depends on n, the vertices, their
+parts, the edges and the subsets, which == ignores.
 """
 
 from .graph import BipartiteGraph, GraphError
@@ -40,16 +41,12 @@ def parse_graph(text):
             p = _int(args, 1, lineno, "part")
             if v in parts:
                 raise ParseError("line %d: duplicate vertex %d" % (lineno, v))
-            if p not in (0, 1):
-                raise ParseError("line %d: part must be 0 or 1" % lineno)
             parts[v] = p
         elif kind == "edge":
             if len(args) != 2:
                 _bad(lineno, line)
             u = _int(args, 0, lineno, "vertex id")
             v = _int(args, 1, lineno, "vertex id")
-            if u not in parts or v not in parts:
-                raise ParseError("line %d: edge endpoint not declared" % lineno)
             e = (u, v) if u < v else (v, u)
             if e in edges:
                 raise ParseError("line %d: duplicate edge %d %d" % (lineno, u, v))
@@ -60,15 +57,8 @@ def parse_graph(text):
             name = args[0]
             if name in subsets:
                 raise ParseError("line %d: duplicate subset %r" % (lineno, name))
-            try:
-                ids = [int(x) for x in args[1:]]
-            except ValueError:
-                _bad(lineno, line)
-            missing = [v for v in ids if v not in parts]
-            if missing:
-                raise ParseError("line %d: subset mentions undeclared vertices %s"
-                                 % (lineno, missing))
-            subsets[name] = frozenset(ids)
+            subsets[name] = frozenset(_int(args, i, lineno, "vertex id")
+                                      for i in range(1, len(args)))
         else:
             raise ParseError("line %d: unknown declaration %r" % (lineno, kind))
     if n is None:
@@ -92,6 +82,9 @@ def _bad(lineno, line):
 
 
 def format_graph(g):
+    for name in g.subsets:  # one word without '#', or it would not read back
+        if not isinstance(name, str) or name.split() != [name] or "#" in name:
+            raise GraphError("subset name %r cannot be written" % (name,))
     lines = ["ngon %d" % g.n]
     for v in sorted(g.vertices):
         lines.append("vertex %d %d" % (v, g.part(v)))
@@ -108,5 +101,6 @@ def load_graph(path):
 
 
 def save_graph(g, path):
+    text = format_graph(g)  # before the file is opened: an error truncates nothing
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_graph(g))
+        fh.write(text)

@@ -179,9 +179,9 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
         raise GraphError("mu-function built for n=%d, graph has n=%d" % (mu.n, n))
     horizon = default_horizon(n) if horizon is None else horizon
     cap = default_body_cap(n) if max_body is None else max_body
-    idx, new, nmask = g._index, g._index.pos.keys(), g._index.full
+    idx, nmask = g._index, g._index.full
     if member_base is not None:
-        nmask = idx.mask(new := idx.pos.keys() - g.check_subset(member_base))
+        nmask = idx.mask(idx.pos.keys() - g.check_subset(member_base))
         if _hull_cut(g, idx.full & ~nmask, idx.full, 0)[0] < 0:
             raise GraphError("member_base is not strongly embedded; violator %s"
                              % sorted(is_strong(g, member_base)[1]))
@@ -189,7 +189,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     # Conditions 1 and 2, from one walk of the cycles
     floor, seen_minimisers, reports = 2 * n + 2, set(), []
     for cyc, cmask in _cycles(g, [*range(4, 2 * n, 2), *range(floor, horizon + 1, 2)],
-                              through=new):
+                              nmask):
         if len(cyc) < 2 * n:
             reports.append(ViolationReport("short_cycle", tuple(
                 idx.verts[p] for p in _bits(cmask)), len(cyc), 2 * n))
@@ -207,8 +207,8 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
     by_base, verts = {}, idx.verts.__getitem__
     for base, body in _zero_min_pairs(g, cap, nmask, shared=True):
         by_base.setdefault(base, []).append(body)
-    for bits, bodies in sorted((_bits(base), bodies) for base, bodies in by_base.items()
-                               if len(bodies) > 1 or not base & nmask):
+    for bits, bmask, bodies in sorted((_bits(base), base, bodies) for base, bodies
+                                      in by_base.items() if len(bodies) > 1 or not base & nmask):
         base, classes = frozenset(map(verts, bits)), []
         for b in sorted(bodies, key=_bits):
             key, body = (b.bit_count(), idx.edges(b)), frozenset(map(verts, _bits(b)))
@@ -219,7 +219,7 @@ def in_class(g, mu: Optional[MuFunction] = None, horizon=None, max_body=None,
             else:
                 classes.append((key, [body]))
         for _, cls in classes:
-            copies = cls if base & new else find_copies(g, base, cls[0])
+            copies = cls if bmask & nmask else find_copies(g, base, cls[0])
             if len(copies) < 2:
                 continue  # every mu value is at least 1
             if len(copies) > (bound := mu(g, base, cls[0])):

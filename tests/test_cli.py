@@ -6,8 +6,8 @@ import sys
 import pytest
 
 import ngons
-from ngons import (BipartiteGraph, format_graph, make_cycle, make_path,
-                   parse_graph, fano_graph)
+from ngons import (BipartiteGraph, default_mu, format_graph, make_cycle,
+                   make_path, parse_graph, fano_graph)
 from ngons.cli import main
 
 CYCLES = re.compile(r"(\(\d+( \d+)+\))+")  # format_cycles of a non-identity
@@ -77,6 +77,11 @@ def test_zeroalg(capsys, tmp_path):
                                 "SEARCHED max_body=1\n")
     code, _, err = run(capsys, "zeroalg", str(p))
     assert code == 2
+    # algebraic over a base with an isolated extra vertex, minimally over less
+    h = tmp_path / "h.txt"
+    h.write_text(format_graph(BipartiteGraph(3, {0: 0, 1: 1, 2: 0, 9: 0}, [(0, 1), (1, 2)])))
+    assert run(capsys, "zeroalg", str(h), "--base", "0,2,9", "--body", "1") == (
+        1, "true\nfalse\n", "minimal_base 0,2\n")
 
 
 def test_negative_ids(capsys, tmp_path):
@@ -116,6 +121,26 @@ def test_kmu(capsys, cyc8_file, tmp_path):
     assert any(line.startswith("VIOLATION short_cycle") for line in lines[1:])
 
 
+def test_kmu_mu_file(capsys, cyc8_file, tmp_path):
+    """`--mu FILE` reads a mu-function: the default one written out
+    answers as no file does; one for another n, malformed JSON or JSON
+    of another shape exits 2."""
+    mu3, mu4 = tmp_path / "mu3.json", tmp_path / "mu4.json"
+    mu3.write_text(default_mu(3).to_json())
+    mu4.write_text(default_mu(4).to_json())
+    (c4 := tmp_path / "c4.txt").write_text(format_graph(make_cycle(3, 4)))
+    for graph in (cyc8_file, str(c4)):  # a member and a graph with violations
+        assert run(capsys, "kmu", graph, "--mu", str(mu3)) == run(capsys, "kmu", graph)
+    code, out, err = run(capsys, "kmu", cyc8_file, "--mu", str(mu4))
+    assert (code, out) == (2, "") and err.startswith("error: mu file is for n=4")
+    for text in ("{not json", "[3]", '{"n": 3, "overrides": [{"graph": "ngon 3", "base": [],'
+                 ' "body": [], "value": null}]}'):
+        (junk := tmp_path / "junk.json").write_text(text)
+        code, out, err = run(capsys, "kmu", cyc8_file, "--mu", str(junk))
+        assert (code, out) == (2, "") and err.startswith("error: bad mu file"), text
+        assert err.count("\n") == 1
+
+
 def test_witness_round_trip(capsys, tmp_path):
     out_file = tmp_path / "w.txt"
     for argv in (["witness", "path", "3", "4"],
@@ -144,6 +169,10 @@ def test_grow_cli(capsys, cyc8_file, tmp_path):
     run(capsys, "grow", cyc8_file, "--steps", "5", "--seed", "4",
         "-o", str(out2), "--log", str(log_file))
     assert out2.read_bytes() == out_file.read_bytes()
+    # without --log the step log goes to stderr
+    code, out, err = run(capsys, "grow", cyc8_file, "--steps", "5", "--seed", "4")
+    assert code == 0 and parse_graph(out) == g
+    assert err == log_file.read_text()
     # the seed is mandatory
     code, _, _ = run(capsys, "grow", cyc8_file, "--steps", "5",
                      "-o", str(out_file))

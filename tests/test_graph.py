@@ -26,6 +26,12 @@ def test_construction_validation():
         BipartiteGraph(3, {0: 0, 1: 0}, [(0, 1)])  # same part
     with pytest.raises(GraphError):
         BipartiteGraph(3, {0: 0}, [(0, 0)])  # loop
+    with pytest.raises(GraphError):
+        BipartiteGraph(3, {"a": 0}, [])  # not an integer id
+    with pytest.raises(GraphError, match=r"subset 's' mentions unknown vertices \[2, 7\]"):
+        BipartiteGraph(3, {0: 0}, [], {"s": [7, 0, 2]})
+    with pytest.raises(GraphError, match=r"unknown vertices \['x', 1\]"):
+        BipartiteGraph(3, {0: 0}, [], {"s": ["x", 1]})
 
 
 def test_bitset_index_built_once_and_invisible(monkeypatch):
@@ -481,7 +487,7 @@ def test_cycle_walk_matches_closed_paths_by_length():
     on chorded long cycles with handles, on random graphs and on K_{3,3}
     and K_{4,4}, where one vertex set carries several cycles of one
     length, each also with pendant trees hung on it.  Each yielded mask
-    is the vertex set of its cycle.  A `through` set off the 2-core, the
+    is the vertex set of its cycle.  A `through` mask off the 2-core, the
     tree vertices among them, meets no cycle."""
     rng = random.Random(20261019)
     found = set()
@@ -498,11 +504,12 @@ def test_cycle_walk_matches_closed_paths_by_length():
             for g in (plain, with_pendant_trees(rng, plain, 5)):
                 off = g.vertices - two_core_brute_force(g)
                 assert off or g is plain
-                assert not list(_cycles(g, lengths, off))
+                assert not list(_cycles(g, lengths, g._index.mask(off)))
                 for through in (None, set(rng.sample(verts, 2)),
                                 set(verts[-3:]), off | set(verts[:1])):
                     walked = {}
-                    for cyc, mask in _cycles(g, lengths, through):
+                    for cyc, mask in _cycles(g, lengths, -1 if through is None
+                                             else g._index.mask(through)):
                         assert mask == sum(1 << p for p in cyc)
                         ids = tuple(g._index.verts[p] for p in _canonical(cyc))
                         walked.setdefault(len(cyc), []).append(ids)

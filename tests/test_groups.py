@@ -222,6 +222,8 @@ def test_orbit_rejects_point_outside_domain():
             grp.orbit(99)
         with pytest.raises(GraphError):
             grp.orbit((0, 99))
+        with pytest.raises(GraphError):
+            grp.stabilizer((0, 99))
 
 
 # ------------------------------------------- element-scan reference battery

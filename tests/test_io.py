@@ -7,9 +7,9 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ngons import (BipartiteGraph, ParseError, delta, parse_graph,
+from ngons import (BipartiteGraph, GraphError, ParseError, delta, parse_graph,
                    format_graph, fano_graph, make_cl_witness, make_cycle,
-                   make_gamma, make_path)
+                   make_gamma, make_path, save_graph)
 from ngons.cli import main
 
 
@@ -57,10 +57,52 @@ def test_parse_minimal():
     "ngon 3\nwibble 1 2",                  # unknown declaration
     "ngon x",                              # non-integer n
     "ngon 3\nvertex 0 0\nvertex 1 0\nedge 0 1",  # same-part edge
+    "ngon 3\nvertex 0 0\nvertex 1 1\nedge 0 1 1",  # edge field count
+    "ngon 3\nvertex 0 0\nsubset a 0\nsubset a",  # duplicate subset
+    "ngon 3\nvertex 0 0\nsubset a 0 x",    # non-integer subset member
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_graph(text)
+
+
+def test_declarations_come_in_any_order():
+    """After the header, edges and subsets may precede their vertices."""
+    usual = "ngon 3\nvertex 0 0\nvertex 1 1\nvertex 2 0\nedge 0 1\nedge 1 2\nsubset a 0 2\n"
+    lines = usual.splitlines()
+    g = parse_graph("\n".join(lines[:1] + lines[:0:-1]))
+    assert g == parse_graph(usual) and g.subsets == {"a": {0, 2}}
+    assert format_graph(g) == usual
+
+
+@pytest.mark.parametrize("text, message", [
+    ("ngon 3\nvertex 0 2", "part of vertex 0 must be 0 or 1, got 2"),
+    ("ngon 3\nvertex 0 0\nedge 0 1", "edge (0, 1) has an unknown endpoint"),
+    ("ngon 3\nvertex 0 0\nsubset a 5 0 3", "subset 'a' mentions unknown vertices [3, 5]"),
+    ("ngon 2\nvertex 0 0", "gonality n must be an integer >= 3, got 2"),
+])
+def test_data_errors_come_from_the_graph(text, message):
+    """The reader checks syntax only; a data error is the graph's and
+    names the vertex, edge or subset at fault."""
+    with pytest.raises(ParseError) as err:
+        parse_graph(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("subsets", [{"a b": [0]}, {"x#y": [0]}, {"": [0]}, {5: [0]},
+                                     {5: [0], "a": [1]}],
+                         ids=["space", "hash", "empty", "int", "int and str"])
+def test_subset_names_that_do_not_read_back_are_refused(tmp_path, subsets):
+    """A subset name must read back as itself: one str word without '#'.
+    The check comes before any file is opened, so nothing is truncated."""
+    g = BipartiteGraph(3, {0: 0, 1: 1}, [(0, 1)], subsets)
+    with pytest.raises(GraphError, match="cannot be written"):
+        format_graph(g)
+    path = tmp_path / "g.txt"
+    path.write_text("kept\n")
+    with pytest.raises(GraphError):
+        save_graph(g, str(path))
+    assert path.read_text() == "kept\n"
 
 
 # ------------------------------------------------------ property testing

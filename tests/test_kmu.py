@@ -49,6 +49,12 @@ def test_mu_overrides():
     with pytest.raises(GraphError):
         mu.add_override(path, path.subsets["endpoints"],
                         path.subsets["interior"], 5)  # path pair must be 1
+    # a mu-function serves one gonality: no exemplar or graph of another
+    other = make_cl_witness(n + 1, 2)
+    with pytest.raises(GraphError):
+        mu.add_override(other, other.subsets["A0"], other.subsets["C"], 9)
+    with pytest.raises(GraphError, match="built for n=3, graph has n=4"):
+        in_class(other, mu)
     # isomorphism invariance: a relabelled copy gets the override value
     relabel = {v: v + 100 for v in wit.vertices}
     wit2 = BipartiteGraph(n, {relabel[v]: wit.part(v) for v in wit.vertices},
@@ -733,7 +739,7 @@ def test_cycle_walk_counts(make, through, counts):
     1,161,291 and 1,512 tests)."""
     g = make()
     lengths = [*range(4, 2 * g.n, 2), *range(2 * g.n + 2, default_horizon(g.n) + 1, 2)]
-    cycles = []
+    cycles, through = [], -1 if through is None else g._index.mask(through)
     counts_seen = line_counts(lambda: cycles.extend(_cycles(g, lengths, through)),
                               (ngons.graph._cycles, "stack.pop()"),
                               (ngons.graph._cycles, "mask & more =="))

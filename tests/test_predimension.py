@@ -61,6 +61,8 @@ def test_is_strong_requires_containment():
     g = make_path(3, 3)
     with pytest.raises(GraphError):
         is_strong(g, {0, 3}, {0, 1})
+    with pytest.raises(GraphError):
+        d_min(g, {0, 3}, {0, 1})
 
 
 def test_closure_examples():

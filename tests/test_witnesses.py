@@ -62,6 +62,8 @@ def test_cl_witness_deltas(n, l):
     assert delta_rel(g, arc, a0) >= 1
     with pytest.raises(GraphError):
         make_cl_witness(n, 1)
+    with pytest.raises(GraphError):
+        make_cl_witness(2, 2)
 
 
 def test_base_set_search(fano):

@@ -119,6 +119,9 @@ def test_minimal_base_drops_redundant_vertices():
     assert not is_zero_minimally_algebraic(h, {0, 2, 9}, {1})
     # idempotent
     assert minimal_base(h, {0, 2}, {1}) == frozenset({0, 2})
+    # a body with delta 1 over one endpoint is not 0-algebraic over it
+    with pytest.raises(GraphError):
+        minimal_base(g, {0}, {1})
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])
